@@ -36,6 +36,10 @@ fn unknown_command_and_bad_flags_exit_2() {
         code(&repro(&["query", "not a ( model", "0.0", "1.0"], &[])),
         2
     );
+    // Nesting past the parser's limit is a parse error, not a stack
+    // overflow that aborts the process.
+    let deep = format!("{}1{}", "(".repeat(10_000), ")".repeat(10_000));
+    assert_eq!(code(&repro(&["query", &deep, "0.0", "1.0"], &[])), 2);
 }
 
 #[test]

@@ -698,7 +698,38 @@ enum ResultMode {
     Query(Interval),
 }
 
+/// Volumes of one chunk combination: the lower end of `vol(q_lb)` and
+/// the upper end of `vol(q_ub)`, given the exact-dimension cap and the
+/// certified-volume budget.
+type ComboVolumes = fn(&HPolytope, &HPolytope, usize, usize) -> (f64, f64);
+
+/// [`ComboVolumes`] computing each distinct polytope once: when 𝔓_lb
+/// and 𝔓_ub are the same row system bit for bit (every path whose
+/// constants are points), one volume call serves both ends.
+fn combo_volumes(
+    q_lb: &HPolytope,
+    q_ub: &HPolytope,
+    exact_cap: usize,
+    budget: usize,
+) -> (f64, f64) {
+    if q_lb.bit_eq(q_ub) {
+        return q_lb.volume_range(exact_cap, budget);
+    }
+    let (lo, _) = q_lb.volume_range(exact_cap, budget);
+    let (_, hi) = q_ub.volume_range(exact_cap, budget);
+    (lo, hi)
+}
+
 fn plan_linear(path: &SymPath, opts: PathBoundOptions, mode: ResultMode) -> PathJob<'_, Region> {
+    plan_linear_with(path, opts, mode, combo_volumes)
+}
+
+fn plan_linear_with(
+    path: &SymPath,
+    opts: PathBoundOptions,
+    mode: ResultMode,
+    volumes: ComboVolumes,
+) -> PathJob<'_, Region> {
     let n = path.n_samples;
     let nothing = || PathJob::Ready(Vec::new());
 
@@ -870,9 +901,11 @@ fn plan_linear(path: &SymPath, opts: PathBoundOptions, mode: ResultMode) -> Path
     // bounded by the region budget.
     let total: usize = chunkings.iter().map(Vec::len).product();
     // Per-combination cost estimate (seeds the adaptive chunk width):
-    // two polytope clones, the chunk clips, an LP feasibility check and
-    // the volume bounds all scale with the dimension and constraint
-    // count. A pure function of the plan, like the grid's tape cost.
+    // cloning 𝔓_lb and 𝔓_ub, clipping both to the chunks, one LP
+    // feasibility check and the volumes (one Lasserre run when the two
+    // clipped polytopes coincide, two otherwise) all scale with the
+    // dimension and constraint count. A pure function of the plan, like
+    // the grid's tape cost.
     let cost = 64 * (n as u64 + 1) * (path.constraints.len() as u64 + boxed.len() as u64 + 1);
     let eval_range = move |range: Range<usize>, buf: &mut Vec<Region>| {
         let radix = |d: usize| chunkings[d].len();
@@ -911,8 +944,7 @@ fn plan_linear(path: &SymPath, opts: PathBoundOptions, mode: ResultMode) -> Path
             if q_ub.is_empty() {
                 continue;
             }
-            let (vol_lb, _) = q_lb.volume_range(exact_cap, opts.volume_budget);
-            let (_, vol_ub) = q_ub.volume_range(exact_cap, opts.volume_budget);
+            let (vol_lb, vol_ub) = volumes(&q_lb, &q_ub, exact_cap, opts.volume_budget);
 
             if vol_ub > 0.0 || vol_lb > 0.0 {
                 // Weight interval: product over scores of the skeleton
@@ -1705,6 +1737,123 @@ mod tests {
                 let par = bound_path_query_threaded(p, Interval::UNIT, opts, threads);
                 assert_eq!(seq.0.to_bits(), par.0.to_bits());
                 assert_eq!(seq.1.to_bits(), par.1.to_bits());
+            }
+        }
+    }
+
+    /// A three-sample linear path: constraints `α₀ + α₁ + k − 1 ≤ 0`
+    /// and `α₁ − α₂ + k > 0`, score `α₀ + α₁`, result `α₀ + α₂`.
+    fn linear_path_with_constant(k: SymVal) -> SymPath {
+        use gubpi_lang::PrimOp::{Add, Sub};
+        let s = |i| Arc::new(SymVal::Sample(i));
+        let k = Arc::new(k);
+        let sum01 = SymVal::prim(Add, vec![s(0), s(1)]);
+        SymPath {
+            result: SymVal::prim(Add, vec![s(0), s(2)]),
+            n_samples: 3,
+            constraints: vec![
+                gubpi_symbolic::SymConstraint {
+                    value: SymVal::prim(
+                        Sub,
+                        vec![
+                            SymVal::prim(Add, vec![sum01.clone(), k.clone()]),
+                            Arc::new(SymVal::Const(1.0)),
+                        ],
+                    ),
+                    dir: gubpi_symbolic::CmpDir::LeZero,
+                },
+                gubpi_symbolic::SymConstraint {
+                    value: SymVal::prim(Add, vec![SymVal::prim(Sub, vec![s(1), s(2)]), k]),
+                    dir: gubpi_symbolic::CmpDir::GtZero,
+                },
+            ],
+            scores: vec![sum01],
+            truncated: false,
+            budget_truncated: false,
+            tail: None,
+        }
+    }
+
+    fn two_volume_calls(
+        q_lb: &HPolytope,
+        q_ub: &HPolytope,
+        cap: usize,
+        budget: usize,
+    ) -> (f64, f64) {
+        (
+            q_lb.volume_range(cap, budget).0,
+            q_ub.volume_range(cap, budget).1,
+        )
+    }
+
+    fn two_calls_on_equal(
+        q_lb: &HPolytope,
+        q_ub: &HPolytope,
+        cap: usize,
+        budget: usize,
+    ) -> (f64, f64) {
+        assert!(q_lb.bit_eq(q_ub), "point constants give one polytope");
+        two_volume_calls(q_lb, q_ub, cap, budget)
+    }
+
+    fn two_calls_on_distinct(
+        q_lb: &HPolytope,
+        q_ub: &HPolytope,
+        cap: usize,
+        budget: usize,
+    ) -> (f64, f64) {
+        assert!(
+            !q_lb.bit_eq(q_ub),
+            "interval constants split 𝔓_lb from 𝔓_ub"
+        );
+        two_volume_calls(q_lb, q_ub, cap, budget)
+    }
+
+    fn region_stream(job: PathJob<'_, Region>) -> Vec<Region> {
+        match job {
+            PathJob::Ready(items) => items,
+            PathJob::Sweep { total, process, .. } => {
+                let mut buf = Vec::new();
+                process(0..total, &mut buf);
+                buf
+            }
+        }
+    }
+
+    /// One volume call per combination when 𝔓_lb and 𝔓_ub coincide
+    /// emits exactly the region stream of two separate calls, in both
+    /// result modes, for point constants (deduplicated) and interval
+    /// constants (two calls either way).
+    #[test]
+    fn deduplicated_volumes_match_two_volume_calls() {
+        let opts = PathBoundOptions {
+            splits: 4,
+            ..Default::default()
+        };
+        let cases: [(SymVal, ComboVolumes); 2] = [
+            (SymVal::Const(0.25), two_calls_on_equal),
+            (
+                SymVal::Interval(Interval::new(0.2, 0.3)),
+                two_calls_on_distinct,
+            ),
+        ];
+        for (k, oracle) in cases {
+            let path = linear_path_with_constant(k);
+            assert!(linear_applicable(&path));
+            for mode in [
+                || ResultMode::Boxed,
+                || ResultMode::Query(Interval::new(0.25, 1.0)),
+            ] {
+                let deduped = region_stream(plan_linear(&path, opts, mode()));
+                let two_calls = region_stream(plan_linear_with(&path, opts, mode(), oracle));
+                assert!(!deduped.is_empty());
+                assert_eq!(deduped.len(), two_calls.len());
+                for (a, b) in deduped.iter().zip(&two_calls) {
+                    assert_eq!(a.0.lo().to_bits(), b.0.lo().to_bits(), "value range");
+                    assert_eq!(a.0.hi().to_bits(), b.0.hi().to_bits(), "value range");
+                    assert_eq!(a.1.to_bits(), b.1.to_bits(), "lower mass bits");
+                    assert_eq!(a.2.to_bits(), b.2.to_bits(), "upper mass bits");
+                }
             }
         }
     }

@@ -60,6 +60,7 @@ pub fn parse(source: &str) -> Result<Program, LangError> {
     let mut parser = Parser {
         tokens,
         pos: 0,
+        depth: 0,
         builder: AstBuilder::new(),
     };
     let root = parser.expr()?;
@@ -70,9 +71,17 @@ pub fn parse(source: &str) -> Result<Program, LangError> {
     })
 }
 
+/// The deepest expression nesting [`parse`] accepts. Every later phase
+/// (typing, abstract interpretation, symbolic execution) recurses over
+/// the AST, so depth is bounded once, here: a deeper program is a parse
+/// error instead of a stack overflow.
+pub const MAX_NESTING: usize = 256;
+
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Open expression nesting levels (see [`MAX_NESTING`]).
+    depth: usize,
     builder: AstBuilder,
 }
 
@@ -138,8 +147,30 @@ impl Parser {
         }
     }
 
-    /// `expr := ctrl (';' expr)?` — sequencing binds loosest.
+    /// Runs `f` one nesting level deeper, failing once [`MAX_NESTING`]
+    /// levels are open.
+    fn nested(&mut self, f: fn(&mut Self) -> Result<Expr, LangError>) -> Result<Expr, LangError> {
+        if self.depth >= MAX_NESTING {
+            return Err(LangError::new(
+                Phase::Parse,
+                format!("expression nested deeper than {MAX_NESTING} levels"),
+                self.span(),
+            ));
+        }
+        self.depth += 1;
+        let e = f(self);
+        self.depth -= 1;
+        e
+    }
+
+    /// Every recursive cycle of the grammar passes through `expr` or
+    /// the prefix-minus loop in `unary`, so both count nesting levels.
     fn expr(&mut self) -> Result<Expr, LangError> {
+        self.nested(Self::seq)
+    }
+
+    /// `expr := ctrl (';' expr)?` — sequencing binds loosest.
+    fn seq(&mut self) -> Result<Expr, LangError> {
         let first = self.ctrl()?;
         if *self.peek() == TokenKind::Semi {
             self.bump();
@@ -421,7 +452,7 @@ impl Parser {
         if *self.peek() == TokenKind::Minus {
             let start = self.span();
             self.bump();
-            let inner = self.unary()?;
+            let inner = self.nested(Self::unary)?;
             let span = start.merge(inner.span);
             if let ExprKind::Const(c) = inner.kind {
                 return Ok(self.builder.mk_const(-c, span));
@@ -814,6 +845,19 @@ mod tests {
     fn rejects_unknown_distributions() {
         assert!(parse("sample wat(1, 2)").is_err());
         assert!(parse("observe 1 from wat(1)").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_a_parse_error_not_a_stack_overflow() {
+        let parens = |depth: usize| format!("{}1{}", "(".repeat(depth), ")".repeat(depth));
+        for src in [parens(10_000), format!("{}1", "-".repeat(10_000))] {
+            let err = parse(&src).expect_err("nested past the limit");
+            assert_eq!(err.phase, Phase::Parse);
+            assert!(err.message.contains("nested deeper than"), "{err}");
+        }
+        // `expr` itself is one level, so MAX_NESTING − 1 parentheses fit.
+        assert!(parse(&parens(MAX_NESTING - 1)).is_ok());
+        assert!(parse(&parens(MAX_NESTING)).is_err());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use gubpi_interval::{BoxN, Interval};
 
-use crate::simplex::{solve_lp, LpOutcome};
+use crate::simplex::{solve_lp, LpOutcome, Row};
 use crate::LinExpr;
 
 /// A convex polytope `{ x ≥ 0 | aᵢ·x ≤ bᵢ }` in H-representation.
@@ -66,6 +66,18 @@ impl HPolytope {
     /// The constraint rows `(a, b)` meaning `a·x ≤ b`.
     pub fn rows(&self) -> &[(Vec<f64>, f64)] {
         &self.rows
+    }
+
+    /// Are both polytopes the same row system bit for bit? Stricter than
+    /// `==`, which equates `0.0` with `-0.0` and fails on NaN; every
+    /// volume and LP result is a pure function of these bits.
+    pub fn bit_eq(&self, other: &HPolytope) -> bool {
+        let same = |x: &f64, y: &f64| x.to_bits() == y.to_bits();
+        self.dim == other.dim
+            && self.rows.len() == other.rows.len()
+            && self.rows.iter().zip(&other.rows).all(|((a, b), (c, d))| {
+                same(b, d) && a.len() == c.len() && a.iter().zip(c).all(|(x, y)| same(x, y))
+            })
     }
 
     /// Adds the constraint `a·x ≤ b`.
@@ -145,28 +157,46 @@ impl HPolytope {
 
     /// Removes constraints implied by the others (for each row, maximise
     /// its left-hand side subject to the rest; redundant iff `max ≤ b`).
+    /// An infeasible check (empty polytope) keeps the row.
     pub fn without_redundant_rows(&self) -> HPolytope {
-        let mut kept: Vec<(Vec<f64>, f64)> = Vec::new();
-        for i in 0..self.rows.len() {
-            let (a, b) = &self.rows[i];
-            let mut others: Vec<(Vec<f64>, f64)> = kept.clone();
-            others.extend(self.rows[i + 1..].iter().cloned());
-            match solve_lp(a, true, &others, self.dim) {
-                LpOutcome::Optimal(v, _) if v <= b + 1e-9 => {
-                    // implied by the others — drop
-                }
-                LpOutcome::Infeasible => {
-                    // empty polytope; keep the row (harmless)
-                    kept.push((a.clone(), *b));
-                }
-                _ => kept.push((a.clone(), *b)),
-            }
-        }
+        let keep = irredundant_mask(&self.rows, |(a, b), others| {
+            matches!(
+                solve_lp(a, true, others, self.dim),
+                LpOutcome::Optimal(v, _) if v <= b + 1e-9
+            )
+        });
         HPolytope {
             dim: self.dim,
-            rows: kept,
+            rows: self
+                .rows
+                .iter()
+                .zip(keep)
+                .filter(|&(_, k)| k)
+                .map(|(r, _)| r.clone())
+                .collect(),
         }
     }
+}
+
+/// Which rows survive sequential redundancy removal: row `i` is dropped
+/// when `implied(row_i, others)` holds, where `others` borrows the rows
+/// kept before `i` followed by every row after it.
+pub(crate) fn irredundant_mask(rows: &[Row], implied: impl Fn(&Row, &[&Row]) -> bool) -> Vec<bool> {
+    let mut keep = vec![false; rows.len()];
+    let mut others: Vec<&Row> = Vec::with_capacity(rows.len());
+    for (i, row) in rows.iter().enumerate() {
+        others.clear();
+        others.extend(
+            rows[..i]
+                .iter()
+                .zip(&keep)
+                .filter(|&(_, &k)| k)
+                .map(|(r, _)| r),
+        );
+        others.extend(&rows[i + 1..]);
+        keep[i] = !implied(row, &others);
+    }
+    keep
 }
 
 #[cfg(test)]

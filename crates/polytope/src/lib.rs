@@ -31,6 +31,8 @@
 
 mod hpoly;
 mod linexpr;
+#[cfg(test)]
+mod reference;
 pub mod simplex;
 mod volume;
 

@@ -1,5 +1,4 @@
 //! Dense two-phase simplex for small LPs.
-#![allow(clippy::needless_range_loop)] // index loops mirror tableau notation
 //!
 //! Solves `max / min c·x` subject to `A x ≤ b`, `x ≥ 0` — the form in
 //! which all polytopes of the linear trace semantics arrive (sample
@@ -7,6 +6,14 @@
 //! rows). Bland's anti-cycling rule is used throughout; tolerances are
 //! absolute (`1e-9`), adequate for the small well-scaled systems produced
 //! by the analyzer.
+//!
+//! Each solve works on one contiguous row-major tableau. Free variables
+//! (`solve_lp_free`) are split as `x = u − v` while the tableau is
+//! filled, and callers may pass borrowed rows (`&[&Row]`), so a
+//! "every row but one" system costs a vector of references, not a copy
+//! of the rows.
+
+use std::borrow::Borrow;
 
 /// Outcome of an LP solve.
 #[derive(Clone, Debug, PartialEq)]
@@ -19,69 +26,101 @@ pub enum LpOutcome {
     Optimal(f64, Vec<f64>),
 }
 
+/// A constraint row `(a, b)` meaning `a·x ≤ b`.
+pub type Row = (Vec<f64>, f64);
+
 const EPS: f64 = 1e-9;
 
 /// Solves `optimize c·x` s.t. `rows[i].0 · x ≤ rows[i].1` and `x ≥ 0`.
 ///
 /// `maximize` selects the direction. Row coefficient vectors must all
-/// have length `dim`.
+/// have length `dim`; rows may be owned or borrowed.
 ///
 /// # Panics
 ///
 /// Panics on dimension mismatches.
-pub fn solve_lp(c: &[f64], maximize: bool, rows: &[(Vec<f64>, f64)], dim: usize) -> LpOutcome {
+pub fn solve_lp<R: Borrow<Row>>(c: &[f64], maximize: bool, rows: &[R], dim: usize) -> LpOutcome {
+    solve(c, maximize, rows, dim, false)
+}
+
+/// Solves `optimize c·x` s.t. `rows[i].0 · x ≤ rows[i].1` with **free**
+/// variables (no sign restriction), via the split `x = u − v` with
+/// `u, v ≥ 0`.
+///
+/// # Panics
+///
+/// Panics on dimension mismatches.
+pub fn solve_lp_free<R: Borrow<Row>>(
+    c: &[f64],
+    maximize: bool,
+    rows: &[R],
+    dim: usize,
+) -> LpOutcome {
+    solve(c, maximize, rows, dim, true)
+}
+
+fn solve<R: Borrow<Row>>(
+    c: &[f64],
+    maximize: bool,
+    rows: &[R],
+    dim: usize,
+    free: bool,
+) -> LpOutcome {
     assert_eq!(c.len(), dim, "objective dimension mismatch");
-    for (a, _) in rows {
-        assert_eq!(a.len(), dim, "row dimension mismatch");
+    let row_at = |i: usize| -> &Row { rows[i].borrow() };
+    for i in 0..rows.len() {
+        assert_eq!(row_at(i).0.len(), dim, "row dimension mismatch");
     }
     let m = rows.len();
+    // Structural columns: `x`, or `u | v` for free variables.
+    let nx = if free { 2 * dim } else { dim };
 
-    // Columns: dim structural | m slacks | artificials… ; plus rhs.
+    // Columns: nx structural | m slacks | artificials… ; plus rhs.
     // Rows with negative rhs are negated (slack coeff −1) and get an
     // artificial basic variable.
-    let mut need_art: Vec<bool> = Vec::with_capacity(m);
-    for (_, b) in rows {
-        need_art.push(*b < 0.0);
-    }
-    let n_art = need_art.iter().filter(|&&x| x).count();
-    let ncols = dim + m + n_art;
-
-    let mut a = vec![vec![0.0f64; ncols + 1]; m];
-    let mut basis = vec![0usize; m];
-    let mut art_col = dim + m;
-    for (i, (coef, b)) in rows.iter().enumerate() {
-        let neg = need_art[i];
+    let n_art = (0..m).filter(|&i| row_at(i).1 < 0.0).count();
+    let ncols = nx + m + n_art;
+    let mut t = Tableau {
+        a: vec![0.0f64; m * (ncols + 1)],
+        width: ncols + 1,
+        basis: vec![0usize; m],
+    };
+    let mut art_col = nx + m;
+    for i in 0..m {
+        let (coef, b) = row_at(i);
+        let neg = *b < 0.0;
         let sign = if neg { -1.0 } else { 1.0 };
+        let row = t.row_mut(i);
         for (j, &w) in coef.iter().enumerate() {
-            a[i][j] = sign * w;
+            row[j] = sign * w;
+            if free {
+                row[dim + j] = sign * -w;
+            }
         }
-        a[i][dim + i] = sign; // slack
-        a[i][ncols] = sign * b;
+        row[nx + i] = sign; // slack
+        row[ncols] = sign * b;
         if neg {
-            a[i][art_col] = 1.0;
-            basis[i] = art_col;
+            row[art_col] = 1.0;
+            t.basis[i] = art_col;
             art_col += 1;
         } else {
-            basis[i] = dim + i;
+            t.basis[i] = nx + i;
         }
     }
 
     // ---- Phase 1: minimize the sum of artificials -----------------------
     if n_art > 0 {
         let mut cost = vec![0.0f64; ncols + 1];
-        for j in dim + m..ncols {
-            cost[j] = 1.0;
-        }
+        cost[nx + m..ncols].fill(1.0);
         // Zero out basic (artificial) columns of the cost row.
         for i in 0..m {
-            if basis[i] >= dim + m {
-                let r = a[i].clone();
-                for j in 0..=ncols {
-                    cost[j] -= r[j];
+            if t.basis[i] >= nx + m {
+                for (cj, &aij) in cost.iter_mut().zip(t.row(i)) {
+                    *cj -= aij;
                 }
             }
         }
-        if iterate(&mut a, &mut basis, &mut cost, ncols).is_err() {
+        if t.iterate(&mut cost, ncols).is_err() {
             // Phase-1 objective is bounded below by 0; unboundedness here
             // signals numerical trouble — report infeasible conservatively.
             return LpOutcome::Infeasible;
@@ -92,9 +131,9 @@ pub fn solve_lp(c: &[f64], maximize: bool, rows: &[(Vec<f64>, f64)], dim: usize)
         }
         // Drive any degenerate artificials out of the basis.
         for i in 0..m {
-            if basis[i] >= dim + m {
-                if let Some(j) = (0..dim + m).find(|&j| a[i][j].abs() > EPS) {
-                    pivot(&mut a, &mut basis, &mut vec![0.0; ncols + 1], i, j);
+            if t.basis[i] >= nx + m {
+                if let Some(j) = t.row(i)[..nx + m].iter().position(|x| x.abs() > EPS) {
+                    t.pivot(i, j, None);
                 }
                 // If no pivot column exists the row is all-zero
                 // (redundant); leaving the artificial basic at value 0 is
@@ -104,141 +143,132 @@ pub fn solve_lp(c: &[f64], maximize: bool, rows: &[(Vec<f64>, f64)], dim: usize)
     }
 
     // ---- Phase 2 ---------------------------------------------------------
-    // Minimize cmin·x where cmin = −c for maximisation.
+    // Minimize cmin·x where cmin = −c for maximisation (and `v` carries
+    // the negated objective of a free variable).
     let mut cost = vec![0.0f64; ncols + 1];
-    for j in 0..dim {
-        cost[j] = if maximize { -c[j] } else { c[j] };
+    for (j, &cj) in c.iter().enumerate() {
+        cost[j] = if maximize { -cj } else { cj };
+        if free {
+            cost[dim + j] = if maximize { cj } else { -cj };
+        }
     }
     // Forbid artificials from re-entering.
-    for j in dim + m..ncols {
-        cost[j] = f64::INFINITY;
-    }
+    cost[nx + m..ncols].fill(f64::INFINITY);
     // Express the cost row in terms of non-basic variables.
     for i in 0..m {
-        let bj = basis[i];
-        if cost[bj] != 0.0 && cost[bj].is_finite() {
-            let factor = cost[bj];
-            let r = a[i].clone();
-            for j in 0..=ncols {
-                if cost[j].is_finite() {
-                    cost[j] -= factor * r[j];
+        let factor = cost[t.basis[i]];
+        if factor != 0.0 && factor.is_finite() {
+            for (cj, &aij) in cost.iter_mut().zip(t.row(i)) {
+                if cj.is_finite() {
+                    *cj -= factor * aij;
                 }
             }
         }
     }
-    if iterate(&mut a, &mut basis, &mut cost, ncols).is_err() {
+    if t.iterate(&mut cost, ncols).is_err() {
         return LpOutcome::Unbounded;
     }
 
     // Read the solution.
-    let mut x = vec![0.0f64; dim];
+    let mut x = vec![0.0f64; nx];
     for i in 0..m {
-        if basis[i] < dim {
-            x[basis[i]] = a[i][ncols];
+        if t.basis[i] < nx {
+            x[t.basis[i]] = t.row(i)[ncols];
         }
+    }
+    if free {
+        x = (0..dim).map(|i| x[i] - x[dim + i]).collect();
     }
     let z_min = -cost[ncols];
     let value = if maximize { -z_min } else { z_min };
     LpOutcome::Optimal(value, x)
 }
 
-/// Solves `optimize c·x` s.t. `rows[i].0 · x ≤ rows[i].1` with **free**
-/// variables (no sign restriction), via the split `x = u − v` with
-/// `u, v ≥ 0`.
-///
-/// # Panics
-///
-/// Panics on dimension mismatches.
-pub fn solve_lp_free(c: &[f64], maximize: bool, rows: &[(Vec<f64>, f64)], dim: usize) -> LpOutcome {
-    let c2: Vec<f64> = c.iter().copied().chain(c.iter().map(|x| -x)).collect();
-    let rows2: Vec<(Vec<f64>, f64)> = rows
-        .iter()
-        .map(|(a, b)| {
-            let a2: Vec<f64> = a.iter().copied().chain(a.iter().map(|x| -x)).collect();
-            (a2, *b)
-        })
-        .collect();
-    match solve_lp(&c2, maximize, &rows2, 2 * dim) {
-        LpOutcome::Optimal(v, uv) => {
-            let x: Vec<f64> = (0..dim).map(|i| uv[i] - uv[dim + i]).collect();
-            LpOutcome::Optimal(v, x)
-        }
-        other => other,
-    }
+/// A row-major `m × width` simplex tableau with its basis.
+struct Tableau {
+    a: Vec<f64>,
+    width: usize,
+    basis: Vec<usize>,
 }
 
-/// Runs simplex iterations until optimal (`Ok`) or unbounded (`Err`).
-fn iterate(
-    a: &mut [Vec<f64>],
-    basis: &mut [usize],
-    cost: &mut [f64],
-    ncols: usize,
-) -> Result<(), ()> {
-    let m = a.len();
-    for _round in 0..100_000 {
-        // Bland: entering column = smallest index with negative reduced cost.
-        let mut enter = None;
-        for (j, &cj) in cost.iter().enumerate().take(ncols) {
-            if cj.is_finite() && cj < -EPS {
-                enter = Some(j);
-                break;
-            }
-        }
-        let Some(col) = enter else {
-            return Ok(()); // optimal
-        };
-        // Ratio test; Bland tie-break on the smallest basis variable.
-        let mut leave: Option<(usize, f64)> = None;
-        for i in 0..m {
-            if a[i][col] > EPS {
-                let ratio = a[i][ncols] / a[i][col];
-                match leave {
-                    None => leave = Some((i, ratio)),
-                    Some((bi, br)) => {
-                        if ratio < br - EPS || (ratio < br + EPS && basis[i] < basis[bi]) {
-                            leave = Some((i, ratio));
+impl Tableau {
+    fn row(&self, i: usize) -> &[f64] {
+        &self.a[i * self.width..(i + 1) * self.width]
+    }
+
+    fn row_mut(&mut self, i: usize) -> &mut [f64] {
+        &mut self.a[i * self.width..(i + 1) * self.width]
+    }
+
+    /// Runs simplex iterations until optimal (`Ok`) or unbounded (`Err`).
+    fn iterate(&mut self, cost: &mut [f64], ncols: usize) -> Result<(), ()> {
+        for _round in 0..100_000 {
+            // Bland: entering column = smallest index with negative reduced cost.
+            let Some(col) = cost[..ncols]
+                .iter()
+                .position(|&cj| cj.is_finite() && cj < -EPS)
+            else {
+                return Ok(()); // optimal
+            };
+            // Ratio test; Bland tie-break on the smallest basis variable.
+            let mut leave: Option<(usize, f64)> = None;
+            for (i, row) in self.a.chunks_exact(self.width).enumerate() {
+                if row[col] > EPS {
+                    let ratio = row[ncols] / row[col];
+                    match leave {
+                        None => leave = Some((i, ratio)),
+                        Some((bi, br)) => {
+                            if ratio < br - EPS
+                                || (ratio < br + EPS && self.basis[i] < self.basis[bi])
+                            {
+                                leave = Some((i, ratio));
+                            }
                         }
                     }
                 }
             }
+            let Some((row, _)) = leave else {
+                return Err(()); // unbounded
+            };
+            self.pivot(row, col, Some(cost));
         }
-        let Some((row, _)) = leave else {
-            return Err(()); // unbounded
-        };
-        pivot(a, basis, cost, row, col);
+        // Iteration limit: treat as optimal-enough; Bland's rule should
+        // prevent reaching this for the problem sizes at hand.
+        Ok(())
     }
-    // Iteration limit: treat as optimal-enough; Bland's rule should
-    // prevent reaching this for the problem sizes at hand.
-    Ok(())
-}
 
-/// Pivots the tableau (and cost row) on `(row, col)`.
-fn pivot(a: &mut [Vec<f64>], basis: &mut [usize], cost: &mut [f64], row: usize, col: usize) {
-    let ncols = a[row].len() - 1;
-    let p = a[row][col];
-    for j in 0..=ncols {
-        a[row][j] /= p;
-    }
-    a[row][col] = 1.0; // exact
-    for i in 0..a.len() {
-        if i != row && a[i][col].abs() > 0.0 {
-            let f = a[i][col];
-            for j in 0..=ncols {
-                a[i][j] -= f * a[row][j];
-            }
-            a[i][col] = 0.0;
+    /// Pivots the tableau (and the cost row, if any) on `(row, col)`.
+    fn pivot(&mut self, row: usize, col: usize, cost: Option<&mut [f64]>) {
+        let w = self.width;
+        let (head, rest) = self.a.split_at_mut(row * w);
+        let (prow, tail) = rest.split_at_mut(w);
+        let p = prow[col];
+        for x in prow.iter_mut() {
+            *x /= p;
         }
-    }
-    if cost[col].is_finite() && cost[col] != 0.0 {
-        let f = cost[col];
-        for j in 0..=ncols {
-            if cost[j].is_finite() {
-                cost[j] -= f * a[row][j];
+        prow[col] = 1.0; // exact
+        for r in head.chunks_exact_mut(w).chain(tail.chunks_exact_mut(w)) {
+            let f = r[col];
+            if f.abs() > 0.0 {
+                for (x, &y) in r.iter_mut().zip(prow.iter()) {
+                    *x -= f * y;
+                }
+                r[col] = 0.0;
             }
         }
-        cost[col] = 0.0;
+        if let Some(cost) = cost {
+            let f = cost[col];
+            if f.is_finite() && f != 0.0 {
+                for (cj, &y) in cost.iter_mut().zip(prow.iter()) {
+                    if cj.is_finite() {
+                        *cj -= f * y;
+                    }
+                }
+                cost[col] = 0.0;
+            }
+        }
+        self.basis[row] = col;
     }
-    basis[row] = col;
 }
 
 #[cfg(test)]

@@ -15,13 +15,31 @@
 //! bounding box, classifying cells as inside / outside / boundary by
 //! exact interval evaluation of the constraints, giving guaranteed lower
 //! and upper bounds that converge as the budget grows.
+//!
+//! # Doing each piece of work once
+//!
+//! The recursion reaches the same lower-dimensional face along many
+//! pivot orders (`F₁ ∩ F₂` via `F₁` and via `F₂`). Like Vinci's
+//! Lasserre variant with face storage (Büeler, Enge & Fukuda, "Exact
+//! volume computation for polytopes: a practical study", 2000), each
+//! top-level volume call keeps a memo of the faces it has measured. It
+//! is keyed on the exact bits of a face's reduced row system and
+//! recursion level, which fully determine the face's value, so a hit
+//! returns the very bits a recomputation would. The memo lives for one
+//! call and is passed down by `&mut`; nothing is shared between calls.
+//!
+//! The LP-based redundancy removal hands the simplex solver borrowed
+//! rows, and the solver runs on one flat tableau per LP (see
+//! [`crate::simplex`]), with the same pivot order as a nested-vector
+//! tableau.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashMap};
 
 use gubpi_interval::BoxN;
 
-use crate::hpoly::HPolytope;
+use crate::hpoly::{irredundant_mask, HPolytope};
+use crate::simplex::{solve_lp_free, LpOutcome, Row};
 use crate::LinExpr;
 
 const EPS: f64 = 1e-9;
@@ -42,7 +60,7 @@ impl HPolytope {
         if red.rows.is_empty() {
             return red.factor;
         }
-        red.factor * vol_rec(&red.rows, red.dim, 2)
+        red.factor * vol_rec(&red.rows, red.dim, 2, &mut FaceMemo::new())
     }
 
     /// The number of variables involved in non-axis-aligned constraints —
@@ -62,7 +80,7 @@ impl HPolytope {
             return (red.factor, red.factor);
         }
         if red.dim <= exact_dim_cap {
-            let v = red.factor * vol_rec(&red.rows, red.dim, 2);
+            let v = red.factor * vol_rec(&red.rows, red.dim, 2, &mut FaceMemo::new());
             (v, v)
         } else {
             // Rebuild the reduced polytope for box subdivision. The rows
@@ -81,7 +99,7 @@ impl HPolytope {
     /// variables not mentioned in any coupled row (their widths multiply
     /// into `factor`), and renumbers the rest. Returns `None` when the
     /// axis bounds alone are already infeasible.
-    fn reduce_axis_aligned(&self) -> Option<Reduced> {
+    pub(crate) fn reduce_axis_aligned(&self) -> Option<Reduced> {
         let n = self.dim();
         // Per-variable bounds from the orthant and axis rows.
         let mut lo = vec![0.0f64; n];
@@ -245,13 +263,13 @@ enum Cell {
 }
 
 /// Result of axis-aligned reduction.
-struct Reduced {
+pub(crate) struct Reduced {
     /// Product of widths of eliminated (axis-only) variables.
-    factor: f64,
+    pub(crate) factor: f64,
     /// Number of remaining (coupled) variables.
-    dim: usize,
+    pub(crate) dim: usize,
     /// Rows over the remaining variables, including their axis bounds.
-    rows: Vec<(Vec<f64>, f64)>,
+    pub(crate) rows: Vec<(Vec<f64>, f64)>,
 }
 
 /// Max-heap ordering by box volume.
@@ -274,13 +292,18 @@ impl Ord for VolBox {
     }
 }
 
+/// Faces measured so far in one top-level volume call: the exact bits
+/// of `(lp_levels, dim, rows)` after axis reduction, mapped to the
+/// face's volume before its axis factor (`None`: no bounding rows).
+pub(crate) type FaceMemo = HashMap<Vec<u64>, Option<f64>>;
+
 /// Recursive volume of `{x | rows}` (variables are free; all bounds must
 /// be explicit rows). `lp_levels` controls how many recursion levels
 /// still run LP-based redundancy removal; below that, only cheap
 /// normalisation/deduplication and axis reduction are used — projections
 /// turn coupled rows into per-variable bounds, which the reduction then
 /// eliminates, keeping the branching factor small.
-fn vol_rec(rows: &[(Vec<f64>, f64)], dim: usize, lp_levels: u32) -> f64 {
+fn vol_rec(rows: &[Row], dim: usize, lp_levels: u32, memo: &mut FaceMemo) -> f64 {
     // Per-level axis-aligned reduction over *free* variables.
     let Some(red) = reduce_rows_free(rows, dim) else {
         return 0.0;
@@ -297,13 +320,45 @@ fn vol_rec(rows: &[(Vec<f64>, f64)], dim: usize, lp_levels: u32) -> f64 {
     if dim == 1 {
         return factor * interval_length_1d(&rows);
     }
+    let key = face_key(lp_levels, dim, &rows);
+    let face = match memo.get(&key) {
+        Some(&v) => v,
+        None => {
+            let v = facet_sum(&rows, dim, lp_levels, memo);
+            memo.insert(key, v);
+            v
+        }
+    };
+    match face {
+        Some(v) => factor * v,
+        None => f64::INFINITY, // unbounded (cannot happen for cube subsets)
+    }
+}
+
+/// The exact bits of one recursion node. Every row has `dim`
+/// coefficients, so the row boundaries are implied.
+fn face_key(lp_levels: u32, dim: usize, rows: &[Row]) -> Vec<u64> {
+    let mut key = Vec::with_capacity(2 + rows.len() * (dim + 1));
+    key.push(u64::from(lp_levels));
+    key.push(dim as u64);
+    for (a, b) in rows {
+        key.extend(a.iter().map(|x| x.to_bits()));
+        key.push(b.to_bits());
+    }
+    key
+}
+
+/// `(1/n) Σᵢ (bᵢ / |a_ik|) · vol_{n−1}(Fᵢ)` over the facets of an
+/// axis-reduced row system of dimension `dim ≥ 2`, clamped at 0; `None`
+/// when no row survives simplification.
+fn facet_sum(rows: &[Row], dim: usize, lp_levels: u32, memo: &mut FaceMemo) -> Option<f64> {
     let rows = if lp_levels > 0 {
-        simplify_rows(&rows, dim)
+        simplify_rows(rows, dim)
     } else {
-        dedup_rows(&rows)
+        dedup_rows(rows)
     };
     if rows.is_empty() {
-        return f64::INFINITY; // unbounded (cannot happen for cube subsets)
+        return None;
     }
     let mut total = 0.0f64;
     for (i, (a, b)) in rows.iter().enumerate() {
@@ -322,7 +377,7 @@ fn vol_rec(rows: &[(Vec<f64>, f64)], dim: usize, lp_levels: u32) -> f64 {
         }
         // Project every other row onto the hyperplane a·x = b by
         // substituting x_k = (b − Σ_{j≠k} a_j x_j) / a_k.
-        let mut sub_rows: Vec<(Vec<f64>, f64)> = Vec::with_capacity(rows.len() - 1);
+        let mut sub_rows: Vec<Row> = Vec::with_capacity(rows.len() - 1);
         for (j, (c, d)) in rows.iter().enumerate() {
             if j == i {
                 continue;
@@ -338,19 +393,19 @@ fn vol_rec(rows: &[(Vec<f64>, f64)], dim: usize, lp_levels: u32) -> f64 {
             let new_d = d - ck * b / ak;
             sub_rows.push((new_c, new_d));
         }
-        let facet_proj_vol = vol_rec(&sub_rows, dim - 1, lp_levels.saturating_sub(1));
+        let facet_proj_vol = vol_rec(&sub_rows, dim - 1, lp_levels.saturating_sub(1), memo);
         if facet_proj_vol.is_finite() && facet_proj_vol > 0.0 {
             total += (b / ak.abs()) * facet_proj_vol;
         }
     }
-    factor * (total / dim as f64).max(0.0)
+    Some((total / dim as f64).max(0.0))
 }
 
 /// Axis-aligned reduction for rows over *free* variables (no implicit
 /// orthant). Returns `None` when the per-variable bounds alone are
 /// infeasible; uninvolved variables with unbounded width make the factor
 /// infinite.
-fn reduce_rows_free(rows: &[(Vec<f64>, f64)], n: usize) -> Option<Reduced> {
+pub(crate) fn reduce_rows_free(rows: &[Row], n: usize) -> Option<Reduced> {
     let mut lo = vec![f64::NEG_INFINITY; n];
     let mut hi = vec![f64::INFINITY; n];
     let mut coupled: Vec<(Vec<f64>, f64)> = Vec::new();
@@ -438,7 +493,7 @@ fn reduce_rows_free(rows: &[(Vec<f64>, f64)], n: usize) -> Option<Reduced> {
 }
 
 /// Normalises and deduplicates rows without LP calls.
-fn dedup_rows(rows: &[(Vec<f64>, f64)]) -> Vec<(Vec<f64>, f64)> {
+pub(crate) fn dedup_rows(rows: &[Row]) -> Vec<Row> {
     let mut kept: Vec<(Vec<f64>, f64)> = Vec::new();
     'next: for (a, b) in rows {
         let norm = a.iter().map(|x| x * x).sum::<f64>().sqrt();
@@ -459,7 +514,7 @@ fn dedup_rows(rows: &[(Vec<f64>, f64)]) -> Vec<(Vec<f64>, f64)> {
 }
 
 /// Length of the 1-D feasible interval of `rows`.
-fn interval_length_1d(rows: &[(Vec<f64>, f64)]) -> f64 {
+pub(crate) fn interval_length_1d(rows: &[Row]) -> f64 {
     let mut lo = f64::NEG_INFINITY;
     let mut hi = f64::INFINITY;
     for (a, b) in rows {
@@ -483,44 +538,25 @@ fn interval_length_1d(rows: &[(Vec<f64>, f64)]) -> f64 {
     (hi - lo).max(0.0)
 }
 
-/// Normalises, deduplicates and (LP-)removes redundant rows.
-fn simplify_rows(rows: &[(Vec<f64>, f64)], dim: usize) -> Vec<(Vec<f64>, f64)> {
-    // Normalise to ‖a‖ = 1 so duplicates compare exactly-ish.
-    let mut normed: Vec<(Vec<f64>, f64)> = Vec::with_capacity(rows.len());
-    for (a, b) in rows {
-        let norm = a.iter().map(|x| x * x).sum::<f64>().sqrt();
-        if norm <= EPS {
-            continue; // constant row; feasibility handled by caller LPs
-        }
-        normed.push((a.iter().map(|x| x / norm).collect(), b / norm));
-    }
-    // Dedup near-identical rows keeping the tightest rhs.
-    let mut kept: Vec<(Vec<f64>, f64)> = Vec::new();
-    'next: for (a, b) in normed {
-        for (ka, kb) in &mut kept {
-            let same = ka.iter().zip(&a).all(|(x, y)| (x - y).abs() < 1e-9);
-            if same {
-                *kb = kb.min(b);
-                continue 'next;
-            }
-        }
-        kept.push((a, b));
-    }
+/// Normalises and deduplicates rows like [`dedup_rows`], then drops
+/// every row implied by the others (an LP per row).
+fn simplify_rows(rows: &[Row], dim: usize) -> Vec<Row> {
+    let kept = dedup_rows(rows);
     // LP-based redundancy removal with FREE variables: the recursion's
     // row system is the whole truth (orthant facets are explicit rows),
     // so the check must not smuggle in the simplex solver's implicit
     // `x ≥ 0`.
-    let mut result: Vec<(Vec<f64>, f64)> = Vec::new();
-    for i in 0..kept.len() {
-        let (a, b) = &kept[i];
-        let mut others: Vec<(Vec<f64>, f64)> = result.clone();
-        others.extend(kept[i + 1..].iter().cloned());
-        match crate::simplex::solve_lp_free(a, true, &others, dim) {
-            crate::simplex::LpOutcome::Optimal(v, _) if v <= b + EPS => {}
-            _ => result.push((a.clone(), *b)),
-        }
-    }
-    result
+    let keep = irredundant_mask(&kept, |(a, b), others| {
+        matches!(
+            solve_lp_free(a, true, others, dim),
+            LpOutcome::Optimal(v, _) if v <= b + EPS
+        )
+    });
+    kept.into_iter()
+        .zip(keep)
+        .filter(|&(_, k)| k)
+        .map(|(r, _)| r)
+        .collect()
 }
 
 #[cfg(test)]

@@ -188,6 +188,13 @@ pub fn start_with_cache(config: ServeConfig, cache: SharedQueryCache) -> io::Res
     })
 }
 
+/// Stack of a connection thread, which runs every phase of its queries.
+/// The parser caps nesting at `gubpi_lang::parser::MAX_NESTING`; the
+/// recursive phases after it need more than the 2 MiB default of spawned
+/// threads to reach that depth in unoptimised builds, so connections get
+/// the 8 MiB a process's main thread (the `repro` CLI) has.
+const CONN_STACK_BYTES: usize = 8 << 20;
+
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     for conn in listener.incoming() {
         if shared.stop.load(Ordering::SeqCst) {
@@ -198,6 +205,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
         let addr = listener.local_addr().ok();
         let spawned = std::thread::Builder::new()
             .name("gubpi-serve-conn".to_string())
+            .stack_size(CONN_STACK_BYTES)
             .spawn(move || {
                 handle_connection(stream, &conn_shared);
                 // A connection that carried a shutdown request must

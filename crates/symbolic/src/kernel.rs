@@ -1443,7 +1443,7 @@ mod tests {
         };
         let _ = Tape::for_path_seeded(&path, Some(&seed));
         let after = kernel_stats();
-        assert_eq!(after.seeded_tapes, before.seeded_tapes + 1);
+        assert!(after.seeded_tapes > before.seeded_tapes);
         assert!(
             after.seed_const_hits >= before.seed_const_hits + 2,
             "3 and 0.5 must hit the seeded pool"
@@ -1456,8 +1456,10 @@ mod tests {
         let tape = Tape::for_path(&demo_path());
         note_kernel_cells(42);
         let after = kernel_stats();
-        assert_eq!(after.tapes, before.tapes + 1);
-        assert_eq!(after.tape_instrs, before.tape_instrs + tape.len() as u64);
+        // The counters are process-global and other tests compile tapes
+        // concurrently, so only lower bounds on the deltas are stable.
+        assert!(after.tapes > before.tapes);
+        assert!(after.tape_instrs >= before.tape_instrs + tape.len() as u64);
         assert!(after.tree_nodes > before.tree_nodes);
         assert!(after.cells >= before.cells + 42);
         assert!(tape.cost() > 0);

@@ -262,3 +262,51 @@ fn degraded_results_are_never_cached() {
     assert_eq!(full.hi.to_bits(), fresh.1.to_bits());
     server.shutdown();
 }
+
+#[test]
+fn deeply_nested_programs_get_an_error_reply_and_the_daemon_keeps_serving() {
+    let _serial = fault_lock();
+    let server = start(ServeConfig::default()).expect("bind");
+    let mut c = Client::connect(server.local_addr()).expect("connect");
+    let nested = |depth: usize| format!("{}sample{}", "(".repeat(depth), ")".repeat(depth));
+    // 3,000 levels used to overflow the connection thread's stack and
+    // abort the whole daemon; the parser now rejects it with a typed
+    // error before any recursive phase runs.
+    let err = c
+        .query(req(QueryKind::Denotation, &nested(3_000), 0.0, 0.5, None))
+        .expect("transport survives")
+        .expect_err("nesting past the limit is rejected");
+    assert_eq!(err.code, "parse_error");
+    assert!(
+        err.message.contains("nested deeper than"),
+        "{}",
+        err.message
+    );
+    // Programs just inside the limit go through every recursive phase:
+    // nested arithmetic and a chain of `let`s build ASTs as deep as the
+    // parser allows.
+    let deepest = gubpi_lang::parser::MAX_NESTING - 2;
+    let sums = format!("{}sample{}", "0 + (".repeat(deepest), ")".repeat(deepest));
+    let lets = (0..deepest).fold("x0".to_string(), |body, i| {
+        let prev = if i + 1 == deepest {
+            "sample".to_string()
+        } else {
+            format!("x{}", i + 1)
+        };
+        format!("let x{i} = {prev} in {body}")
+    });
+    for deep in [nested(deepest), sums, lets] {
+        let o = c
+            .query(req(QueryKind::Denotation, &deep, 0.0, 0.5, None))
+            .expect("transport")
+            .expect("nesting inside the limit is served");
+        assert!(o.lo <= 0.5 && 0.5 <= o.hi, "[{}, {}]", o.lo, o.hi);
+    }
+    // And the daemon answers the next request on the same connection.
+    let after = c
+        .query(req(QueryKind::Denotation, SMALL, 0.0, 0.5, None))
+        .expect("transport")
+        .expect("daemon serviceable after the rejected request");
+    assert!(after.lo <= after.hi && !after.degraded);
+    server.shutdown();
+}
