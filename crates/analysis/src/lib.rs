@@ -20,7 +20,7 @@
 //! * the **symbolic executor** skips provably zero-mass branches (every
 //!   `else fail`), dropping paths whose contribution to *both* posterior
 //!   bounds is exactly `0.0` — pruned runs are bit-identical to
-//!   `--no-prune` runs, just with fewer paths;
+//!   unpruned runs, just with fewer paths;
 //! * the **path-bound kernel** seeds its constant pool and its
 //!   constraint evaluation order from the static intervals instead of
 //!   re-deriving them per query;

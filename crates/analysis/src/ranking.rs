@@ -49,8 +49,7 @@
 //! whose `k₀ = 0`, `w_prefix = 0` specialization is exactly the plain
 //! geometric series `x_hi / (1 − c_eff)` (that case keeps its original
 //! code path, bit for bit). Failures keep a human-readable reason,
-//! surfaced by the `no-tail-bound-recursion` lint and by
-//! `repro tail-report`.
+//! surfaced by the `no-tail-bound-recursion` lint.
 
 use std::fmt;
 

@@ -15,7 +15,7 @@
 //!   (standing in for their interval/branch-and-bound volume estimates),
 //!   not exact polytope volumes — bounds come out wider but faster.
 
-use gubpi_core::{bound_path, BoundSink, PathBoundOptions};
+use gubpi_core::{bound_path, BoundSink, Method, PathBoundOptions, Threads};
 use gubpi_interval::Interval;
 use gubpi_lang::{infer, parse, LangError};
 use gubpi_symbolic::{symbolic_paths, SymExecOptions, SymPath};
@@ -104,7 +104,7 @@ pub fn baseline56_bounds(
             unexplored += path_mass_upper(p, popts);
         } else {
             let mut sink = QueryAccum::new(u);
-            bound_path(p, popts, &mut sink);
+            bound_path(p, popts, Method::Auto, Threads::Off, &mut sink);
             lo += sink.lo;
             hi += sink.hi;
         }
@@ -122,7 +122,7 @@ fn path_mass_upper(p: &SymPath, opts: PathBoundOptions) -> f64 {
         scores: Vec::new(),
         ..p.clone()
     };
-    bound_path(&clean, opts, &mut sink);
+    bound_path(&clean, opts, Method::Auto, Threads::Off, &mut sink);
     sink.hi.min(1.0)
 }
 

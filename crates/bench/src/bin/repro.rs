@@ -9,32 +9,27 @@
 //! repro fig6          Fig. 6a–6f: recursive histogram bounds
 //! repro ablation      linear (§6.4) vs grid (§6.3) semantics; depth sweep
 //! repro query M L H   one-shot query with typed exit codes (see --help)
-//! repro serve-report  daemon robustness exercise; writes BENCH_serve.json
 //! repro all           everything above
 //! ```
+//!
+//! Every flag is parsed once, before any work starts, into one
+//! [`RunConfig`]; the commands read it through the [`Run`] they are
+//! handed. Timing and tightness measurements live in `perfbench/`.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 use bench::models;
-use bench::{
-    analyze_prob_benchmark, analyzer_for_figure, baseline56_bounds, deadline_report,
-    deadline_token, mc_probability, note_query_outcome, shared_analysis_cache, shared_analyzer,
-    timed_denotation_bounds, timed_posterior_probability,
-};
+use bench::{analyze_prob_benchmark, analyzer_for_figure, baseline56_bounds, mc_probability};
+use bench::{Run, RunConfig};
 use gubpi_core::{
-    bound_path_grid_only_threaded, lint_program, render_histogram, run_adaptive_refinement,
-    tail_substituted, AnalysisOptions, Analyzer, GridRefiner, Method, PathBoundOptions,
-    ProgramFacts, QueryError, QueryFold, QueryOutcome, RefineOptions, Severity, SingleQuery,
-    Threads, WorkerPool,
+    lint_program, render_histogram, Analyzer, Method, ProgramFacts, QueryError, QueryOutcome,
+    Severity, Threads, WorkerPool,
 };
 use gubpi_inference::hmc::{hmc_sample, HmcOptions};
 use gubpi_inference::importance::{importance_sample, ImportanceOptions};
 use gubpi_inference::sbc::{run_sbc, SbcConfig};
 use gubpi_interval::Interval;
-use gubpi_pool::{set_fault_plan, FaultKind, FaultPlan};
-use gubpi_serve::{start_with_cache, Client, QueryKind, QueryRequest, ServeConfig};
-use gubpi_symbolic::SymExecOptions;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -50,6 +45,128 @@ fn main() {
     }
 }
 
+const USAGE: &str = "\
+repro — regenerates the tables and figures of the GuBPI paper
+
+USAGE: repro [--threads N|auto|off] [--cache-cap N] [--no-tail] [--no-refine]
+       [--gap-target X] [--timeout-ms N] [--lint] [--deny-warnings] [--stats]
+       [COMMAND]
+
+COMMANDS:
+  table1        Table 1/4: probability estimation, GuBPI vs [56]
+  table2        Table 2: discrete models vs exact posteriors
+  table3        Table 3: GuBPI vs SBC running times
+  pedestrian    Fig. 1/7: pedestrian bounds vs IS vs (wrong) HMC
+  fig5          Fig. 5a-5d: non-recursive histogram bounds
+  fig6          Fig. 6a-6f: recursive histogram bounds
+  ablation      linear (§6.4) vs grid (§6.3) semantics; depth sweep
+  analyze [F]   static analysis only: facts + lints for every built-in
+                model (or those whose label contains F); no execution
+  smoke         one tiny model end to end (seconds; for diagnosing
+                an installation together with --stats)
+  query M L H   one query on catalog model M (or inline source) over
+                [L, H]; add --posterior for the normalized probability.
+                Typed failures exit 64-69 (invalid-interval, invalid-
+                domain, no-bins, deadline-exceeded, worker-panicked,
+                overloaded); a panic reaching main exits 70
+  all           table1, table2, fig5, fig6, ablation, pedestrian and
+                table3 (the default)
+
+OPTIONS:
+  --threads N|auto|off   worker threads for the bounding engine (N > 0;
+                         results are bit-identical)
+  --cache-cap N          bound the shared per-path query cache at N entries
+                         (coarse-LRU eviction)
+  --no-tail              disable geometric tail enclosures on budget-⊤ paths
+                         (upper bounds revert to +∞ where a ⊤ path exists,
+                         lower bounds are bit-identical)
+  --no-refine            disable gap-driven adaptive region refinement (grid
+                         queries fall back to the one-shot uniform sweep,
+                         bit-identically)
+  --gap-target X         stop refining a query once its summed bound gap
+                         reaches X (0 = refine to the full cell budget)
+  --timeout-ms N         run under one cooperative deadline of N ms; queries
+                         that outlive it return anytime sound degraded
+                         enclosures instead of blocking
+  --lint                 print static-analysis findings for every model a
+                         command analyzes
+  --deny-warnings        exit 1 on warning-severity lints (with `analyze`,
+                         or with --lint on any other command)
+  --stats                print cache, worker-pool, prune and kernel counters
+                         after the run (tape length, CSE savings, cells/sec)
+
+ENVIRONMENT:
+  GUBPI_THREADS          worker count behind `--threads auto` (the default)
+  GUBPI_FAULT            panic@N|delay@N|cancel@N: deterministic fault
+                         injection at the N-th task boundary";
+
+/// Parses every global flag, wherever it appears, into one
+/// [`RunConfig`]. Returns the config with the remaining arguments (the
+/// command word and its operands), or the usage error to print.
+fn parse_flags(args: Vec<String>) -> Result<(RunConfig, Vec<String>), String> {
+    let mut config = RunConfig::default();
+    let mut rest = Vec::new();
+    let mut args = args.into_iter();
+    while let Some(arg) = args.next() {
+        let mut value = || args.next().unwrap_or_else(|| "<missing>".to_owned());
+        match arg.as_str() {
+            "--threads" => {
+                let v = value();
+                config.opts.threads = Threads::parse(&v).ok_or_else(|| {
+                    format!(
+                        "--threads expects a positive worker count, `auto` or `off`; got `{v}` \
+                         (use `off` for sequential execution, not `0`)"
+                    )
+                })?;
+            }
+            "--cache-cap" => {
+                let v = value();
+                let cap = v.trim().parse::<usize>().ok().filter(|&cap| cap > 0);
+                config.cache_cap = Some(cap.ok_or_else(|| {
+                    format!(
+                        "--cache-cap expects a positive entry count; got `{v}` \
+                         (omit the flag for an unbounded cache)"
+                    )
+                })?);
+            }
+            "--no-tail" => config.opts.bounds.use_tail = false,
+            "--no-refine" => config.opts.refine = false,
+            "--gap-target" => {
+                let v = value();
+                let gap = v.trim().parse::<f64>().ok();
+                config.opts.gap_target =
+                    gap.filter(|g| g.is_finite() && *g >= 0.0).ok_or_else(|| {
+                        format!(
+                            "--gap-target expects a finite gap >= 0; got `{v}` \
+                             (use 0 to refine to the full cell budget)"
+                        )
+                    })?;
+            }
+            "--timeout-ms" => {
+                let v = value();
+                let ms = v.trim().parse::<u64>().map_err(|_| {
+                    format!(
+                        "--timeout-ms expects a millisecond count; got `{v}` \
+                         (omit the flag for an unlimited run)"
+                    )
+                })?;
+                config.timeout = Some(Duration::from_millis(ms));
+            }
+            "--lint" => config.lint = true,
+            "--deny-warnings" => config.deny_warnings = true,
+            "--stats" => config.stats = true,
+            "--help" | "--posterior" => rest.push(arg),
+            flag if flag.starts_with("--") => {
+                return Err(format!(
+                    "unknown option `{flag}`; run `repro --help` for usage"
+                ))
+            }
+            _ => rest.push(arg),
+        }
+    }
+    Ok((config, rest))
+}
+
 fn run() {
     let t_start = Instant::now();
     // Deterministic chaos, same knob as the daemon: an armed
@@ -60,256 +177,51 @@ fn run() {
     if let Some(plan) = gubpi_pool::arm_fault_from_env() {
         eprintln!("repro: fault injection armed: {plan:?}");
     }
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    // `--threads N|auto|off` pins the parallel engine's worker count for
-    // every analysis below — equivalent to setting GUBPI_THREADS, which
-    // the default `AnalysisOptions` (Threads::Auto) honour. Bounds are
-    // bit-identical across all settings; only wall time changes.
-    if let Some(i) = args.iter().position(|a| a == "--threads") {
-        match args.get(i + 1).map(String::as_str) {
-            Some(value) if gubpi_core::Threads::parse(value).is_some() => {
-                std::env::set_var("GUBPI_THREADS", value);
-            }
-            other => {
-                let got = other.unwrap_or("<missing>");
-                eprintln!(
-                    "--threads expects a positive worker count, `auto` or `off`; got `{got}` \
-                     (use `off` for sequential execution, not `0`)"
-                );
-                std::process::exit(2);
-            }
+    let (config, args) = match parse_flags(std::env::args().skip(1).collect()) {
+        Ok(parsed) => parsed,
+        Err(usage) => {
+            eprintln!("{usage}");
+            std::process::exit(2);
         }
-        args.drain(i..=i + 1);
-    }
-    // `--cache-cap N` bounds the shared per-path query cache at N
-    // entries (coarse-LRU eviction) — equivalent to setting
-    // GUBPI_CACHE_CAP, which the harness cache honours. Results are
-    // bit-identical (bounding is pure); only recompute time changes.
-    if let Some(i) = args.iter().position(|a| a == "--cache-cap") {
-        match args
-            .get(i + 1)
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&cap| cap > 0)
-        {
-            Some(_) => {
-                std::env::set_var("GUBPI_CACHE_CAP", args[i + 1].clone());
-            }
-            None => {
-                let got = args.get(i + 1).map(String::as_str).unwrap_or("<missing>");
-                eprintln!(
-                    "--cache-cap expects a positive entry count; got `{got}` \
-                     (omit the flag for an unbounded cache)"
-                );
-                std::process::exit(2);
-            }
-        }
-        args.drain(i..=i + 1);
-    }
-    // `--no-kernel` forces the tree-walking interpreter instead of the
-    // compiled interval-tape kernel — equivalent to GUBPI_NO_KERNEL=1.
-    // Bounds are bit-identical either way; the flag exists so kernel
-    // regressions are diagnosable in the field with one switch.
-    if let Some(i) = args.iter().position(|a| a == "--no-kernel") {
-        std::env::set_var("GUBPI_NO_KERNEL", "1");
-        args.remove(i);
-    }
-    // `--no-prune` disables static dead-branch pruning in the symbolic
-    // executor — equivalent to GUBPI_NO_PRUNE=1. Bounds are bit-identical
-    // either way (pruned paths carry an exactly-zero score factor); the
-    // escape hatch exists so pruning regressions are diagnosable in the
-    // field with one switch, mirroring --no-kernel.
-    if let Some(i) = args.iter().position(|a| a == "--no-prune") {
-        std::env::set_var("GUBPI_NO_PRUNE", "1");
-        args.remove(i);
-    }
-    // `--no-tail` disables the geometric tail enclosures on budget-⊤
-    // paths — equivalent to GUBPI_NO_TAIL=1. Upper bounds revert to the
-    // bare `[0, ∞]` score placeholder (+∞ whenever a ⊤ path exists);
-    // lower bounds are bit-identical either way.
-    if let Some(i) = args.iter().position(|a| a == "--no-tail") {
-        std::env::set_var("GUBPI_NO_TAIL", "1");
-        args.remove(i);
-    }
-    // `--no-refine` disables gap-driven adaptive region refinement —
-    // equivalent to GUBPI_NO_REFINE=1. Every grid query falls back to
-    // the one-shot uniform sweep, bit-identical to the pre-refinement
-    // engine; the escape hatch mirrors --no-kernel / --no-tail.
-    if let Some(i) = args.iter().position(|a| a == "--no-refine") {
-        std::env::set_var("GUBPI_NO_REFINE", "1");
-        args.remove(i);
-    }
-    // `--gap-target X` stops adaptive refinement early once the summed
-    // upper−lower gap of a query drops to X — equivalent to
-    // GUBPI_GAP_TARGET. 0 (the default) refines to the full cell budget.
-    if let Some(i) = args.iter().position(|a| a == "--gap-target") {
-        match args
-            .get(i + 1)
-            .and_then(|v| v.trim().parse::<f64>().ok())
-            .filter(|g| g.is_finite() && *g >= 0.0)
-        {
-            Some(_) => {
-                std::env::set_var("GUBPI_GAP_TARGET", args[i + 1].clone());
-            }
-            None => {
-                let got = args.get(i + 1).map(String::as_str).unwrap_or("<missing>");
-                eprintln!(
-                    "--gap-target expects a finite gap >= 0; got `{got}` \
-                     (use 0 to refine to the full cell budget)"
-                );
-                std::process::exit(2);
-            }
-        }
-        args.drain(i..=i + 1);
-    }
-    // `--timeout-ms N` puts the whole run under one cooperative
-    // deadline — equivalent to GUBPI_TIMEOUT_MS. Queries that outlive
-    // it return *anytime sound* degraded enclosures (unswept work
-    // contributes its coarse whole-box bound) instead of blocking;
-    // `--stats` reports how many degraded and the worst completeness.
-    if let Some(i) = args.iter().position(|a| a == "--timeout-ms") {
-        match args.get(i + 1).and_then(|v| v.trim().parse::<u64>().ok()) {
-            Some(_) => {
-                std::env::set_var("GUBPI_TIMEOUT_MS", args[i + 1].clone());
-            }
-            None => {
-                let got = args.get(i + 1).map(String::as_str).unwrap_or("<missing>");
-                eprintln!(
-                    "--timeout-ms expects a millisecond count; got `{got}` \
-                     (omit the flag for an unlimited run)"
-                );
-                std::process::exit(2);
-            }
-        }
-        args.drain(i..=i + 1);
-    }
-    // `--lint` prints the static-analysis findings for every model a
-    // command analyzes, as the analyzers are built (GUBPI_LINT=1).
-    let lint_mode = if let Some(i) = args.iter().position(|a| a == "--lint") {
-        std::env::set_var("GUBPI_LINT", "1");
-        args.remove(i);
-        true
-    } else {
-        false
     };
-    // `--deny-warnings` makes warning-severity lints fatal (exit 1) —
-    // with `analyze`, or with `--lint` on any other command.
-    let deny_warnings = if let Some(i) = args.iter().position(|a| a == "--deny-warnings") {
-        args.remove(i);
-        true
-    } else {
-        false
-    };
-    // `--stats` prints cache, pool and kernel counters after the run.
-    let print_stats = if let Some(i) = args.iter().position(|a| a == "--stats") {
-        args.remove(i);
-        true
-    } else {
-        false
-    };
+    let run = Run::new(config);
     let cmd = args.first().map(String::as_str).unwrap_or("all");
     match cmd {
-        "--help" | "-h" | "help" => {
-            println!(
-                "repro — regenerates the tables and figures of the GuBPI paper\n\n\
-                 USAGE: repro [--threads N|auto|off] [--cache-cap N] [--no-kernel] [--no-prune]\n       \
-                 [--no-tail] [--no-refine] [--gap-target X] [--lint] [--deny-warnings]\n       \
-                 [--stats] [COMMAND]\n\n\
-                 COMMANDS:\n  \
-                 table1        Table 1/4: probability estimation, GuBPI vs [56]\n  \
-                 table2        Table 2: discrete models vs exact posteriors\n  \
-                 table3        Table 3: GuBPI vs SBC running times\n  \
-                 pedestrian    Fig. 1/7: pedestrian bounds vs IS vs (wrong) HMC\n  \
-                 fig5          Fig. 5a-5d: non-recursive histogram bounds\n  \
-                 fig6          Fig. 6a-6f: recursive histogram bounds\n  \
-                 ablation      linear (§6.4) vs grid (§6.3) semantics; depth sweep\n  \
-                 analyze [F]   static analysis only: facts + lints for every built-in\n                \
-                 model (or those whose label contains F); no execution\n  \
-                 prune-report  path counts with pruning on vs off for every Table 2\n                \
-                 model; writes the BENCH_prune.json snapshot\n  \
-                 tail-report   upper−lower gap on Z for truncated recursions, tail\n                \
-                 enclosures on vs off; writes the BENCH_tail.json snapshot\n  \
-                 gap-report    bound gap at equal cell budget, uniform sweep vs\n                \
-                 gap-driven adaptive refinement; writes BENCH_gap.json\n  \
-                 smoke         one tiny model end to end (seconds; for diagnosing\n                \
-                 an installation together with --stats / --no-kernel)\n  \
-                 query M L H   one query on catalog model M (or inline source) over\n                \
-                 [L, H]; add --posterior for the normalized probability.\n                \
-                 Typed failures exit 64-69 (invalid-interval, invalid-\n                \
-                 domain, no-bins, deadline-exceeded, worker-panicked,\n                \
-                 overloaded); a panic reaching main exits 70\n  \
-                 serve-report  exercise the gubpi-serve daemon in process (deadline\n                \
-                 degradation, admission control, injected panic) and\n                \
-                 write the BENCH_serve.json latency/robustness snapshot\n  \
-                 all           everything above (the default)\n\n\
-                 OPTIONS:\n  \
-                 --threads N|auto|off   worker threads for the bounding engine (N > 0;\n                         \
-                 same as GUBPI_THREADS; results are bit-identical)\n  \
-                 --cache-cap N          bound the shared per-path query cache at N entries\n                         \
-                 (coarse-LRU eviction; same as GUBPI_CACHE_CAP)\n  \
-                 --no-kernel            force the tree-walking interpreter instead of the\n                         \
-                 compiled interval-tape kernel (same as GUBPI_NO_KERNEL=1;\n                         \
-                 bounds are bit-identical, only speed changes)\n  \
-                 --no-prune             disable static dead-branch pruning in the symbolic\n                         \
-                 executor (same as GUBPI_NO_PRUNE=1; bounds are\n                         \
-                 bit-identical, only the explored path count changes)\n  \
-                 --no-tail              disable geometric tail enclosures on budget-⊤ paths\n                         \
-                 (same as GUBPI_NO_TAIL=1; upper bounds revert to +∞\n                         \
-                 where a ⊤ path exists, lower bounds are bit-identical)\n  \
-                 --no-refine            disable gap-driven adaptive region refinement (same\n                         \
-                 as GUBPI_NO_REFINE=1; grid queries fall back to the\n                         \
-                 one-shot uniform sweep, bit-identically)\n  \
-                 --gap-target X         stop refining a query once its summed bound gap\n                         \
-                 reaches X (same as GUBPI_GAP_TARGET; 0 = refine to the\n                         \
-                 full cell budget)\n  \
-                 --timeout-ms N         run under one cooperative deadline of N ms (same as\n                         \
-                 GUBPI_TIMEOUT_MS); queries that outlive it return\n                         \
-                 anytime sound degraded enclosures instead of blocking\n  \
-                 --lint                 print static-analysis findings for every model a\n                         \
-                 command analyzes (same as GUBPI_LINT=1)\n  \
-                 --deny-warnings        exit 1 on warning-severity lints (with `analyze`,\n                         \
-                 or with --lint on any other command)\n  \
-                 --stats                print cache, worker-pool, prune and kernel counters\n                         \
-                 after the run (tape length, CSE savings, cells/sec)"
-            );
-        }
-        "table1" | "table4" => table1(),
-        "table2" => table2(),
-        "table3" => table3(),
-        "smoke" => smoke(),
+        "--help" | "-h" | "help" => println!("{USAGE}"),
+        "table1" | "table4" => table1(&run),
+        "table2" => table2(&run),
+        "table3" => table3(&run),
+        "smoke" => smoke(&run),
         "query" => {
-            let code = query_cmd(&args[1..]);
+            let code = query_cmd(&run, &args[1..]);
             if code != 0 {
                 std::process::exit(code);
             }
         }
-        "serve-report" => serve_report(),
-        "analyze" => analyze(args.get(1).map(String::as_str), deny_warnings),
-        "prune-report" => prune_report(),
-        "tail-report" => tail_report(),
-        "gap-report" => gap_report(),
-        "pedestrian" | "fig1" | "fig7" => pedestrian(),
-        "fig5" => fig5(),
-        "fig6" => fig6(),
-        "ablation" | "ablation-linear" | "ablation-depth" => ablation(),
+        "analyze" => analyze(args.get(1).map(String::as_str), config.deny_warnings),
+        "pedestrian" | "fig1" | "fig7" => pedestrian(&run),
+        "fig5" => fig5(&run),
+        "fig6" => fig6(&run),
+        "ablation" | "ablation-linear" | "ablation-depth" => ablation(&run),
         "all" => {
-            table1();
-            table2();
-            fig5();
-            fig6();
-            ablation();
-            pedestrian();
-            table3();
+            table1(&run);
+            table2(&run);
+            fig5(&run);
+            fig6(&run);
+            ablation(&run);
+            pedestrian(&run);
+            table3(&run);
         }
         other => {
             eprintln!("unknown command `{other}`; run `repro --help` for usage");
             std::process::exit(2);
         }
     }
-    if print_stats {
-        stats(t_start.elapsed().as_secs_f64());
+    if config.stats {
+        stats(&run, t_start.elapsed().as_secs_f64());
     }
-    if lint_mode && deny_warnings {
-        let warnings = bench::lint_warnings_seen();
+    if config.lint && config.deny_warnings {
+        let warnings = run.census().lint_warnings;
         if warnings > 0 {
             eprintln!("--deny-warnings: {warnings} warning-severity lints");
             std::process::exit(1);
@@ -372,408 +284,10 @@ fn analyze(filter: Option<&str>, deny_warnings: bool) {
     println!();
 }
 
-/// `prune-report`: symbolic path counts for every Table 2 model with
-/// dead-branch pruning on vs off, plus the executor's prune counters.
-/// Bounds are bit-identical either way (the differential tests assert
-/// it); the report shows how much exploration pruning saves, and writes
-/// the `BENCH_prune.json` snapshot next to `BENCH_kernel.json`.
-fn prune_report() {
-    println!("== Prune report: symbolic path counts, pruning on vs off =============");
-    println!(
-        "{:<16} {:>9} {:>9} {:>15} {:>11}",
-        "model", "unpruned", "pruned", "branches cut", "zero-drops"
-    );
-    let mut rows = Vec::new();
-    for b in models::table2() {
-        let opts = |prune: bool| AnalysisOptions {
-            sym: SymExecOptions {
-                max_fix_unfoldings: 8,
-                ..Default::default()
-            },
-            prune,
-            ..Default::default()
-        };
-        let off = Analyzer::from_source(b.source, opts(false)).expect("table2 model compiles");
-        let on = Analyzer::from_source(b.source, opts(true)).expect("table2 model compiles");
-        let r = on.exec_report();
-        println!(
-            "{:<16} {:>9} {:>9} {:>15} {:>11}",
-            b.name,
-            off.paths().len(),
-            on.paths().len(),
-            r.pruned_branches,
-            r.zero_score_drops
-        );
-        rows.push(format!(
-            "    {{\n      \"name\": \"{}\",\n      \"paths_unpruned\": {},\n      \
-             \"paths_pruned\": {},\n      \"pruned_branches\": {},\n      \
-             \"zero_score_drops\": {}\n    }}",
-            b.name,
-            off.paths().len(),
-            on.paths().len(),
-            r.pruned_branches,
-            r.zero_score_drops
-        ));
-    }
-    let json = format!(
-        "{{\n  \"bench\": \"prune\",\n  \"models\": [\n{}\n  ]\n}}\n",
-        rows.join(",\n")
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_prune.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
-    println!();
-}
-
-/// A finite f64 as a JSON number, anything else as `null` (JSON has no
-/// infinities; a bare-⊤ upper bound is `+∞`).
-fn json_num(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_owned()
-    }
-}
-
-/// Quotes a string as a JSON literal (the verdict texts only need the
-/// standard escapes; they are plain prose with math symbols).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// `tail-report`: bounds on the normalising constant `Z` for models
-/// with truncated recursions, with the geometric tail enclosures on vs
-/// off (`--no-tail`), and the gap between them. Writes the
-/// `BENCH_tail.json` snapshot next to `BENCH_prune.json`.
-///
-/// Lower bounds are asserted bit-identical across the two modes — the
-/// enclosure only tightens the ⊤ placeholder's upper end. Each row also
-/// records the ranking pass's verdict for the model's recursion:
-/// `plain-geometric` loops were already tail-bounded by the per-step
-/// contraction alone, `synthesized` ones needed an eventually-geometric
-/// certificate (pedestrian's data-guarded walk sits here — its upper
-/// bound is finite only because of the escape-mass argument, and this
-/// function asserts that it is), `none` rows keep the bare ⊤.
-fn tail_report() {
-    println!("== Tail report: Z bounds with tail enclosures vs --no-tail ===========");
-    let fig6a = models::figure6()
-        .into_iter()
-        .find(|b| b.id == "6a")
-        .expect("fig6a is in the zoo");
-    // (name, source, max_fix_unfoldings, max_paths): budgets tight
-    // enough that every model leaves ⊤ paths behind.
-    let entries: Vec<(&str, &str, u32, usize)> = vec![
-        ("geometric", models::GEOMETRIC, 16, 6),
-        ("scored-geometric", models::SCORED_GEOMETRIC, 16, 6),
-        ("fig6a", fig6a.source, 16, 6),
-        ("pedestrian", models::PEDESTRIAN, 4, 48),
-    ];
-    println!(
-        "{:<18} {:>7} {:>6} {:>11} {:>12} {:>12}  ranking",
-        "model", "top", "tails", "lo", "hi (tails)", "hi (bare)"
-    );
-    let mut rows = Vec::new();
-    for (name, source, unfold, max_paths) in entries {
-        let opts = |use_tail: bool| {
-            let mut o = AnalysisOptions {
-                sym: SymExecOptions {
-                    max_fix_unfoldings: unfold,
-                    max_paths,
-                    ..Default::default()
-                },
-                ..Default::default()
-            };
-            o.bounds.splits = 8;
-            o.bounds.use_tail = use_tail;
-            o
-        };
-        let on = Analyzer::from_source(source, opts(true)).expect("zoo model compiles");
-        let off = Analyzer::from_source(source, opts(false)).expect("zoo model compiles");
-        let r = on.exec_report();
-        let (lo_on, hi_on) = on.denotation_bounds(Interval::REAL);
-        let (lo_off, hi_off) = off.denotation_bounds(Interval::REAL);
-        assert_eq!(
-            lo_on.to_bits(),
-            lo_off.to_bits(),
-            "{name}: tails must not move lower bounds"
-        );
-        // The ranking pass's verdict for the model's recursion (every
-        // zoo model here has exactly one `μ` node).
-        let mut verdict: Option<&gubpi_core::RankVerdict> = None;
-        on.program().root.walk(&mut |e| {
-            if matches!(e.kind, gubpi_lang::ExprKind::Fix(..)) && verdict.is_none() {
-                verdict = on.facts().ranking_verdict(e.id);
-            }
-        });
-        let (ranking, ranking_reason) = match verdict {
-            Some(v) => (v.label(), v.describe()),
-            None => ("none", "no recursion facts for this model".to_owned()),
-        };
-        if name == "pedestrian" {
-            // The CI smoke assertion of the ranking pass: the
-            // pedestrian walk has no per-step contraction (c = 1), so a
-            // finite upper bound here means the synthesized
-            // eventually-geometric certificate actually fired.
-            assert_eq!(ranking, "synthesized", "pedestrian: {ranking_reason}");
-            assert!(
-                hi_on.is_finite(),
-                "pedestrian: ranked tail must give a finite upper bound, got {hi_on}"
-            );
-        }
-        println!(
-            "{:<18} {:>7} {:>6} {:>11.6} {:>12.6} {:>12.6}  {}",
-            name, r.budget_truncated_paths, r.tail_enclosed_paths, lo_on, hi_on, hi_off, ranking
-        );
-        rows.push(format!(
-            "    {{\n      \"name\": \"{name}\",\n      \"top_paths\": {},\n      \
-             \"tail_enclosed_paths\": {},\n      \"ranked_tail_paths\": {},\n      \
-             \"lo\": {},\n      \"hi_tail\": {},\n      \
-             \"hi_no_tail\": {},\n      \"gap_tail\": {},\n      \"gap_no_tail\": {},\n      \
-             \"ranking\": \"{ranking}\",\n      \"ranking_reason\": {}\n    }}",
-            r.budget_truncated_paths,
-            r.tail_enclosed_paths,
-            r.ranked_tail_paths,
-            json_num(lo_on),
-            json_num(hi_on),
-            json_num(hi_off),
-            json_num(hi_on - lo_on),
-            json_num(hi_off - lo_off),
-            json_str(&ranking_reason),
-        ));
-    }
-    let json = format!(
-        "{{\n  \"bench\": \"tail\",\n  \"models\": [\n{}\n  ]\n}}\n",
-        rows.join(",\n")
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_tail.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
-    println!();
-}
-
-/// `gap-report`: the upper−lower bound gap at an equal cell budget,
-/// one-shot uniform sweep vs gap-driven adaptive refinement. Writes the
-/// `BENCH_gap.json` snapshot next to `BENCH_prune.json` /
-/// `BENCH_tail.json`.
-///
-/// Two whole-model comparisons run the full analyzer twice with
-/// identical options (same splits, same region budget, `Method::Grid`)
-/// and only the `refine` switch flipped; the pedestrian row isolates the
-/// model's dominant path (most sample dimensions) and drives one
-/// `GridRefiner` directly against `bound_path_query_threaded`. The
-/// headline metric is gap-per-second — how fast each engine buys bound
-/// tightness — not cells-per-second. The ≥2× gap-shrink assertions on
-/// the grass grid and the pedestrian dominant path are the CI smoke
-/// gate for the refinement engine.
-fn gap_report() {
-    println!("== Gap report: uniform sweep vs adaptive refinement (equal cells) ====");
-    let grass = models::table2()
-        .into_iter()
-        .find(|b| b.name == "grass")
-        .expect("grass is in table2");
-    let fig6a = models::figure6()
-        .into_iter()
-        .find(|b| b.id == "6a")
-        .expect("fig6a is in the zoo");
-    println!(
-        "{:<26} {:>12} {:>12} {:>7} {:>10} {:>9} {:>9}",
-        "workload", "gap uniform", "gap adaptive", "ratio", "gap/s", "t_uni(s)", "t_ada(s)"
-    );
-    let mut rows = Vec::new();
-    let mut push_row = |name: &str,
-                        (ulo, uhi, ut): (f64, f64, f64),
-                        (alo, ahi, at): (f64, f64, f64),
-                        min_ratio: f64| {
-        let gap_u = uhi - ulo;
-        let gap_a = ahi - alo;
-        let ratio = gap_u / gap_a.max(f64::MIN_POSITIVE);
-        // Gap closed per second of refinement: the report's headline.
-        let gps = (gap_u - gap_a) / at.max(1e-12);
-        println!(
-            "{:<26} {:>12.6} {:>12.6} {:>6.1}x {:>10.3} {:>9.3} {:>9.3}",
-            name, gap_u, gap_a, ratio, gps, ut, at
-        );
-        if min_ratio > 0.0 {
-            assert!(
-                ratio >= min_ratio,
-                "{name}: adaptive refinement must shrink the gap ≥{min_ratio}x at equal \
-                 cell budget (uniform {gap_u}, adaptive {gap_a})"
-            );
-        }
-        rows.push(format!(
-            "    {{\n      \"name\": \"{name}\",\n      \"lo_uniform\": {},\n      \
-             \"hi_uniform\": {},\n      \"lo_adaptive\": {},\n      \"hi_adaptive\": {},\n      \
-             \"gap_uniform\": {},\n      \"gap_adaptive\": {},\n      \"gap_ratio\": {},\n      \
-             \"uniform_secs\": {:.4},\n      \"adaptive_secs\": {:.4},\n      \
-             \"gap_closed_per_sec\": {}\n    }}",
-            json_num(ulo),
-            json_num(uhi),
-            json_num(alo),
-            json_num(ahi),
-            json_num(gap_u),
-            json_num(gap_a),
-            json_num(ratio),
-            ut,
-            at,
-            json_num(gps),
-        ));
-    };
-    // Whole-model rows: Method::Grid pins the grid semantics (the one
-    // refinement accelerates) even where the linear semantics would
-    // apply, so uniform-vs-adaptive is an apples-to-apples sweep. The
-    // bound gap lives on the cells straddling branch thresholds — a
-    // measure-zero surface — so adaptive's edge over the uniform grid
-    // grows with the cell budget; the splits below give refinement room
-    // to out-resolve the uniform grid within the same budget.
-    let entries: Vec<(&str, &str, u32, Interval, f64)> = vec![
-        (
-            "table2-grass-grid",
-            grass.source,
-            8,
-            Interval::new(0.5, 1.5),
-            2.0,
-        ),
-        ("fig6a-grid", fig6a.source, 8, Interval::REAL, 0.0),
-    ];
-    for (name, source, unfold, u, min_ratio) in entries {
-        let run = |refine: bool| {
-            let mut o = AnalysisOptions {
-                sym: SymExecOptions {
-                    max_fix_unfoldings: unfold,
-                    ..Default::default()
-                },
-                method: Method::Grid,
-                ..Default::default()
-            };
-            o.bounds.splits = 24;
-            o.bounds.region_budget = 400_000;
-            o.refine = refine;
-            o.gap_target = 0.0;
-            o.max_refine_depth = 40;
-            let a = Analyzer::from_source(source, o).expect("zoo model compiles");
-            let t0 = Instant::now();
-            let (lo, hi) = a.denotation_bounds(u);
-            (lo, hi, t0.elapsed().as_secs_f64())
-        };
-        push_row(name, run(false), run(true), min_ratio);
-    }
-    // Dominant-path rows: the single terminated symbolic path with the
-    // most sample dimensions, bounded through the grid semantics in
-    // both modes (uniform `bound_path_grid_only_threaded` vs one
-    // `GridRefiner`), so the row measures the refinement engine itself
-    // — not path enumeration and not the linear semantics.
-    //
-    // The pedestrian row carries no ratio floor: its walk is closed off
-    // by `approxFix`, so the dominant path's score ranges over an
-    // interval containing ⊤ contributions that no amount of cell
-    // refinement can shrink — the row records the honest gap-per-second
-    // on the paper's headline model. The noisyOr row is the enforced
-    // dominant-path witness: its gap lives entirely on branch-threshold
-    // faces, which the worklist resolves far past the uniform grid.
-    let noisy_or = models::table2()
-        .into_iter()
-        .find(|b| b.name == "noisyOr")
-        .expect("noisyOr is in table2");
-    let path_rows: Vec<(&str, &str, u32, usize, Interval, f64)> = vec![
-        (
-            "noisyor-dominant-path",
-            noisy_or.source,
-            8,
-            20,
-            Interval::new(0.5, 1.5),
-            2.0,
-        ),
-        (
-            "pedestrian-dominant-path",
-            models::PEDESTRIAN,
-            2,
-            12,
-            Interval::new(1.0, 1.25),
-            0.0,
-        ),
-    ];
-    let width = Threads::Auto.worker_count(usize::MAX);
-    for (name, source, unfold, splits, u, min_ratio) in path_rows {
-        let a = Analyzer::from_source(
-            source,
-            AnalysisOptions {
-                sym: SymExecOptions {
-                    max_fix_unfoldings: unfold,
-                    ..Default::default()
-                },
-                ..Default::default()
-            },
-        )
-        .expect("zoo model compiles");
-        let dominant = a
-            .paths()
-            .iter()
-            .filter(|p| !p.budget_truncated)
-            .max_by_key(|p| p.n_samples)
-            .expect("model has terminated paths")
-            .clone();
-        let bopts = PathBoundOptions {
-            splits,
-            region_budget: 400_000,
-            ..Default::default()
-        };
-        let t0 = Instant::now();
-        let mut sink = SingleQuery::new(u);
-        bound_path_grid_only_threaded(&dominant, bopts, Threads::Auto, &mut sink);
-        let ut = t0.elapsed().as_secs_f64();
-        let tailed = tail_substituted(&dominant, &bopts);
-        let path = tailed.as_ref().unwrap_or(&dominant);
-        let refine = RefineOptions {
-            refine: true,
-            gap_target: 0.0,
-            max_refine_depth: 40,
-        };
-        let t0 = Instant::now();
-        let mut refiners = vec![
-            GridRefiner::new(path, QueryFold::Filter(u), bopts, &refine, None)
-                .expect("the dominant path is grid-refinable"),
-        ];
-        let b = run_adaptive_refinement(WorkerPool::global(), width, &mut refiners, 0.0);
-        let at = t0.elapsed().as_secs_f64();
-        push_row(
-            name,
-            (sink.lo, sink.hi, ut),
-            (b[0].0, b[0].1, at),
-            min_ratio,
-        );
-    }
-    let json = format!(
-        "{{\n  \"bench\": \"gap\",\n  \"workloads\": [\n{}\n  ]\n}}\n",
-        rows.join(",\n")
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_gap.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
-    println!();
-}
-
 /// `--stats`: per-path cache, persistent-pool and compiled-kernel
 /// counters for the run.
-fn stats(elapsed_s: f64) {
-    let cache = shared_analysis_cache();
+fn stats(run: &Run, elapsed_s: f64) {
+    let cache = run.cache();
     let s = cache.stats();
     println!("== Run statistics ====================================================");
     let cap = match cache.capacity() {
@@ -787,7 +301,9 @@ fn stats(elapsed_s: f64) {
         s.evictions,
         cache.entry_count()
     );
-    if let Some((timed, degraded, minc)) = deadline_report() {
+    let census = run.census();
+    if run.deadline().is_some() {
+        let (timed, degraded) = (census.timed_queries, census.degraded_queries);
         let verdict = if degraded == 0 {
             "complete"
         } else {
@@ -795,7 +311,8 @@ fn stats(elapsed_s: f64) {
         };
         println!(
             "deadline: {timed} timed queries, {degraded} degraded ({verdict}), \
-             min completeness {minc:.3}"
+             min completeness {:.3}",
+            census.min_completeness
         );
     }
     let p = WorkerPool::global().stats();
@@ -822,7 +339,7 @@ fn stats(elapsed_s: f64) {
         p.forks_parallel,
         p.forks_inline
     );
-    let r = bench::aggregated_exec_report();
+    let r = census.exec;
     println!(
         "prune: {} dead branches skipped, {} zero-score continuations dropped",
         r.pruned_branches, r.zero_score_drops
@@ -841,7 +358,7 @@ fn stats(elapsed_s: f64) {
     );
     let k = gubpi_symbolic::kernel_stats();
     if k.tapes == 0 {
-        println!("kernel: disabled (tree-walking interpreter; GUBPI_NO_KERNEL)");
+        println!("kernel: no tapes compiled (no path needed a grid sweep)");
     } else {
         let saved = k.tree_nodes.saturating_sub(k.tape_instrs);
         let pct = if k.tree_nodes > 0 {
@@ -869,13 +386,13 @@ fn stats(elapsed_s: f64) {
 }
 
 /// `smoke`: one tiny model end to end — seconds even in debug builds,
-/// so `repro [--no-kernel] --stats smoke` is the cheapest way to check
-/// an installation (and whether the compiled kernel is active).
-fn smoke() {
+/// so `repro --stats smoke` is the cheapest way to check an
+/// installation (and whether the compiled kernel is active).
+fn smoke(run: &Run) {
     println!("== Smoke: one tiny model end to end ==================================");
     let src = "let x = sample in let y = sample in score(x + y); if x * y <= 0.25 then x else y";
-    let a = shared_analyzer(src, AnalysisOptions::default());
-    let (lo, hi) = timed_denotation_bounds(&a, Interval::new(0.0, 0.5));
+    let a = run.analyzer(src, run.options());
+    let (lo, hi) = run.denotation_bounds(&a, Interval::new(0.0, 0.5));
     println!(
         "{} paths; unnormalised mass of [0, 0.5] in [{lo:.5}, {hi:.5}]",
         a.paths().len()
@@ -906,10 +423,10 @@ fn query_error_exit(e: QueryError) -> i32 {
 /// parsed leniently — a malformed number becomes `NaN` so the
 /// analyzer's own validation rejects it as `InvalidInterval`: the audit
 /// wants every bad input to flow through `QueryError`, not ad-hoc CLI
-/// checks. Honours `--timeout-ms` / `GUBPI_TIMEOUT_MS` (degraded
-/// results print their completeness; a deadline that expired before any
-/// work starts is the one case reported as an error, exit 67).
-fn query_cmd(rest: &[String]) -> i32 {
+/// checks. Honours `--timeout-ms` (degraded results print their
+/// completeness; a deadline that expired before any work starts is the
+/// one case reported as an error, exit 67).
+fn query_cmd(run: &Run, rest: &[String]) -> i32 {
     let mut rest: Vec<&str> = rest.iter().map(String::as_str).collect();
     let posterior = if let Some(i) = rest.iter().position(|a| *a == "--posterior") {
         rest.remove(i);
@@ -936,7 +453,7 @@ fn query_cmd(rest: &[String]) -> i32 {
             return 2;
         }
     };
-    let token = deadline_token();
+    let token = run.deadline();
     if token.is_some_and(|t| t.is_cancelled()) {
         eprintln!("repro query: {}", QueryError::DeadlineExceeded);
         return query_error_exit(QueryError::DeadlineExceeded);
@@ -948,8 +465,8 @@ fn query_cmd(rest: &[String]) -> i32 {
         || -> Result<Result<QueryOutcome, QueryError>, String> {
             let a = Analyzer::from_program_cancellable(
                 program,
-                AnalysisOptions::default(),
-                shared_analysis_cache(),
+                run.options(),
+                run.cache(),
                 WorkerPool::global(),
                 token,
             )
@@ -976,7 +493,7 @@ fn query_cmd(rest: &[String]) -> i32 {
         }
         Ok(Ok(Ok(o))) => {
             if token.is_some() {
-                note_query_outcome(&o);
+                run.note_outcome(&o);
             }
             println!(
                 "{} of [{lo}, {hi}]: [{:.6}, {:.6}] ({}, completeness {:.3})",
@@ -995,196 +512,9 @@ fn query_cmd(rest: &[String]) -> i32 {
     }
 }
 
-/// `serve-report`: an in-process robustness exercise of the serving
-/// daemon under a mixed workload — sequential small queries (latency
-/// census), one over-budget query under a tiny deadline (must come back
-/// *degraded but sound*, never torn), an admission-control probe
-/// against `max_inflight`, and one injected worker panic (the daemon
-/// must answer `worker_panicked` and stay serviceable). Writes the
-/// `BENCH_serve.json` snapshot next to the other BENCH files; any
-/// unsound or torn response aborts the run.
-fn serve_report() {
-    println!("== Serve report: daemon robustness under mixed workload ==============");
-    let handle = start_with_cache(
-        ServeConfig {
-            max_inflight: 2,
-            ..ServeConfig::default()
-        },
-        shared_analysis_cache().clone(),
-    )
-    .expect("serve-report: bind 127.0.0.1:0");
-    let addr = handle.local_addr();
-    let check = |o: &QueryOutcome| {
-        assert!(o.lo <= o.hi, "torn bound [{}, {}]", o.lo, o.hi);
-        assert!(
-            (0.0..=1.0).contains(&o.completeness),
-            "completeness {} outside [0, 1]",
-            o.completeness
-        );
-    };
-    let small_src =
-        "let x = sample in let y = sample in score(x + y); if x * y <= 0.25 then x else y";
-    let small = |kind: QueryKind| QueryRequest {
-        kind,
-        source: small_src.to_string(),
-        lo: 0.0,
-        hi: 0.5,
-        timeout_ms: None,
-        region_budget: None,
-    };
-
-    // Latency census: sequential small queries, alternating kinds.
-    let mut client = Client::connect(addr).expect("serve-report: connect");
-    let mut lat_ms: Vec<f64> = Vec::new();
-    for i in 0..24u32 {
-        let kind = if i % 2 == 0 {
-            QueryKind::Denotation
-        } else {
-            QueryKind::Posterior
-        };
-        let t0 = Instant::now();
-        let o = client
-            .query(small(kind))
-            .expect("serve-report: transport")
-            .expect("serve-report: small query must succeed");
-        lat_ms.push(t0.elapsed().as_secs_f64() * 1e3);
-        check(&o);
-        assert!(!o.degraded, "undeadlined small query must not degrade");
-    }
-    lat_ms.sort_by(f64::total_cmp);
-    let pct = |p: f64| lat_ms[((lat_ms.len() - 1) as f64 * p).round() as usize];
-    let (p50, p99) = (pct(0.50), pct(0.99));
-
-    // Over-budget query: the pedestrian at the server's default options
-    // runs far past a 5 ms deadline, so the reply must be the anytime
-    // degraded enclosure — still a guaranteed superset of the true
-    // posterior probability, which the Monte-Carlo estimate probes.
-    let heavy = |timeout_ms: Option<u64>| QueryRequest {
-        kind: QueryKind::Posterior,
-        source: models::PEDESTRIAN.to_string(),
-        lo: 1.0,
-        hi: 1.25,
-        timeout_ms,
-        region_budget: None,
-    };
-    let o = client
-        .query(heavy(Some(5)))
-        .expect("serve-report: transport")
-        .expect("serve-report: deadline must degrade, not fail");
-    check(&o);
-    assert!(o.degraded, "5 ms pedestrian query must be degraded");
-    let mc = mc_probability(models::PEDESTRIAN, Interval::new(1.0, 1.25), 20_000, 77);
-    assert!(
-        o.lo - 0.01 <= mc && mc <= o.hi + 0.01,
-        "degraded bounds [{}, {}] exclude the MC estimate {mc}",
-        o.lo,
-        o.hi
-    );
-    let min_completeness = o.completeness;
-    println!(
-        "deadline: degraded pedestrian reply [{:.4}, {:.4}], completeness {:.3}, \
-         contains MC {mc:.4}",
-        o.lo, o.hi, min_completeness
-    );
-
-    // Admission control: occupy both inflight slots with deadlined
-    // heavy queries, then probe from a third connection while they run.
-    // A 400 ms deadline keeps each slot busy long enough that at least
-    // one probe inside the window must be rejected.
-    let occupiers: Vec<_> = (0..2)
-        .map(|_| {
-            let req = heavy(Some(400));
-            std::thread::spawn(move || {
-                let mut c = Client::connect(addr).expect("serve-report: connect");
-                c.query(req).expect("serve-report: transport")
-            })
-        })
-        .collect();
-    std::thread::sleep(Duration::from_millis(100));
-    let mut overloaded_seen = 0u64;
-    for _ in 0..10 {
-        match client.query(small(QueryKind::Denotation)) {
-            Ok(Ok(o)) => check(&o),
-            Ok(Err(e)) => {
-                assert_eq!(e.code, "overloaded", "unexpected rejection: {e:?}");
-                overloaded_seen += 1;
-            }
-            Err(e) => panic!("serve-report: transport: {e}"),
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    for t in occupiers {
-        let o = t
-            .join()
-            .expect("occupier thread")
-            .expect("deadlined heavy query must degrade, not fail");
-        check(&o);
-    }
-    assert!(
-        overloaded_seen > 0,
-        "admission control never rejected while both slots were held"
-    );
-    println!("admission: {overloaded_seen} of 10 probes rejected while both slots were busy");
-
-    // Injected panic: the very next task boundary is this request's
-    // entry hook, so the fault fires inside the daemon's catch_unwind.
-    // The reply must be the typed error and the daemon must keep
-    // serving afterwards.
-    set_fault_plan(Some(FaultPlan {
-        kind: FaultKind::Panic,
-        at: 0,
-    }));
-    let panicked = client
-        .query(small(QueryKind::Denotation))
-        .expect("serve-report: transport");
-    set_fault_plan(None);
-    let err = panicked.expect_err("injected panic must yield a typed error");
-    assert_eq!(err.code, "worker_panicked", "got {err:?}");
-    let o = client
-        .query(small(QueryKind::Denotation))
-        .expect("serve-report: transport")
-        .expect("daemon must stay serviceable after a contained panic");
-    check(&o);
-    println!(
-        "panic: injected panic contained ({}), daemon still serving",
-        err.code
-    );
-
-    let s = handle.stats();
-    handle.shutdown();
-    println!(
-        "served {} (degraded {}), overloaded {}, deadline-exceeded {}, panics {}, \
-         p50 {p50:.2} ms, p99 {p99:.2} ms",
-        s.served, s.degraded, s.overloaded, s.deadline_exceeded, s.panics
-    );
-    assert_eq!(s.panics, 1, "exactly the injected panic");
-    let json = format!(
-        "{{\n  \"bench\": \"serve\",\n  \"small_queries\": {},\n  \"p50_ms\": {},\n  \
-         \"p99_ms\": {},\n  \"served\": {},\n  \"degraded_queries\": {},\n  \
-         \"overloaded\": {},\n  \"deadline_exceeded\": {},\n  \"panics\": {},\n  \
-         \"errors\": {},\n  \"min_completeness\": {}\n}}\n",
-        lat_ms.len(),
-        json_num(p50),
-        json_num(p99),
-        s.served,
-        s.degraded,
-        s.overloaded,
-        s.deadline_exceeded,
-        s.panics,
-        s.errors,
-        json_num(min_completeness),
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
-    }
-    println!();
-}
-
 /// Table 1 / Table 4: per-query bounds and times, baseline vs GuBPI,
 /// with a Monte-Carlo cross-check column.
-fn table1() {
+fn table1(run: &Run) {
     println!("== Table 1 / Table 4: probability estimation =========================");
     println!(
         "{:<14} {:<22} {:>8} {:>19} {:>8} {:>19} {:>8}",
@@ -1195,7 +525,7 @@ fn table1() {
         let base = baseline56_bounds(b.source, b.u, Default::default());
         let t_base = t0.elapsed().as_secs_f64();
         let t1 = Instant::now();
-        let (lo, hi) = analyze_prob_benchmark(&b);
+        let (lo, hi) = analyze_prob_benchmark(run, &b);
         let t_gubpi = t1.elapsed().as_secs_f64();
         let mc = mc_probability(b.source, b.u, 30_000, 12345);
         let base_str = match base {
@@ -1211,7 +541,7 @@ fn table1() {
 }
 
 /// Table 2: discrete models — GuBPI bounds vs exact rational posteriors.
-fn table2() {
+fn table2(run: &Run) {
     println!("== Table 2: discrete models vs exact posterior =======================");
     println!(
         "{:<16} {:>16} {:>25} {:>9} {:>6}",
@@ -1220,15 +550,10 @@ fn table2() {
     for b in models::table2() {
         let exact = b.exact.0 as f64 / b.exact.1 as f64;
         let t0 = Instant::now();
-        let opts = AnalysisOptions {
-            sym: SymExecOptions {
-                max_fix_unfoldings: 8,
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        let a = shared_analyzer(b.source, opts);
-        let (lo, hi) = timed_posterior_probability(&a, Interval::new(0.5, 1.5));
+        let mut opts = run.options();
+        opts.sym.max_fix_unfoldings = 8;
+        let a = run.analyzer(b.source, opts);
+        let (lo, hi) = run.posterior_probability(&a, Interval::new(0.5, 1.5));
         let t = t0.elapsed().as_secs_f64();
         let tight = if hi - lo < 1e-3 { "yes" } else { "~" };
         println!(
@@ -1251,13 +576,13 @@ fn table2() {
 }
 
 /// Table 3: running time of GuBPI bounds vs SBC on the same model.
-fn table3() {
+fn table3(run: &Run) {
     println!("== Table 3: GuBPI vs simulation-based calibration ====================");
     // Binary GMM (1-dimensional).
     let fig5_models = models::figure5();
     let gmm = &fig5_models[2];
     let t0 = Instant::now();
-    let a = analyzer_for_figure(gmm);
+    let a = analyzer_for_figure(run, gmm);
     let h = a.histogram(gmm.domain, gmm.bins);
     let (zlo, zhi) = h.z_bounds();
     let t_gubpi = t0.elapsed().as_secs_f64();
@@ -1338,22 +663,17 @@ fn systematic_resample(ws: &gubpi_inference::WeightedSamples, l: usize) -> Vec<f
 }
 
 /// Fig. 1 / Fig. 7: pedestrian — GuBPI bounds, IS histogram, wrong HMC.
-fn pedestrian() {
+fn pedestrian(run: &Run) {
     println!("== Fig. 1 / Fig. 7: the pedestrian example ===========================");
     let src = models::PEDESTRIAN;
     let domain = Interval::new(0.0, 3.0);
     let bins = 12;
 
     let t0 = Instant::now();
-    let mut opts = AnalysisOptions {
-        sym: SymExecOptions {
-            max_fix_unfoldings: 5,
-            ..Default::default()
-        },
-        ..Default::default()
-    };
+    let mut opts = run.options();
+    opts.sym.max_fix_unfoldings = 5;
     opts.bounds.splits = 16;
-    let a = shared_analyzer(src, opts);
+    let a = run.analyzer(src, opts);
     let h = a.histogram(domain, bins);
     println!(
         "GuBPI bounds ({} paths, {:.1}s):",
@@ -1431,24 +751,24 @@ fn pedestrian() {
 }
 
 /// Fig. 5: non-recursive models.
-fn fig5() {
+fn fig5(run: &Run) {
     println!("== Fig. 5: guaranteed bounds for non-recursive models ================");
     for b in models::figure5() {
-        run_figure(&b);
+        run_figure(run, &b);
     }
 }
 
 /// Fig. 6: recursive models.
-fn fig6() {
+fn fig6(run: &Run) {
     println!("== Fig. 6: guaranteed bounds for recursive models ====================");
     for b in models::figure6() {
-        run_figure(&b);
+        run_figure(run, &b);
     }
 }
 
-fn run_figure(b: &models::FigureBenchmark) {
+fn run_figure(run: &Run, b: &models::FigureBenchmark) {
     let t0 = Instant::now();
-    let a = analyzer_for_figure(b);
+    let a = analyzer_for_figure(run, b);
     let h = a.histogram(b.domain, b.bins);
     let t = t0.elapsed().as_secs_f64();
     println!(
@@ -1463,19 +783,15 @@ fn run_figure(b: &models::FigureBenchmark) {
 }
 
 /// Ablations: linear vs grid semantics; depth sweep on the pedestrian.
-fn ablation() {
+fn ablation(run: &Run) {
     println!("== Ablation: linear (§6.4) vs grid (§6.3) semantics ==================");
     let src = "let x = sample in let y = sample in score(x + y); x";
     for (label, method) in [("linear", Method::Auto), ("grid", Method::Grid)] {
         let t0 = Instant::now();
-        let a = shared_analyzer(
-            src,
-            AnalysisOptions {
-                method,
-                ..Default::default()
-            },
-        );
-        let (lo, hi) = timed_denotation_bounds(&a, Interval::new(0.0, 0.5));
+        let mut opts = run.options();
+        opts.method = method;
+        let a = run.analyzer(src, opts);
+        let (lo, hi) = run.denotation_bounds(&a, Interval::new(0.0, 0.5));
         println!(
             "{label:>7}: [{lo:.5}, {hi:.5}] width {:.5} in {:.2}s",
             hi - lo,
@@ -1486,15 +802,10 @@ fn ablation() {
     println!("\n== Ablation: unfolding depth vs tightness (pedestrian Z bounds) =====");
     for depth in [2u32, 3, 4, 5] {
         let t0 = Instant::now();
-        let mut opts = AnalysisOptions {
-            sym: SymExecOptions {
-                max_fix_unfoldings: depth,
-                ..Default::default()
-            },
-            ..Default::default()
-        };
+        let mut opts = run.options();
+        opts.sym.max_fix_unfoldings = depth;
         opts.bounds.splits = 16;
-        let a = shared_analyzer(models::PEDESTRIAN, opts);
+        let a = run.analyzer(models::PEDESTRIAN, opts);
         let (zlo, zhi) = a.normalizing_constant();
         println!(
             "depth {depth}: Z in [{zlo:.4}, {zhi:.4}] ({} paths, {:.1}s)",

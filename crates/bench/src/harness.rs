@@ -1,210 +1,204 @@
 //! Shared benchmark runners.
+//!
+//! A `repro` run is configured once, from its flags, into a
+//! [`RunConfig`]; [`Run::new`] turns that into the state the run owns —
+//! the per-path query cache every analyzer shares, the one deadline
+//! token and the `--stats` census — and every runner below takes the
+//! run explicitly. Nothing here reads the environment or keeps
+//! process-global state.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::cell::RefCell;
 use std::time::Duration;
 
 use gubpi_core::{
     AnalysisOptions, Analyzer, CancelToken, ExecReport, QueryOutcome, Severity, SharedQueryCache,
 };
 use gubpi_interval::Interval;
-use gubpi_symbolic::SymExecOptions;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::models::{FigureBenchmark, ProbBenchmark};
 
-/// The query cache shared by every analyzer the harness builds over one
-/// process (so a whole `repro` run reuses warm per-path bounds — sound
-/// across unrelated models because hits re-verify paths structurally).
-///
-/// Bounded when `GUBPI_CACHE_CAP` is set to a positive entry count
-/// (`repro --cache-cap N` wires the flag to the env var, mirroring
-/// `--threads` / `GUBPI_THREADS`); unbounded otherwise. Invalid values
-/// degrade to unbounded rather than aborting a long benchmark run.
-pub fn shared_analysis_cache() -> &'static SharedQueryCache {
-    static CACHE: OnceLock<SharedQueryCache> = OnceLock::new();
-    CACHE.get_or_init(|| {
-        match std::env::var("GUBPI_CACHE_CAP")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&cap| cap > 0)
-        {
-            Some(cap) => SharedQueryCache::with_capacity(cap),
-            None => SharedQueryCache::new(),
+/// Everything a run is configured with, parsed once at the CLI edge.
+#[derive(Copy, Clone, Debug, Default)]
+pub struct RunConfig {
+    /// The options every analyzer of the run starts from; commands only
+    /// override their per-model parameters (unfolding depth, splits,
+    /// method) on a copy.
+    pub opts: AnalysisOptions,
+    /// Entry cap of the shared per-path cache (coarse-LRU eviction);
+    /// `None` is unbounded. Results are bit-identical either way.
+    pub cache_cap: Option<usize>,
+    /// One cooperative deadline over the whole run; queries that outlive
+    /// it return anytime sound degraded enclosures instead of blocking.
+    pub timeout: Option<Duration>,
+    /// Print each analyzed model's lints as its analyzer is built.
+    pub lint: bool,
+    /// Make warning-severity lints fatal.
+    pub deny_warnings: bool,
+    /// Print the run's counters at the end.
+    pub stats: bool,
+}
+
+/// What a run observed, for the `--stats` report.
+#[derive(Copy, Clone, Debug)]
+pub struct Census {
+    /// The [`ExecReport`] counters summed over every analyzer the run
+    /// built (one symbolic execution per analyzer).
+    pub exec: ExecReport,
+    /// `Severity::Warning` lints printed under [`RunConfig::lint`].
+    pub lint_warnings: usize,
+    /// Queries answered under the deadline.
+    pub timed_queries: u64,
+    /// How many of those degraded.
+    pub degraded_queries: u64,
+    /// The worst completeness fraction among them (`1.0` if none).
+    pub min_completeness: f64,
+}
+
+impl Default for Census {
+    fn default() -> Census {
+        Census {
+            exec: ExecReport::default(),
+            lint_warnings: 0,
+            timed_queries: 0,
+            degraded_queries: 0,
+            min_completeness: 1.0,
         }
-    })
-}
-
-/// Running totals of the static-analysis effects across every analyzer
-/// the harness built this process, for the `--stats` report.
-static PRUNED_BRANCHES: AtomicUsize = AtomicUsize::new(0);
-static ZERO_SCORE_DROPS: AtomicUsize = AtomicUsize::new(0);
-static BUDGET_TRUNCATED: AtomicUsize = AtomicUsize::new(0);
-static DEPTH_TRUNCATED: AtomicUsize = AtomicUsize::new(0);
-static TAIL_ENCLOSED: AtomicUsize = AtomicUsize::new(0);
-static RANKED_TAIL: AtomicUsize = AtomicUsize::new(0);
-static LINT_WARNINGS: AtomicUsize = AtomicUsize::new(0);
-
-/// The [`ExecReport`] counters summed over every `shared_analyzer` call
-/// so far (one symbolic execution per analyzer).
-pub fn aggregated_exec_report() -> ExecReport {
-    ExecReport {
-        pruned_branches: PRUNED_BRANCHES.load(Ordering::Relaxed),
-        zero_score_drops: ZERO_SCORE_DROPS.load(Ordering::Relaxed),
-        budget_truncated_paths: BUDGET_TRUNCATED.load(Ordering::Relaxed),
-        depth_truncated_paths: DEPTH_TRUNCATED.load(Ordering::Relaxed),
-        tail_enclosed_paths: TAIL_ENCLOSED.load(Ordering::Relaxed),
-        ranked_tail_paths: RANKED_TAIL.load(Ordering::Relaxed),
     }
 }
 
-/// Number of `Severity::Warning` lints seen across every `--lint`-mode
-/// analyzer build; `repro --lint --deny-warnings` fails if nonzero.
-pub fn lint_warnings_seen() -> usize {
-    LINT_WARNINGS.load(Ordering::Relaxed)
+/// One run: its configuration plus the state it owns.
+pub struct Run {
+    /// The configuration the run was started with (fixed: the cache and
+    /// the deadline below are built from it).
+    config: RunConfig,
+    /// The query cache shared by every analyzer the run builds, so a
+    /// whole `repro` run reuses warm per-path bounds — sound across
+    /// unrelated models because hits re-verify paths structurally.
+    cache: SharedQueryCache,
+    /// The deadline, armed when the run starts. Once it fires, every
+    /// later query degrades to its coarse anytime bounds — the run
+    /// finishes fast with sound (wide) results instead of hanging.
+    deadline: Option<CancelToken>,
+    census: RefCell<Census>,
 }
 
-/// Builds an analyzer attached to the harness-wide shared cache (and
-/// therefore the process-global persistent worker pool).
-///
-/// Two env switches mirror the `repro` CLI the way `GUBPI_THREADS`
-/// mirrors `--threads`: `GUBPI_NO_PRUNE` disables static dead-branch
-/// pruning (the `--no-prune` escape hatch; bounds are bit-identical,
-/// only the explored path count changes) and `GUBPI_LINT` prints the
-/// program's lints as the analyzer is built (`--lint`). A third,
-/// `GUBPI_NO_TAIL` (`--no-tail`), is consumed by
-/// `PathBoundOptions::default()` itself and reverts budget-⊤ paths to
-/// their bare `[0, ∞]` score placeholders.
-pub fn shared_analyzer(source: &str, mut opts: AnalysisOptions) -> Analyzer {
-    if env_flag("GUBPI_NO_PRUNE") {
-        opts.prune = false;
+impl Run {
+    /// Starts a run: builds its cache and arms its deadline.
+    pub fn new(config: RunConfig) -> Run {
+        Run {
+            cache: match config.cache_cap {
+                Some(cap) => SharedQueryCache::with_capacity(cap),
+                None => SharedQueryCache::new(),
+            },
+            deadline: config.timeout.map(CancelToken::with_timeout),
+            census: RefCell::new(Census::default()),
+            config,
+        }
     }
-    let a = Analyzer::from_source_with_cache(source, opts, shared_analysis_cache())
-        .expect("benchmark must compile");
-    let r = a.exec_report();
-    PRUNED_BRANCHES.fetch_add(r.pruned_branches, Ordering::Relaxed);
-    ZERO_SCORE_DROPS.fetch_add(r.zero_score_drops, Ordering::Relaxed);
-    BUDGET_TRUNCATED.fetch_add(r.budget_truncated_paths, Ordering::Relaxed);
-    DEPTH_TRUNCATED.fetch_add(r.depth_truncated_paths, Ordering::Relaxed);
-    TAIL_ENCLOSED.fetch_add(r.tail_enclosed_paths, Ordering::Relaxed);
-    RANKED_TAIL.fetch_add(r.ranked_tail_paths, Ordering::Relaxed);
-    if env_flag("GUBPI_LINT") {
-        for lint in a.lints() {
-            if lint.severity == Severity::Warning {
-                LINT_WARNINGS.fetch_add(1, Ordering::Relaxed);
+
+    /// The run's options template (a copy to adjust per model).
+    pub fn options(&self) -> AnalysisOptions {
+        self.config.opts
+    }
+
+    /// The per-path query cache every analyzer of the run shares.
+    pub fn cache(&self) -> &SharedQueryCache {
+        &self.cache
+    }
+
+    /// The run's deadline token, or `None` for an unlimited run.
+    pub fn deadline(&self) -> Option<&CancelToken> {
+        self.deadline.as_ref()
+    }
+
+    /// The counters observed so far.
+    pub fn census(&self) -> Census {
+        *self.census.borrow()
+    }
+
+    /// Builds an analyzer attached to the run's shared cache (and
+    /// therefore the process-global persistent worker pool), adds its
+    /// execution counters to the census, and prints its lints when the
+    /// run lints.
+    pub fn analyzer(&self, source: &str, opts: AnalysisOptions) -> Analyzer {
+        let a = Analyzer::from_source_with_cache(source, opts, &self.cache)
+            .expect("benchmark must compile");
+        let r = a.exec_report();
+        let mut c = self.census.borrow_mut();
+        c.exec.pruned_branches += r.pruned_branches;
+        c.exec.zero_score_drops += r.zero_score_drops;
+        c.exec.budget_truncated_paths += r.budget_truncated_paths;
+        c.exec.depth_truncated_paths += r.depth_truncated_paths;
+        c.exec.tail_enclosed_paths += r.tail_enclosed_paths;
+        c.exec.ranked_tail_paths += r.ranked_tail_paths;
+        if self.config.lint {
+            for lint in a.lints() {
+                if lint.severity == Severity::Warning {
+                    c.lint_warnings += 1;
+                }
+                println!("lint: {}", lint.render(source));
             }
-            println!("lint: {}", lint.render(source));
+        }
+        a
+    }
+
+    /// Records one deadline-scoped query outcome in the census (the
+    /// query helpers call this; `repro query` calls it directly because
+    /// it needs the full [`QueryOutcome`] for its report line and exit
+    /// code).
+    pub fn note_outcome(&self, o: &QueryOutcome) {
+        let mut c = self.census.borrow_mut();
+        c.timed_queries += 1;
+        if o.degraded {
+            c.degraded_queries += 1;
+        }
+        c.min_completeness = c.min_completeness.min(o.completeness.max(0.0));
+    }
+
+    /// [`Analyzer::denotation_bounds`] under the run's deadline: past it
+    /// the bounds degrade to sound coarse enclosures instead of
+    /// blocking. Without a deadline this is exactly `denotation_bounds`.
+    pub fn denotation_bounds(&self, a: &Analyzer, u: Interval) -> (f64, f64) {
+        match self.deadline() {
+            None => a.denotation_bounds(u),
+            Some(token) => {
+                let o = a.denotation_outcome(u, Some(token));
+                self.note_outcome(&o);
+                o.bounds()
+            }
         }
     }
-    a
-}
 
-/// `true` iff the env var is set to anything but `""` or `"0"`.
-fn env_flag(name: &str) -> bool {
-    std::env::var(name).is_ok_and(|v| !v.is_empty() && v != "0")
-}
-
-/// The process-wide deadline token from `GUBPI_TIMEOUT_MS` (`repro
-/// --timeout-ms N`), armed at the first timed query, or `None` when no
-/// deadline is configured. One token covers the whole run: once it
-/// fires, every later query degrades to its coarse anytime bounds —
-/// the run finishes fast with sound (wide) results instead of hanging.
-pub fn deadline_token() -> Option<&'static CancelToken> {
-    static TOKEN: OnceLock<Option<CancelToken>> = OnceLock::new();
-    TOKEN
-        .get_or_init(|| {
-            std::env::var("GUBPI_TIMEOUT_MS")
-                .ok()
-                .and_then(|v| v.trim().parse::<u64>().ok())
-                .map(|ms| CancelToken::with_timeout(Duration::from_millis(ms)))
-        })
-        .as_ref()
-}
-
-/// Degradation census across every timed query this process, for the
-/// `--stats` report: timed queries, how many were degraded, and the
-/// worst completeness fraction (stored as `f64` bits — non-negative
-/// floats order the same way as their bit patterns, so `fetch_min`
-/// works).
-static TIMED_QUERIES: AtomicU64 = AtomicU64::new(0);
-static DEGRADED_QUERIES: AtomicU64 = AtomicU64::new(0);
-static MIN_COMPLETENESS_BITS: AtomicU64 = AtomicU64::new(0x3FF0_0000_0000_0000); // 1.0f64
-
-/// Records one deadline-scoped query outcome in the census (the timed
-/// helpers call this; `repro query` calls it directly because it needs
-/// the full [`QueryOutcome`] for its report line and exit code).
-pub fn note_query_outcome(o: &QueryOutcome) {
-    TIMED_QUERIES.fetch_add(1, Ordering::Relaxed);
-    if o.degraded {
-        DEGRADED_QUERIES.fetch_add(1, Ordering::Relaxed);
-    }
-    MIN_COMPLETENESS_BITS.fetch_min(o.completeness.max(0.0).to_bits(), Ordering::Relaxed);
-}
-
-/// `(timed, degraded, min_completeness)` across every timed query so
-/// far; `None` when no `GUBPI_TIMEOUT_MS` deadline is configured.
-pub fn deadline_report() -> Option<(u64, u64, f64)> {
-    deadline_token()?;
-    Some((
-        TIMED_QUERIES.load(Ordering::Relaxed),
-        DEGRADED_QUERIES.load(Ordering::Relaxed),
-        f64::from_bits(MIN_COMPLETENESS_BITS.load(Ordering::Relaxed)),
-    ))
-}
-
-/// [`Analyzer::denotation_bounds`] under the process deadline (when
-/// `GUBPI_TIMEOUT_MS` is set): past the deadline the bounds degrade to
-/// sound coarse enclosures instead of blocking. Without a deadline
-/// this is exactly `denotation_bounds`.
-pub fn timed_denotation_bounds(a: &Analyzer, u: Interval) -> (f64, f64) {
-    match deadline_token() {
-        None => a.denotation_bounds(u),
-        Some(token) => {
-            let o = a.denotation_outcome(u, Some(token));
-            note_query_outcome(&o);
-            o.bounds()
-        }
-    }
-}
-
-/// [`Analyzer::posterior_probability`] under the process deadline; see
-/// [`timed_denotation_bounds`].
-pub fn timed_posterior_probability(a: &Analyzer, u: Interval) -> (f64, f64) {
-    match deadline_token() {
-        None => a.posterior_probability(u),
-        Some(token) => {
-            let o = a.posterior_outcome(u, Some(token));
-            note_query_outcome(&o);
-            o.bounds()
+    /// [`Analyzer::posterior_probability`] under the run's deadline; see
+    /// [`Run::denotation_bounds`].
+    pub fn posterior_probability(&self, a: &Analyzer, u: Interval) -> (f64, f64) {
+        match self.deadline() {
+            None => a.posterior_probability(u),
+            Some(token) => {
+                let o = a.posterior_outcome(u, Some(token));
+                self.note_outcome(&o);
+                o.bounds()
+            }
         }
     }
 }
 
 /// Runs the GuBPI analyzer on a Table 1 benchmark, returning the
 /// guaranteed bounds on `P(result ∈ U)`.
-pub fn analyze_prob_benchmark(b: &ProbBenchmark) -> (f64, f64) {
-    let opts = AnalysisOptions {
-        sym: SymExecOptions {
-            max_fix_unfoldings: b.unfold,
-            ..Default::default()
-        },
-        ..Default::default()
-    };
-    timed_denotation_bounds(&shared_analyzer(b.source, opts), b.u)
+pub fn analyze_prob_benchmark(run: &Run, b: &ProbBenchmark) -> (f64, f64) {
+    let mut opts = run.options();
+    opts.sym.max_fix_unfoldings = b.unfold;
+    run.denotation_bounds(&run.analyzer(b.source, opts), b.u)
 }
 
 /// Builds an analyzer configured for a figure benchmark.
-pub fn analyzer_for_figure(b: &FigureBenchmark) -> Analyzer {
-    let mut opts = AnalysisOptions {
-        sym: SymExecOptions {
-            max_fix_unfoldings: b.unfold,
-            ..Default::default()
-        },
-        ..Default::default()
-    };
+pub fn analyzer_for_figure(run: &Run, b: &FigureBenchmark) -> Analyzer {
+    let mut opts = run.options();
+    opts.sym.max_fix_unfoldings = b.unfold;
     opts.bounds.splits = b.splits;
-    shared_analyzer(b.source, opts)
+    run.analyzer(b.source, opts)
 }
 
 /// Monte-Carlo estimate of `P(result ∈ U)` by likelihood weighting —
@@ -229,7 +223,7 @@ mod tests {
     #[test]
     fn table1_first_row_runs_end_to_end() {
         let b = &models::table1()[3]; // ex-book-s, count >= 2 (cheap)
-        let (lo, hi) = analyze_prob_benchmark(b);
+        let (lo, hi) = analyze_prob_benchmark(&Run::new(RunConfig::default()), b);
         // Binomial(5, 1/2): P(count ≥ 2) = 1 − 6/32 = 0.8125, and the
         // discrete model should be computed (near-)exactly.
         assert!(lo <= 0.8125 && 0.8125 <= hi, "[{lo}, {hi}]");
@@ -242,7 +236,7 @@ mod tests {
             .into_iter()
             .find(|b| b.name == "example4")
             .unwrap();
-        let (lo, hi) = analyze_prob_benchmark(&b);
+        let (lo, hi) = analyze_prob_benchmark(&Run::new(RunConfig::default()), &b);
         let mc = mc_probability(b.source, b.u, 40_000, 7);
         assert!(
             lo - 0.01 <= mc && mc <= hi + 0.01,

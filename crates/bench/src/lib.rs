@@ -8,8 +8,9 @@
 //!   Sankaranarayanan et al. (the "[56]" column of Table 1);
 //! * [`groundtruth`] — exact rational posteriors for the discrete
 //!   Table 2 models (the PSI stand-in);
-//! * [`harness`] — shared runners that produce the rows/series printed by
-//!   the `repro` binary and measured by the Criterion benches.
+//! * [`harness`] — the run value (configuration parsed once, shared
+//!   cache, deadline, `--stats` census) and the runners that produce
+//!   the rows/series printed by the `repro` binary.
 
 pub mod baseline56;
 pub mod groundtruth;
@@ -19,7 +20,5 @@ pub mod models;
 pub use baseline56::{baseline56_bounds, BaselineOptions};
 pub use groundtruth::Ratio;
 pub use harness::{
-    aggregated_exec_report, analyze_prob_benchmark, analyzer_for_figure, deadline_report,
-    deadline_token, lint_warnings_seen, mc_probability, note_query_outcome, shared_analysis_cache,
-    shared_analyzer, timed_denotation_bounds, timed_posterior_probability,
+    analyze_prob_benchmark, analyzer_for_figure, mc_probability, Census, Run, RunConfig,
 };

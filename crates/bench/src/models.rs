@@ -424,8 +424,8 @@ pub fn table2() -> Vec<DiscreteBenchmark> {
 /// A plain geometric loop: stop with probability 1/2 per iteration,
 /// return the iteration count. No scores, so the static per-unfolding
 /// contraction is exactly the continue probability 1/2 — the canonical
-/// model for the truncated-recursion tail enclosure (`repro
-/// tail-report` and the tail soundness suite).
+/// model for the truncated-recursion tail enclosure (the tail
+/// soundness suite).
 pub const GEOMETRIC: &str = r#"
     let rec geo x =
       if sample <= 0.5 then x

@@ -1,7 +1,8 @@
 //! Differential tests for static dead-branch pruning: on every repo
 //! model, the bounds computed with pruning enabled must be bit-identical
-//! to a `--no-prune` run — pruning may only remove symbolic paths whose
-//! contribution to both the lower and the upper bound is exactly 0.0.
+//! to an unpruned run (`prune: false`, the oracle) — pruning may only
+//! remove symbolic paths whose contribution to both the lower and the
+//! upper bound is exactly 0.0.
 //!
 //! These tests honour `GUBPI_THREADS` (the default `AnalysisOptions`
 //! resolve `Threads::Auto` from the env), so the CI worker matrix

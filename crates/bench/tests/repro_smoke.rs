@@ -1,17 +1,35 @@
 //! Smoke tests for the workspace wiring: the `repro` binary must start,
 //! answer `--help`, and a tiny model must run end to end through the
-//! same harness entry point the benches use. This is the canary that
+//! same harness entry point the binary uses. This is the canary that
 //! keeps the binary, the bench harness and the analyzer linked together.
+//!
+//! Every flag reaches the engine through the one parsed config, never
+//! the environment: the `repro` runs below start from an empty
+//! environment, so a flag that only worked through a `GUBPI_*` variable
+//! would fail here.
 
-use std::process::Command;
+use std::process::{Command, Output};
 
-use bench::analyze_prob_benchmark;
 use bench::models::ProbBenchmark;
+use bench::{analyze_prob_benchmark, Run, RunConfig};
 use gubpi_interval::Interval;
 
 /// Path to the compiled `repro` binary (provided by Cargo for
 /// integration tests of the package that owns the binary).
 const REPRO: &str = env!("CARGO_BIN_EXE_repro");
+
+/// Runs `repro` with `args` and an empty environment.
+fn repro(args: &[&str]) -> Output {
+    Command::new(REPRO)
+        .args(args)
+        .env_clear()
+        .output()
+        .expect("repro binary runs")
+}
+
+fn stdout(out: &Output) -> String {
+    String::from_utf8_lossy(&out.stdout).into_owned()
+}
 
 #[test]
 fn repro_help_exits_zero_and_prints_usage() {
@@ -69,7 +87,7 @@ fn tiny_model_end_to_end() {
         u: Interval::new(0.5, 1.0),
         unfold: 2,
     };
-    let (lo, hi) = analyze_prob_benchmark(&b);
+    let (lo, hi) = analyze_prob_benchmark(&Run::new(RunConfig::default()), &b);
     assert!(
         lo <= 0.5 && 0.5 <= hi,
         "bounds [{lo}, {hi}] must contain 0.5"
@@ -109,25 +127,24 @@ fn repro_rejects_invalid_cache_caps() {
 
 #[test]
 fn repro_help_documents_the_new_flags() {
-    let out = Command::new(REPRO)
-        .arg("--help")
-        .output()
-        .expect("repro binary runs");
-    let text = String::from_utf8_lossy(&out.stdout);
+    let text = stdout(&repro(&["--help"]));
     for needle in [
         "--cache-cap",
         "--stats",
-        "GUBPI_CACHE_CAP",
-        "--no-kernel",
-        "GUBPI_NO_KERNEL",
-        "--no-prune",
-        "GUBPI_NO_PRUNE",
+        "--no-tail",
+        "--no-refine",
+        "--gap-target",
+        "--timeout-ms",
         "--lint",
         "--deny-warnings",
         "analyze",
-        "prune-report",
+        "GUBPI_THREADS",
+        "GUBPI_FAULT",
     ] {
         assert!(text.contains(needle), "usage text missing {needle:?}");
+    }
+    for gone in ["--no-kernel", "--no-prune", "-report", "GUBPI_NO_"] {
+        assert!(!text.contains(gone), "usage text still mentions {gone:?}");
     }
 }
 
@@ -186,58 +203,88 @@ fn repro_analyze_filters_and_rejects_unknown_models() {
 }
 
 #[test]
-fn repro_no_prune_and_stats_report_prune_counters() {
-    // `--no-prune --stats smoke` must run and report zero prune activity;
-    // the counters line must be present either way.
-    let out = Command::new(REPRO)
-        .args(["--no-prune", "--stats", "smoke"])
-        .env_remove("GUBPI_NO_PRUNE")
-        .output()
-        .expect("repro binary runs");
+fn repro_rejects_the_bit_identity_escape_hatches() {
+    // `--no-kernel` and `--no-prune` only ever proved bit-identity; the
+    // differential tests keep that job, with the interpreter and the
+    // unpruned executor as oracles. As flags they are usage errors,
+    // wherever they appear.
+    for args in [
+        &["--no-kernel", "smoke"][..],
+        &["--no-prune", "--stats", "smoke"][..],
+        &["smoke", "--no-kernel"][..],
+    ] {
+        let out = repro(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?} must be rejected");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("unknown option"), "stderr: {err}");
+    }
+}
+
+#[test]
+fn repro_stats_report_prune_and_kernel_counters() {
+    let out = repro(&["--stats", "smoke"]);
     assert!(out.status.success(), "status: {:?}", out.status);
-    let text = String::from_utf8_lossy(&out.stdout);
+    let text = stdout(&out);
     assert!(
         text.contains("prune: 0 dead branches skipped"),
-        "--no-prune must zero the prune counters:\n{text}"
+        "stats must report the prune counters:\n{text}"
     );
     assert!(
         text.contains("seed:") && text.contains("constant slots preloaded"),
         "stats must report kernel seeding:\n{text}"
     );
-}
-
-#[test]
-fn repro_accepts_no_kernel_and_reports_kernel_stats() {
-    // `--no-kernel` must be accepted anywhere in the argument list (it
-    // is stripped before command dispatch) ...
-    let out = Command::new(REPRO)
-        .args(["--no-kernel", "--help"])
-        .output()
-        .expect("repro binary runs");
-    assert!(out.status.success(), "--no-kernel --help must exit 0");
-    // ... and force the tree-walking interpreter: the kernel line of
-    // `--stats` reports it disabled after a real (tiny) analysis run.
-    let out = Command::new(REPRO)
-        .args(["--no-kernel", "--stats", "smoke"])
-        .env_remove("GUBPI_NO_KERNEL")
-        .output()
-        .expect("repro binary runs");
-    assert!(out.status.success(), "status: {:?}", out.status);
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        text.contains("kernel: disabled"),
-        "stats must report the interpreter fallback:\n{text}"
-    );
-    // With the kernel on, the same command reports tape statistics.
-    let out = Command::new(REPRO)
-        .args(["--stats", "smoke"])
-        .env_remove("GUBPI_NO_KERNEL")
-        .output()
-        .expect("repro binary runs");
-    assert!(out.status.success());
-    let text = String::from_utf8_lossy(&out.stdout);
     assert!(
         text.contains("kernel:") && text.contains("tapes") && text.contains("cells/s"),
         "stats must report tape length / CSE / cells-per-second:\n{text}"
     );
+}
+
+#[test]
+fn no_refine_flag_reaches_the_engine() {
+    let plain = stdout(&repro(&["--stats", "smoke"]));
+    assert!(
+        plain.contains("adaptive rounds") && !plain.contains("no adaptive rounds"),
+        "smoke refines its grid query by default:\n{plain}"
+    );
+    let off = stdout(&repro(&["--no-refine", "--stats", "smoke"]));
+    assert!(
+        off.contains("no adaptive rounds"),
+        "--no-refine must turn refinement off:\n{off}"
+    );
+}
+
+#[test]
+fn cache_cap_flag_reaches_the_cache() {
+    let text = stdout(&repro(&["--cache-cap", "1", "--stats", "smoke"]));
+    assert!(
+        text.contains("(cap 1)"),
+        "stats must report the cap:\n{text}"
+    );
+    let text = stdout(&repro(&["--stats", "smoke"]));
+    assert!(text.contains("(cap unbounded)"), "{text}");
+}
+
+#[test]
+fn no_tail_flag_reaches_the_bounds() {
+    // A scored recursion that branches twice per unfolding: the symbolic
+    // executor's path cap cuts it, and the cut (⊤) paths carry a
+    // geometric tail enclosure (contraction 1/2 per unfolding).
+    let src = "let rec f n = if sample <= 0.5 then n else \
+               (score(0.5); if sample <= 0.5 then f (n + 1) else f (n + 2)) in f 0";
+    let hi = |args: &[&str]| -> String {
+        let out = repro(args);
+        assert!(out.status.success(), "status: {:?}", out.status);
+        let text = stdout(&out);
+        let line = text.lines().find(|l| l.contains("unnormalised mass"));
+        let line = line.unwrap_or_else(|| panic!("no bound line:\n{text}"));
+        let (_, bounds) = line.split_once(": [").expect("bound line shape");
+        let (_, hi) = bounds.split_once(", ").expect("bound line shape");
+        hi.split(']').next().expect("bound line shape").to_owned()
+    };
+    let with_tails = hi(&["query", src, "0", "100"]);
+    assert!(
+        with_tails.parse::<f64>().is_ok_and(f64::is_finite),
+        "the tail enclosure must keep the upper bound finite, got {with_tails}"
+    );
+    assert_eq!(hi(&["--no-tail", "query", src, "0", "100"]), "inf");
 }

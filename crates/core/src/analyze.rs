@@ -48,16 +48,15 @@ pub struct AnalysisOptions {
     /// Let the symbolic executor skip statically dead branches and
     /// zero-score continuations (pre-execution static analysis). Pruning
     /// only removes paths contributing exactly `0.0` to both bounds, so
-    /// disabling it (`repro --no-prune`) reproduces bit-identical bounds
-    /// with more enumerated paths — the field-regression escape hatch.
+    /// disabling it reproduces bit-identical bounds with more enumerated
+    /// paths (the differential tests use it as their oracle).
     pub prune: bool,
     /// Bound grid-destined paths by **gap-driven adaptive refinement**
     /// (coarse seed grid + worklist bisection of the cells contributing
     /// most to the upper−lower gap) instead of the one-shot uniform
     /// sweep, at the *same* cell budget. Histograms always use the
     /// uniform sweep (their sinks need the full value-range partition).
-    /// The default honours the `GUBPI_NO_REFINE` escape hatch (`repro
-    /// --no-refine`), under which query bounds are bit-identical to the
+    /// Off (`repro --no-refine`), query bounds are bit-identical to the
     /// uniform sweep.
     pub refine: bool,
     /// Stop refining a query early once the summed gap of its refined
@@ -569,7 +568,7 @@ impl Analyzer {
         // Tail facts flow in unconditionally: attaching an enclosure to
         // a ⊤ path never changes the path set (it is data on the path,
         // consumed only behind `PathBoundOptions::use_tail`), so both
-        // `--no-prune` and `--no-tail` bit-identity are preserved.
+        // unpruned and `--no-tail` bit-identity are preserved.
         let (paths, exec_report) = symbolic_paths_report_cancellable(
             &program,
             &typing,

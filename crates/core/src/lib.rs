@@ -63,10 +63,8 @@ pub use gubpi_analysis::{lint_program, Lint, LintKind, ProgramFacts, RankVerdict
 pub use gubpi_symbolic::ExecReport;
 pub use histogram::{HistogramBounds, NormalizedBin};
 pub use pathbounds::{
-    bound_path, bound_path_grid_only, bound_path_grid_only_threaded, bound_path_query,
-    bound_path_query_threaded, bound_path_threaded, coarse_path_enclosure, grid_splits,
-    linear_applicable, plan_path, plan_path_grid_only, plan_path_grid_only_seeded, plan_path_query,
-    plan_path_query_seeded, plan_path_seeded, run_adaptive_refinement,
+    bound_path, bound_path_query, coarse_path_enclosure, grid_splits, linear_applicable,
+    plan_path_grid_only_seeded, plan_path_query_seeded, plan_path_seeded, run_adaptive_refinement,
     run_adaptive_refinement_cancellable, tail_substituted, BoundSink, GridRefiner,
     PathBoundOptions, QueryFold, RefineOptions, Region, SingleQuery,
 };

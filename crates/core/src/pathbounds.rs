@@ -6,9 +6,10 @@
 //! path's work — the §6.3 grid's n-dimensional cell space or the §6.4
 //! chunk-combination product — is a flat index space of pure region
 //! computations, which this module exposes as a *plan*
-//! ([`plan_path_query`] / [`plan_path`] / [`plan_path_grid_only`]
-//! returning a [`PathJob`] over buffered [`Region`] triples). The
-//! unified scheduler (`gubpi_pool::run_jobs_with`) executes the plans
+//! ([`plan_path_query_seeded`] / [`plan_path_seeded`] /
+//! [`plan_path_grid_only_seeded`] returning a [`PathJob`] over buffered
+//! [`Region`] triples). The unified scheduler
+//! (`gubpi_pool::run_jobs_with`) executes the plans
 //! of a whole query at once: workers adopt paths, drain their region
 //! spaces chunk by chunk, and **steal chunks from still-running
 //! dominant paths**, while every buffered contribution is replayed
@@ -24,6 +25,8 @@ use gubpi_polytope::{HPolytope, LinExpr};
 use gubpi_symbolic::{note_kernel_cells, KernelSeed, SymPath, SymVal, Tape, LANES};
 
 use gubpi_pool::{run_jobs_cancellable, run_jobs_with, CancelToken, PathJob, Threads, WorkerPool};
+
+use crate::analyze::Method;
 
 /// Where per-region contributions are accumulated.
 ///
@@ -146,10 +149,8 @@ pub struct PathBoundOptions {
     /// Evaluate region sweeps through the compiled interval-tape kernel
     /// (`gubpi_symbolic::kernel`) instead of the tree-walking
     /// interpreter. Bounds are **bit-identical** either way (enforced by
-    /// `tests/kernel_differential.rs`); the kernel is only faster. The
-    /// default honours the `GUBPI_NO_KERNEL` escape hatch (`repro
-    /// --no-kernel`), so field regressions are diagnosable by flipping
-    /// one env var.
+    /// `tests/kernel_differential.rs`, which uses the interpreter as its
+    /// oracle); the kernel is only faster.
     pub use_kernel: bool,
     /// Substitute geometric tail enclosures into budget-⊤ paths before
     /// bounding (see [`tail_substituted`]): a ⊤ path carrying a
@@ -158,8 +159,7 @@ pub struct PathBoundOptions {
     /// to the closed-form geometric remainder `[0, x_hi/(1 − c_hi)]`,
     /// turning the path's `+∞` upper-bound contribution into a finite
     /// one. Sound: the remainder dominates every score the truncated
-    /// suffix could still emit. The default honours the `GUBPI_NO_TAIL`
-    /// escape hatch (`repro --no-tail`), under which bounds are
+    /// suffix could still emit. Off (`repro --no-tail`), bounds are
     /// bit-identical to the bare-⊤ behaviour.
     pub use_tail: bool,
 }
@@ -173,23 +173,10 @@ impl Default for PathBoundOptions {
             certified_volumes: false,
             volume_budget: 4_000,
             exact_dim_cap: 7,
-            use_kernel: !kernel_disabled(std::env::var("GUBPI_NO_KERNEL").ok().as_deref()),
-            use_tail: !tail_disabled(std::env::var("GUBPI_NO_TAIL").ok().as_deref()),
+            use_kernel: true,
+            use_tail: true,
         }
     }
-}
-
-/// Does a `GUBPI_NO_KERNEL` value disable the compiled kernel? Any
-/// non-empty value other than `"0"` counts as "disable".
-fn kernel_disabled(value: Option<&str>) -> bool {
-    matches!(value, Some(v) if !v.is_empty() && v != "0")
-}
-
-/// Does a `GUBPI_NO_TAIL` value disable tail substitution? Same
-/// convention as `GUBPI_NO_KERNEL`: any non-empty value other than
-/// `"0"` counts as "disable".
-fn tail_disabled(value: Option<&str>) -> bool {
-    matches!(value, Some(v) if !v.is_empty() && v != "0")
 }
 
 /// The tail-substituted variant of a budget-⊤ path, when the geometric
@@ -288,18 +275,11 @@ pub fn tail_substituted(path: &SymPath, opts: &PathBoundOptions) -> Option<SymPa
 /// (the 𝔓_lb / 𝔓_ub of §6.4), which avoids any boundary slack: the
 /// membership test becomes part of the volume computation (hence
 /// [`QueryFold::Direct`]).
-pub fn plan_path_query(
-    path: &SymPath,
-    u: Interval,
-    opts: PathBoundOptions,
-) -> (PathJob<'_, Region>, QueryFold) {
-    plan_path_query_seeded(path, u, opts, None)
-}
-
-/// [`plan_path_query`] with an optional per-program [`KernelSeed`]: the
-/// grid tapes compile from the pre-interned static constant pool and
-/// the static constraint order instead of re-deriving both per query.
-/// Bounds are bit-identical with and without a seed.
+///
+/// With a per-program [`KernelSeed`] the grid tapes compile from the
+/// pre-interned static constant pool and the static constraint order
+/// instead of re-deriving both per query. Bounds are bit-identical with
+/// and without a seed.
 pub fn plan_path_query_seeded<'a>(
     path: &'a SymPath,
     u: Interval,
@@ -322,13 +302,7 @@ pub fn plan_path_query_seeded<'a>(
 ///
 /// Dispatches to the linear semantics when the path's constraints and
 /// result are interval-linear (§6.4), otherwise to the standard grid
-/// semantics (§6.3).
-pub fn plan_path(path: &SymPath, opts: PathBoundOptions) -> PathJob<'_, Region> {
-    plan_path_seeded(path, opts, None)
-}
-
-/// [`plan_path`] with an optional per-program [`KernelSeed`] (see
-/// [`plan_path_query_seeded`]).
+/// semantics (§6.3). The seed is as in [`plan_path_query_seeded`].
 pub fn plan_path_seeded<'a>(
     path: &'a SymPath,
     opts: PathBoundOptions,
@@ -343,14 +317,8 @@ pub fn plan_path_seeded<'a>(
     }
 }
 
-/// Like [`plan_path`] but always uses the grid semantics — the §6.3 vs
-/// §6.4 ablation baseline.
-pub fn plan_path_grid_only(path: &SymPath, opts: PathBoundOptions) -> PathJob<'_, Region> {
-    plan_path_grid_only_seeded(path, opts, None)
-}
-
-/// [`plan_path_grid_only`] with an optional per-program [`KernelSeed`]
-/// (see [`plan_path_query_seeded`]).
+/// Like [`plan_path_seeded`] but always uses the grid semantics — the
+/// §6.3 vs §6.4 ablation baseline.
 pub fn plan_path_grid_only_seeded<'a>(
     path: &'a SymPath,
     opts: PathBoundOptions,
@@ -367,15 +335,11 @@ pub fn plan_path_grid_only_seeded<'a>(
 // Direct (single-path) entry points on top of the plans
 // --------------------------------------------------------------------
 
-/// Bounds `⟦Ψ⟧(U)` for one path directly, on the calling thread.
-pub fn bound_path_query(path: &SymPath, u: Interval, opts: PathBoundOptions) -> (f64, f64) {
-    bound_path_query_threaded(path, u, opts, Threads::Off)
-}
-
-/// [`bound_path_query`] with the path's regions (grid cells / chunk
-/// combinations) bounded on the persistent pool at width `threads`.
-/// Bit-identical to the sequential result for every `threads` value.
-pub fn bound_path_query_threaded(
+/// Bounds `⟦Ψ⟧(U)` for one path directly, with the path's regions (grid
+/// cells / chunk combinations) bounded on the persistent pool at width
+/// `threads` (`Threads::Off` runs on the calling thread). Bit-identical
+/// for every `threads` value.
+pub fn bound_path_query(
     path: &SymPath,
     u: Interval,
     opts: PathBoundOptions,
@@ -383,7 +347,7 @@ pub fn bound_path_query_threaded(
 ) -> (f64, f64) {
     let tailed = tail_substituted(path, &opts);
     let path = tailed.as_ref().unwrap_or(path);
-    let (job, fold) = plan_path_query(path, u, opts);
+    let (job, fold) = plan_path_query_seeded(path, u, opts, None);
     let mut acc = (0.0, 0.0);
     run_jobs_with(
         WorkerPool::global(),
@@ -394,49 +358,26 @@ pub fn bound_path_query_threaded(
     acc
 }
 
-/// Bounds `⟦Ψ⟧` for one path, feeding regions into the sink.
-pub fn bound_path(path: &SymPath, opts: PathBoundOptions, sink: &mut impl BoundSink) {
-    bound_path_threaded(path, opts, Threads::Off, sink);
-}
-
-/// [`bound_path`] with region-level parallelism on the persistent pool;
-/// the sink receives the region contributions in the sequential order
-/// regardless of the thread count.
-pub fn bound_path_threaded(
+/// Bounds `⟦Ψ⟧` for one path under `method`, feeding regions into the
+/// sink. Regions are bounded on the persistent pool at width `threads`;
+/// the sink receives them in the sequential order regardless.
+pub fn bound_path(
     path: &SymPath,
     opts: PathBoundOptions,
+    method: Method,
     threads: Threads,
     sink: &mut impl BoundSink,
 ) {
     let tailed = tail_substituted(path, &opts);
     let path = tailed.as_ref().unwrap_or(path);
+    let job = match method {
+        Method::Auto => plan_path_seeded(path, opts, None),
+        Method::Grid => plan_path_grid_only_seeded(path, opts, None),
+    };
     run_jobs_with(
         WorkerPool::global(),
         threads.worker_count(usize::MAX),
-        vec![plan_path(path, opts)],
-        |_, (v, lo, hi)| sink.add(v, lo, hi),
-    );
-}
-
-/// Like [`bound_path`] but always uses the grid semantics.
-pub fn bound_path_grid_only(path: &SymPath, opts: PathBoundOptions, sink: &mut impl BoundSink) {
-    bound_path_grid_only_threaded(path, opts, Threads::Off, sink);
-}
-
-/// [`bound_path_grid_only`] with region-level parallelism on the
-/// persistent pool.
-pub fn bound_path_grid_only_threaded(
-    path: &SymPath,
-    opts: PathBoundOptions,
-    threads: Threads,
-    sink: &mut impl BoundSink,
-) {
-    let tailed = tail_substituted(path, &opts);
-    let path = tailed.as_ref().unwrap_or(path);
-    run_jobs_with(
-        WorkerPool::global(),
-        threads.worker_count(usize::MAX),
-        vec![plan_path_grid_only(path, opts)],
+        vec![job],
         |_, (v, lo, hi)| sink.add(v, lo, hi),
     );
 }
@@ -988,27 +929,19 @@ fn plan_linear_with(
 // Gap-driven adaptive region refinement
 // --------------------------------------------------------------------
 
-/// Does a `GUBPI_NO_REFINE` value disable adaptive refinement? Same
-/// convention as `GUBPI_NO_KERNEL`: any non-empty value other than
-/// `"0"` counts as "disable".
-fn refine_disabled(value: Option<&str>) -> bool {
-    matches!(value, Some(v) if !v.is_empty() && v != "0")
-}
-
 /// Options for gap-driven adaptive refinement (kept separate from
 /// [`PathBoundOptions`], which must stay float-free for `Eq`/`Hash`;
 /// the analyzer folds these into its cache key via `f64::to_bits`).
 #[derive(Copy, Clone, Debug, PartialEq)]
 pub struct RefineOptions {
     /// Refine grid-destined paths adaptively instead of sweeping the
-    /// full uniform grid. The default honours the `GUBPI_NO_REFINE`
-    /// escape hatch (`repro --no-refine`), under which every query is
+    /// full uniform grid. Off (`repro --no-refine`), every query is
     /// bit-identical to the uniform sweep.
     pub refine: bool,
     /// Stop refining once the summed (upper − lower) gap of all
     /// refined paths in a query drops to this value; `0.0` (the
-    /// default) means "spend the whole cell budget". Overridable via
-    /// `GUBPI_GAP_TARGET` / `repro --gap-target`.
+    /// default) means "spend the whole cell budget" (`repro
+    /// --gap-target` sets it).
     pub gap_target: f64,
     /// Maximum bisection depth below the seed grid; cells at this
     /// depth settle instead of re-entering the worklist.
@@ -1018,12 +951,8 @@ pub struct RefineOptions {
 impl Default for RefineOptions {
     fn default() -> RefineOptions {
         RefineOptions {
-            refine: !refine_disabled(std::env::var("GUBPI_NO_REFINE").ok().as_deref()),
-            gap_target: std::env::var("GUBPI_GAP_TARGET")
-                .ok()
-                .and_then(|v| v.parse::<f64>().ok())
-                .filter(|g| g.is_finite() && *g >= 0.0)
-                .unwrap_or(0.0),
+            refine: true,
+            gap_target: 0.0,
             max_refine_depth: 12,
         }
     }
@@ -1512,7 +1441,7 @@ mod tests {
         let mut lo = 0.0;
         let mut hi = 0.0;
         for p in paths(src) {
-            let (l, h) = bound_path_query(&p, u, opts);
+            let (l, h) = bound_path_query(&p, u, opts, Threads::Off);
             lo += l;
             hi += h;
         }
@@ -1582,7 +1511,7 @@ mod tests {
         };
         let mut sink = SingleQuery::new(Interval::new(0.5, 1.5));
         for q in p {
-            bound_path(q, opts, &mut sink);
+            bound_path(q, opts, Method::Auto, Threads::Off, &mut sink);
         }
         let truth = 0.25 * (1.0 + 4.0f64.ln());
         assert!(sink.lo <= truth && truth <= sink.hi);
@@ -1678,10 +1607,10 @@ mod tests {
         };
         for p in paths(src).iter().filter(|p| !linear_applicable(p)) {
             let mut seq: Vec<Region> = Vec::new();
-            bound_path_threaded(p, opts, Threads::Off, &mut seq);
+            bound_path(p, opts, Method::Auto, Threads::Off, &mut seq);
             for threads in [Threads::Fixed(2), Threads::Fixed(4), Threads::Fixed(16)] {
                 let mut par: Vec<Region> = Vec::new();
-                bound_path_threaded(p, opts, threads, &mut par);
+                bound_path(p, opts, Method::Auto, threads, &mut par);
                 assert_eq!(seq.len(), par.len());
                 for (a, b) in seq.iter().zip(&par) {
                     assert_eq!(a.0, b.0);
@@ -1732,9 +1661,9 @@ mod tests {
         };
         for p in &paths(src) {
             assert!(linear_applicable(p));
-            let seq = bound_path_query_threaded(p, Interval::UNIT, opts, Threads::Off);
+            let seq = bound_path_query(p, Interval::UNIT, opts, Threads::Off);
             for threads in [Threads::Fixed(2), Threads::Fixed(4)] {
-                let par = bound_path_query_threaded(p, Interval::UNIT, opts, threads);
+                let par = bound_path_query(p, Interval::UNIT, opts, threads);
                 assert_eq!(seq.0.to_bits(), par.0.to_bits());
                 assert_eq!(seq.1.to_bits(), par.1.to_bits());
             }
@@ -1899,8 +1828,8 @@ mod tests {
                 };
                 let mut with_kernel: Vec<Region> = Vec::new();
                 let mut with_interp: Vec<Region> = Vec::new();
-                bound_path(p, kernel_opts, &mut with_kernel);
-                bound_path(p, interp_opts, &mut with_interp);
+                bound_path(p, kernel_opts, Method::Auto, Threads::Off, &mut with_kernel);
+                bound_path(p, interp_opts, Method::Auto, Threads::Off, &mut with_interp);
                 assert_eq!(with_kernel.len(), with_interp.len(), "{src}");
                 for (a, b) in with_kernel.iter().zip(&with_interp) {
                     assert_eq!(a.0, b.0, "{src}: value range");
@@ -1909,8 +1838,8 @@ mod tests {
                 }
                 // And through the threaded query entry point.
                 let u = Interval::new(0.0, 1.0);
-                let kq = bound_path_query_threaded(p, u, kernel_opts, Threads::Fixed(4));
-                let iq = bound_path_query(p, u, interp_opts);
+                let kq = bound_path_query(p, u, kernel_opts, Threads::Fixed(4));
+                let iq = bound_path_query(p, u, interp_opts, Threads::Off);
                 assert_eq!(kq.0.to_bits(), iq.0.to_bits(), "{src}");
                 assert_eq!(kq.1.to_bits(), iq.1.to_bits(), "{src}");
             }
@@ -1918,23 +1847,13 @@ mod tests {
     }
 
     #[test]
-    fn no_kernel_env_values_parse() {
-        assert!(!kernel_disabled(None));
-        assert!(!kernel_disabled(Some("")));
-        assert!(!kernel_disabled(Some("0")));
-        assert!(kernel_disabled(Some("1")));
-        assert!(kernel_disabled(Some("true")));
-        assert!(kernel_disabled(Some("yes")));
-    }
-
-    #[test]
-    fn no_tail_env_values_parse() {
-        assert!(!tail_disabled(None));
-        assert!(!tail_disabled(Some("")));
-        assert!(!tail_disabled(Some("0")));
-        assert!(tail_disabled(Some("1")));
-        assert!(tail_disabled(Some("true")));
-        assert!(tail_disabled(Some("yes")));
+    fn defaults_are_constants_with_every_engine_feature_on() {
+        let b = PathBoundOptions::default();
+        assert!(b.use_kernel && b.use_tail);
+        let r = RefineOptions::default();
+        assert!(r.refine);
+        assert_eq!(r.gap_target.to_bits(), 0.0f64.to_bits());
+        assert_eq!(r.max_refine_depth, 12);
     }
 
     /// A minimal sampleless ⊤ path: the `[0, ∞]` placeholder is its
@@ -1961,7 +1880,7 @@ mod tests {
         };
         let path = top_path_with(Some(tail));
         let opts = PathBoundOptions::default();
-        assert!(opts.use_tail, "tests run without GUBPI_NO_TAIL");
+        assert!(opts.use_tail, "tails are on by default");
         let sub = tail_substituted(&path, &opts).expect("c_hi = 0.5 < 1 must substitute");
         // x_hi/(1 − c_hi) = 1/0.5 = 2, up to outward rounding.
         let SymVal::Interval(iv) = **sub.scores.last().unwrap() else {
@@ -1974,8 +1893,8 @@ mod tests {
             use_tail: false,
             ..opts
         };
-        let (lo_off, hi_off) = bound_path_query(&path, Interval::REAL, no_tail);
-        let (lo_on, hi_on) = bound_path_query(&path, Interval::REAL, opts);
+        let (lo_off, hi_off) = bound_path_query(&path, Interval::REAL, no_tail, Threads::Off);
+        let (lo_on, hi_on) = bound_path_query(&path, Interval::REAL, opts, Threads::Off);
         assert_eq!(hi_off, f64::INFINITY);
         assert!(hi_on.is_finite() && hi_on <= 2.0 + 1e-9, "hi_on={hi_on}");
         assert_eq!(lo_off.to_bits(), lo_on.to_bits(), "lower bound untouched");
@@ -2150,7 +2069,7 @@ mod tests {
         let sum = |o: PathBoundOptions| {
             let mut acc = (0.0, 0.0);
             for q in &paths {
-                let (l, h) = bound_path_query(q, Interval::REAL, o);
+                let (l, h) = bound_path_query(q, Interval::REAL, o, Threads::Off);
                 acc.0 += l;
                 acc.1 += h;
             }
@@ -2176,7 +2095,7 @@ mod tests {
                 use_kernel: true,
                 ..Default::default()
             };
-            let PathJob::Sweep { total, cost, .. } = plan_path(p, opts) else {
+            let PathJob::Sweep { total, cost, .. } = plan_path_seeded(p, opts, None) else {
                 panic!("grid paths plan as sweeps");
             };
             assert_eq!(total, 8usize.pow(p.n_samples as u32));
@@ -2190,7 +2109,7 @@ mod tests {
             };
             let PathJob::Sweep {
                 cost: tree_cost, ..
-            } = plan_path(p, interp)
+            } = plan_path_seeded(p, interp, None)
             else {
                 panic!("grid paths plan as sweeps");
             };

@@ -32,7 +32,6 @@ mod boxes;
 mod interval;
 mod lattice;
 mod round;
-pub mod simd;
 
 pub use boxes::BoxN;
 pub use interval::Interval;

@@ -99,7 +99,7 @@ const FORK_MIN_BUDGET: usize = 16;
 ///
 /// Pruning never changes the posterior bounds — only which exactly-zero
 /// terms are enumerated — so these counts are the observable difference
-/// between a pruned and a `--no-prune` run.
+/// between a pruned and an unpruned run.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct ExecReport {
     /// Uncertain `if` forks where one side was statically dead (every
@@ -180,7 +180,7 @@ pub fn symbolic_paths_in(
 ///   discarded, never reallocated.
 ///
 /// Both rules remove only exactly-zero terms from the bound sums, so a
-/// pruned run is bit-identical to a facts-free (`--no-prune`) run — just
+/// pruned run is bit-identical to a facts-free (unpruned) run — just
 /// with fewer enumerated paths.
 ///
 /// `tail_facts` is deliberately a *separate* parameter from the pruning
@@ -188,7 +188,7 @@ pub fn symbolic_paths_in(
 /// recorded [`TailFact`](gubpi_analysis::TailFact) carry a
 /// [`TailEnclosure`](crate::TailEnclosure) as plain data. Attaching the
 /// enclosure never changes a path's own denotation, so tail facts may
-/// flow in even under `--no-prune` without perturbing the pruning
+/// flow in even to unpruned runs without perturbing the pruning
 /// bit-identity contract; whether the enclosure is *used* is decided by
 /// the tail-aware bounding layer (`gubpi_core::pathbounds`).
 pub fn symbolic_paths_report(
@@ -406,10 +406,10 @@ struct Executor<'a> {
     typing: &'a IntervalTyping,
     opts: SymExecOptions,
     /// Static pre-execution facts enabling dead-branch pruning; `None`
-    /// reproduces the historical (`--no-prune`) behaviour exactly.
+    /// reproduces the historical (unpruned) behaviour exactly.
     facts: Option<&'a ProgramFacts>,
     /// Facts consulted only for tail enclosures on ⊤ paths — kept apart
-    /// from the prune gate so `--no-prune` runs still attach tails.
+    /// from the prune gate so unpruned runs still attach tails.
     tail_facts: Option<&'a ProgramFacts>,
     /// `NodeId →` "subtree is syntactically linear" (see [`mark_linear`]).
     linear: HashMap<NodeId, bool>,
@@ -670,7 +670,7 @@ impl Executor<'_> {
     /// stack depth that the unpruned run could not have ⊤-truncated
     /// inside the side before pushing that score — a ⊤ path cut short of
     /// the zero score carries real mass, and pruning must stay
-    /// bit-identical to `--no-prune` even under truncation. The fact's
+    /// bit-identical to the unpruned run even under truncation. The fact's
     /// cost is the subtree's node count, which bounds both its fuel use
     /// (one unit per evaluated node) and its depth growth (nesting ≤
     /// size). Inert subtrees contain no `if`, so the path budget is

@@ -44,7 +44,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use gubpi_analysis::ProgramFacts;
-use gubpi_interval::simd::{abs_lanes, F64x4, SIMD_LANES};
 use gubpi_interval::{BoxN, Interval};
 use gubpi_lang::PrimOp;
 
@@ -101,10 +100,8 @@ impl KernelSeed {
 pub const LANES: usize = 16;
 
 // The scheduler floors region-chunk widths at whole lane blocks
-// (`gubpi_pool::chunk_width`), and the explicit-SIMD backend walks each
-// block in `F64x4` groups; both contracts are compile-time checked.
+// (`gubpi_pool::chunk_width`); the contract is compile-time checked.
 const _: () = assert!(LANES == gubpi_pool::LANE_GRAIN);
-const _: () = assert!(LANES.is_multiple_of(SIMD_LANES));
 
 /// A slot in the tape's register file during compilation.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
@@ -695,16 +692,6 @@ impl Tape {
     /// in the block (masked) but their downstream values are never
     /// reported, so batching cannot change a bit of any output.
     pub fn eval_block(&self, s: &mut TapeScratch, lanes: usize) -> bool {
-        self.eval_block_via(s, lanes, cfg!(feature = "simd"))
-    }
-
-    /// [`Tape::eval_block`] with the lane backend chosen explicitly:
-    /// `simd = false` runs the scalar lane loops, `simd = true` the
-    /// explicit [`F64x4`] vector ops. Both backends are always compiled
-    /// and produce bit-identical outputs (the differential test below
-    /// and the `region_kernel` bench enforce it); `eval_block` merely
-    /// picks the default from the `simd` cargo feature.
-    pub fn eval_block_via(&self, s: &mut TapeScratch, lanes: usize, simd: bool) -> bool {
         debug_assert!(lanes <= LANES && lanes > 0);
         for l in 0..LANES {
             s.alive[l] = l < lanes;
@@ -712,7 +699,7 @@ impl Tape {
         let mut pc = 0usize;
         for check in &self.checks {
             while pc < check.after as usize {
-                self.exec_lanes(&self.instrs[pc], s, lanes, simd);
+                self.exec_lanes(&self.instrs[pc], s, lanes);
                 pc += 1;
             }
             let base = check.reg as usize * LANES;
@@ -729,7 +716,7 @@ impl Tape {
             }
         }
         while pc < self.instrs.len() {
-            self.exec_lanes(&self.instrs[pc], s, lanes, simd);
+            self.exec_lanes(&self.instrs[pc], s, lanes);
             pc += 1;
         }
         for l in 0..lanes {
@@ -759,7 +746,7 @@ impl Tape {
     /// convention) as straight-line lane loops the compiler can
     /// vectorize; everything else gathers each lane into `Interval`s and
     /// calls the same `eval_interval` the scalar path uses.
-    fn exec_lanes(&self, ins: &Instr, s: &mut TapeScratch, lanes: usize, simd: bool) {
+    fn exec_lanes(&self, ins: &Instr, s: &mut TapeScratch, lanes: usize) {
         /// Extended-real product with `0 · ±∞ = 0` (mirrors
         /// `gubpi_interval`'s internal `mul_ext`).
         #[inline]
@@ -769,9 +756,6 @@ impl Tape {
             } else {
                 a * b
             }
-        }
-        if simd && Tape::exec_lanes_simd(ins, s) {
-            return;
         }
         let d = ins.dst as usize * LANES;
         let a = ins.args[0] as usize * LANES;
@@ -866,97 +850,6 @@ impl Tape {
                 }
             }
         }
-    }
-
-    /// Explicit-SIMD lane backend: the cheap arithmetic ops as
-    /// [`F64x4`] vector expressions over `LANES / 4` groups, each op
-    /// lane-for-lane identical to the scalar loop in [`Tape::exec_lanes`]
-    /// (same candidate order, same NaN repair, same `0 · ∞ = 0`).
-    /// Processes **all** [`LANES`] lanes regardless of how many are
-    /// live — lanes past the block's fill hold stale endpoint data, but
-    /// the groups are elementwise independent and dead-lane outputs are
-    /// never read, so that is harmless. Returns `false` for ops the
-    /// vector shim does not cover (caller falls through to the scalar
-    /// gather/scatter path).
-    fn exec_lanes_simd(ins: &Instr, s: &mut TapeScratch) -> bool {
-        let d = ins.dst as usize * LANES;
-        let a = ins.args[0] as usize * LANES;
-        match ins.op {
-            PrimOp::Add => {
-                let b = ins.args[1] as usize * LANES;
-                for g in (0..LANES).step_by(SIMD_LANES) {
-                    let lo = (F64x4::load(&s.lo, a + g) + F64x4::load(&s.lo, b + g))
-                        .repair_nan(f64::NEG_INFINITY);
-                    let hi = (F64x4::load(&s.hi, a + g) + F64x4::load(&s.hi, b + g))
-                        .repair_nan(f64::INFINITY);
-                    lo.store(&mut s.lo, d + g);
-                    hi.store(&mut s.hi, d + g);
-                }
-            }
-            PrimOp::Sub => {
-                // `a − b = a + (−b)`, exactly as `Interval::sub`.
-                let b = ins.args[1] as usize * LANES;
-                for g in (0..LANES).step_by(SIMD_LANES) {
-                    let lo = (F64x4::load(&s.lo, a + g) + -F64x4::load(&s.hi, b + g))
-                        .repair_nan(f64::NEG_INFINITY);
-                    let hi = (F64x4::load(&s.hi, a + g) + -F64x4::load(&s.lo, b + g))
-                        .repair_nan(f64::INFINITY);
-                    lo.store(&mut s.lo, d + g);
-                    hi.store(&mut s.hi, d + g);
-                }
-            }
-            PrimOp::Neg => {
-                for g in (0..LANES).step_by(SIMD_LANES) {
-                    let lo = -F64x4::load(&s.hi, a + g);
-                    let hi = -F64x4::load(&s.lo, a + g);
-                    lo.store(&mut s.lo, d + g);
-                    hi.store(&mut s.hi, d + g);
-                }
-            }
-            PrimOp::Mul => {
-                let b = ins.args[1] as usize * LANES;
-                for g in (0..LANES).step_by(SIMD_LANES) {
-                    let (alo, ahi) = (F64x4::load(&s.lo, a + g), F64x4::load(&s.hi, a + g));
-                    let (blo, bhi) = (F64x4::load(&s.lo, b + g), F64x4::load(&s.hi, b + g));
-                    let first = alo.mul_ext(blo);
-                    let mut lo = first;
-                    let mut hi = first;
-                    for cand in [alo.mul_ext(bhi), ahi.mul_ext(blo), ahi.mul_ext(bhi)] {
-                        lo = lo.scan_lo(cand);
-                        hi = hi.scan_hi(cand);
-                    }
-                    lo.store(&mut s.lo, d + g);
-                    hi.store(&mut s.hi, d + g);
-                }
-            }
-            PrimOp::Min => {
-                let b = ins.args[1] as usize * LANES;
-                for g in (0..LANES).step_by(SIMD_LANES) {
-                    let lo = F64x4::load(&s.lo, a + g).min(F64x4::load(&s.lo, b + g));
-                    let hi = F64x4::load(&s.hi, a + g).min(F64x4::load(&s.hi, b + g));
-                    lo.store(&mut s.lo, d + g);
-                    hi.store(&mut s.hi, d + g);
-                }
-            }
-            PrimOp::Max => {
-                let b = ins.args[1] as usize * LANES;
-                for g in (0..LANES).step_by(SIMD_LANES) {
-                    let lo = F64x4::load(&s.lo, a + g).max(F64x4::load(&s.lo, b + g));
-                    let hi = F64x4::load(&s.hi, a + g).max(F64x4::load(&s.hi, b + g));
-                    lo.store(&mut s.lo, d + g);
-                    hi.store(&mut s.hi, d + g);
-                }
-            }
-            PrimOp::Abs => {
-                for g in (0..LANES).step_by(SIMD_LANES) {
-                    let (lo, hi) = abs_lanes(F64x4::load(&s.lo, a + g), F64x4::load(&s.hi, a + g));
-                    lo.store(&mut s.lo, d + g);
-                    hi.store(&mut s.hi, d + g);
-                }
-            }
-            _ => return false,
-        }
-        true
     }
 
     /// Evaluates an **irregular batch** of boxes — the adaptive
@@ -1253,44 +1146,11 @@ mod tests {
     }
 
     #[test]
-    fn simd_lane_backend_is_bit_identical_to_scalar() {
-        // Both backends are always compiled; the cargo feature only
-        // flips the default. Drive them explicitly over cells that
-        // exercise every fast-path op (demo_path has Add/Sub/Mul via
-        // the constraints and scores) including empty/degenerate boxes.
-        let path = demo_path();
-        let tape = Tape::for_path(&path);
-        let mut scalar = tape.scratch();
-        let mut vector = tape.scratch();
-        let cells: Vec<[Interval; 2]> = (0..40)
-            .map(|i| {
-                let x = i as f64 / 40.0;
-                [Interval::new(x, x + 0.025), Interval::new(1.0 - x, 1.0)]
-            })
-            .collect();
-        for chunk in cells.chunks(LANES) {
-            for (lane, dims) in chunk.iter().enumerate() {
-                scalar.set_input(0, lane, dims[0]);
-                scalar.set_input(1, lane, dims[1]);
-                vector.set_input(0, lane, dims[0]);
-                vector.set_input(1, lane, dims[1]);
-            }
-            let any_s = tape.eval_block_via(&mut scalar, chunk.len(), false);
-            let any_v = tape.eval_block_via(&mut vector, chunk.len(), true);
-            assert_eq!(any_s, any_v);
-            for lane in 0..chunk.len() {
-                let want = if any_s { scalar.lane(lane) } else { None };
-                let got = if any_v { vector.lane(lane) } else { None };
-                assert_same(got, want, &format!("simd vs scalar lane {lane}"));
-            }
-        }
-    }
-
-    #[test]
-    fn simd_min_max_abs_match_scalar_on_signed_inputs() {
+    fn min_max_abs_lanes_match_value_eval_on_signed_inputs() {
         // demo_path never exercises Min/Max/Abs; build a value tape
         // that does, over inputs straddling zero so every Abs case and
-        // NaN-free Min/Max corner fires identically on both backends.
+        // NaN-free Min/Max corner fires, and compare each lane with the
+        // one-cell `Interval` evaluation.
         let v = SymVal::prim(
             PrimOp::Min,
             vec![
@@ -1302,29 +1162,29 @@ mod tests {
             ],
         );
         let tape = Tape::for_value(2, &v);
-        let mut scalar = tape.scratch();
-        let mut vector = tape.scratch();
+        let mut block = tape.scratch();
+        let mut single = tape.scratch();
         let spans = [
             Interval::new(-2.0, -1.0),
             Interval::new(-1.0, 1.0),
             Interval::new(0.0, 3.0),
             Interval::new(f64::NEG_INFINITY, 0.5),
         ];
-        let mut lane = 0;
+        let mut inputs = Vec::new();
         for &a in &spans {
             for &b in &spans {
-                scalar.set_input(0, lane, a);
-                scalar.set_input(1, lane, b);
-                vector.set_input(0, lane, a);
-                vector.set_input(1, lane, b);
-                lane += 1;
+                block.set_input(0, inputs.len(), a);
+                block.set_input(1, inputs.len(), b);
+                inputs.push([a, b]);
             }
         }
-        assert_eq!(lane, LANES);
-        assert!(tape.eval_block_via(&mut scalar, LANES, false));
-        assert!(tape.eval_block_via(&mut vector, LANES, true));
-        for l in 0..LANES {
-            assert_same(vector.lane(l), scalar.lane(l), &format!("lane {l}"));
+        assert_eq!(inputs.len(), LANES);
+        assert!(tape.eval_block(&mut block, LANES));
+        for (l, dims) in inputs.iter().enumerate() {
+            let want = tape.eval_value(dims, &mut single);
+            let got = block.lane(l).expect("a value tape has no checks").value;
+            assert_eq!(got.lo().to_bits(), want.lo().to_bits(), "lane {l}");
+            assert_eq!(got.hi().to_bits(), want.hi().to_bits(), "lane {l}");
         }
     }
 

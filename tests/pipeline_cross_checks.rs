@@ -2,7 +2,7 @@
 //! linear vs grid semantics, exact vs certified volumes, fast vs exact
 //! histograms — all must bracket the same truths.
 
-use gubpi_core::{bound_path, bound_path_query, PathBoundOptions, SingleQuery};
+use gubpi_core::{bound_path, bound_path_query, PathBoundOptions, SingleQuery, Threads};
 use gubpi_core::{AnalysisOptions, Analyzer, Method};
 use gubpi_interval::Interval;
 use gubpi_lang::{infer, parse};
@@ -59,7 +59,7 @@ fn certified_volumes_bracket_exact_bounds() {
         "if sample + sample + sample <= 1.2 then 1 else 0",
     ] {
         for path in paths_of(src) {
-            let exact = bound_path_query(&path, u, PathBoundOptions::default());
+            let exact = bound_path_query(&path, u, PathBoundOptions::default(), Threads::Off);
             let certified = bound_path_query(
                 &path,
                 u,
@@ -68,6 +68,7 @@ fn certified_volumes_bracket_exact_bounds() {
                     volume_budget: 4_000,
                     ..Default::default()
                 },
+                Threads::Off,
             );
             assert!(
                 certified.0 <= exact.0 + 1e-7,
@@ -92,9 +93,10 @@ fn sink_and_query_are_consistent() {
     let u = Interval::new(0.13, 0.77); // avoids chunk boundaries
     for src in ["sample", "let x = sample in score(x + 0.5); x"] {
         for path in paths_of(src) {
-            let (ql, qh) = bound_path_query(&path, u, PathBoundOptions::default());
+            let (ql, qh) = bound_path_query(&path, u, PathBoundOptions::default(), Threads::Off);
             let mut sink = SingleQuery::new(u);
-            bound_path(&path, PathBoundOptions::default(), &mut sink);
+            let opts = PathBoundOptions::default();
+            bound_path(&path, opts, Method::Auto, Threads::Off, &mut sink);
             // The query folds U into the polytope, so it is at least as
             // tight; both must stay ordered.
             assert!(sink.lo <= ql + 1e-9, "{src}: sink lower too high");

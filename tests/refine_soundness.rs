@@ -11,9 +11,7 @@
 //! `tests/parallel_determinism.rs`), so a bound verified once holds on
 //! every run.
 
-use gubpi_core::{
-    bound_path_grid_only_threaded, AnalysisOptions, Analyzer, Method, SingleQuery, Threads,
-};
+use gubpi_core::{bound_path, AnalysisOptions, Analyzer, Method, SingleQuery, Threads};
 use gubpi_inference::importance::{importance_sample, ImportanceOptions};
 use gubpi_interval::Interval;
 use gubpi_lang::parse;
@@ -70,9 +68,8 @@ fn analyzer(src: &str, unfold: u32, opts: AnalysisOptions) -> Analyzer {
     Analyzer::from_source(src, opts).expect("model compiles")
 }
 
-/// Grid-forced options with the refinement knobs pinned explicitly (the
-/// `Default` impl reads `GUBPI_NO_REFINE`/`GUBPI_GAP_TARGET`, which must
-/// not leak into these assertions).
+/// Grid-forced options with the refinement knobs pinned explicitly, so
+/// the assertions do not depend on what the defaults happen to be.
 fn grid_opts(splits: usize, refine: bool) -> AnalysisOptions {
     let mut opts = AnalysisOptions {
         method: Method::Grid,
@@ -212,7 +209,8 @@ fn refine_off_matches_uniform_path_sums() {
         let (mut sum_lo, mut sum_hi) = (0.0f64, 0.0f64);
         for p in a.paths() {
             let mut sink = SingleQuery::new(u);
-            bound_path_grid_only_threaded(p, grid_opts(8, false).bounds, Threads::Off, &mut sink);
+            let bounds = grid_opts(8, false).bounds;
+            bound_path(p, bounds, Method::Grid, Threads::Off, &mut sink);
             sum_lo += sink.lo;
             sum_hi += sink.hi;
         }

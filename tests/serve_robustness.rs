@@ -41,6 +41,20 @@ const SMALL: &str =
 const MEDIUM: &str = "let a = sample in let b = sample in let c = sample in \
                       score(a + b + c); a + b + c";
 
+/// The paper's pedestrian (Fig. 1): at the daemon's default options its
+/// analysis runs for minutes, so a deadlined query on it holds its
+/// inflight slot for exactly the deadline.
+const PEDESTRIAN: &str = "let start = 3 * sample uniform(0, 1) in
+    let rec walk x =
+      if x <= 0 then 0 else
+        let step = sample uniform(0, 1) in
+        if sample <= 0.5 then step + walk (x + step)
+        else step + walk (x - step)
+    in
+    let distance = walk start in
+    observe distance from normal(1.1, 0.1);
+    start";
+
 fn fault_lock() -> MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
     LOCK.get_or_init(|| Mutex::new(()))
@@ -308,5 +322,70 @@ fn deeply_nested_programs_get_an_error_reply_and_the_daemon_keeps_serving() {
         .expect("transport")
         .expect("daemon serviceable after the rejected request");
     assert!(after.lo <= after.hi && !after.degraded);
+    server.shutdown();
+}
+
+#[test]
+fn admission_control_rejects_while_the_only_slot_is_held() {
+    let _serial = fault_lock();
+    let server = start(ServeConfig {
+        max_inflight: 1,
+        ..ServeConfig::default()
+    })
+    .expect("bind");
+    let addr = server.local_addr();
+    // The pedestrian holds the one inflight slot until its deadline,
+    // then comes back degraded.
+    let hold = move || {
+        std::thread::spawn(move || {
+            let mut c = Client::connect(addr).expect("connect");
+            c.query(req(
+                QueryKind::Posterior,
+                PEDESTRIAN,
+                1.0,
+                1.25,
+                Some(3_000),
+            ))
+            .expect("transport")
+        })
+    };
+    let mut occupier = hold();
+    let mut probe = Client::connect(addr).expect("connect");
+    let mut rejected = None;
+    for _ in 0..100 {
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        if occupier.is_finished() {
+            // A probe held the slot when the occupier arrived, so the
+            // occupier was the one turned away: hold the slot again.
+            let _ = occupier.join();
+            occupier = hold();
+            continue;
+        }
+        match probe
+            .query(req(QueryKind::Denotation, SMALL, 0.0, 0.5, None))
+            .expect("transport")
+        {
+            Err(e) => {
+                rejected = Some(e);
+                break;
+            }
+            // The occupier has not claimed the slot yet.
+            Ok(o) => assert!(o.lo <= o.hi),
+        }
+    }
+    let err = rejected.expect("a probe must be rejected while the slot is held");
+    assert_eq!(err.code, "overloaded", "got {err:?}");
+    assert!(server.stats().overloaded >= 1);
+    let held = occupier
+        .join()
+        .expect("occupier thread")
+        .expect("a deadlined query degrades, it does not fail");
+    assert!(held.lo <= held.hi);
+    // The slot is free again: the daemon answers the next request.
+    let o = probe
+        .query(req(QueryKind::Denotation, SMALL, 0.0, 0.5, None))
+        .expect("transport")
+        .expect("the daemon must serve once the slot is released");
+    assert!(o.lo <= o.hi && !o.degraded);
     server.shutdown();
 }
