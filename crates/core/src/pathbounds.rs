@@ -1856,6 +1856,38 @@ mod tests {
         assert_eq!(r.max_refine_depth, 12);
     }
 
+    /// Re-runs `defaults_are_constants_with_every_engine_feature_on` in a
+    /// child test process with `var` set to each value that used to
+    /// switch an engine feature off, so a `Default` that read the
+    /// environment again would fail here.
+    fn defaults_ignore_env_values(var: &str) {
+        let exe = std::env::current_exe().expect("test binary path");
+        for value in ["1", "true", "yes"] {
+            let out = std::process::Command::new(&exe)
+                .args([
+                    "--exact",
+                    "pathbounds::tests::defaults_are_constants_with_every_engine_feature_on",
+                    "--test-threads=1",
+                ])
+                .env(var, value)
+                .output()
+                .expect("spawn test binary");
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            assert!(out.status.success(), "{var}={value}: {stdout}");
+            assert!(stdout.contains("1 passed"), "{var}={value}: {stdout}");
+        }
+    }
+
+    #[test]
+    fn no_kernel_env_values_parse() {
+        defaults_ignore_env_values("GUBPI_NO_KERNEL");
+    }
+
+    #[test]
+    fn no_tail_env_values_parse() {
+        defaults_ignore_env_values("GUBPI_NO_TAIL");
+    }
+
     /// A minimal sampleless ⊤ path: the `[0, ∞]` placeholder is its
     /// only score, exactly as the executor emits it.
     fn top_path_with(tail: Option<TailEnclosure>) -> SymPath {
