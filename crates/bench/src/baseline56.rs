@@ -1,5 +1,5 @@
 //! The probability-estimation baseline of Sankaranarayanan et al.
-//! (PLDI 2013) — the "[56]" column of Table 1 — re-implemented on our
+//! (PLDI 2013) — the "\[56\]" column of Table 1 — re-implemented on our
 //! symbolic-execution machinery.
 //!
 //! Their method explores finitely many symbolic paths of a **score-free**
@@ -15,7 +15,7 @@
 //!   (standing in for their interval/branch-and-bound volume estimates),
 //!   not exact polytope volumes — bounds come out wider but faster.
 
-use gubpi_core::{bound_path, BoundSink, Method, PathBoundOptions, Threads};
+use gubpi_core::{bound_path, Method, PathBoundOptions, SingleQuery, Threads};
 use gubpi_interval::Interval;
 use gubpi_lang::{infer, parse, LangError};
 use gubpi_symbolic::{symbolic_paths, SymExecOptions, SymPath};
@@ -103,7 +103,7 @@ pub fn baseline56_bounds(
         if p.truncated {
             unexplored += path_mass_upper(p, popts);
         } else {
-            let mut sink = QueryAccum::new(u);
+            let mut sink = SingleQuery::new(u);
             bound_path(p, popts, Method::Auto, Threads::Off, &mut sink);
             lo += sink.lo;
             hi += sink.hi;
@@ -115,7 +115,7 @@ pub fn baseline56_bounds(
 /// Upper bound on a truncated path's probability mass (score-free ⇒ the
 /// mass is the volume of its constraint region).
 fn path_mass_upper(p: &SymPath, opts: PathBoundOptions) -> f64 {
-    let mut sink = QueryAccum::new(Interval::REAL);
+    let mut sink = SingleQuery::new(Interval::REAL);
     // Drop score markers for the mass computation: the path's probability
     // is the measure of traces reaching it.
     let clean = SymPath {
@@ -124,33 +124,6 @@ fn path_mass_upper(p: &SymPath, opts: PathBoundOptions) -> f64 {
     };
     bound_path(&clean, opts, Method::Auto, Threads::Off, &mut sink);
     sink.hi.min(1.0)
-}
-
-struct QueryAccum {
-    u: Interval,
-    lo: f64,
-    hi: f64,
-}
-
-impl QueryAccum {
-    fn new(u: Interval) -> QueryAccum {
-        QueryAccum {
-            u,
-            lo: 0.0,
-            hi: 0.0,
-        }
-    }
-}
-
-impl BoundSink for QueryAccum {
-    fn add(&mut self, value_range: Interval, lo_mass: f64, hi_mass: f64) {
-        if value_range.subset_of(&self.u) {
-            self.lo += lo_mass;
-        }
-        if value_range.intersects(&self.u) {
-            self.hi += hi_mass;
-        }
-    }
 }
 
 #[cfg(test)]

@@ -492,9 +492,7 @@ fn query_cmd(run: &Run, rest: &[String]) -> i32 {
             query_error_exit(e)
         }
         Ok(Ok(Ok(o))) => {
-            if token.is_some() {
-                run.note_outcome(&o);
-            }
+            run.note_outcome(&o);
             println!(
                 "{} of [{lo}, {hi}]: [{:.6}, {:.6}] ({}, completeness {:.3})",
                 if posterior {

@@ -144,11 +144,14 @@ impl Run {
         a
     }
 
-    /// Records one deadline-scoped query outcome in the census (the
-    /// query helpers call this; `repro query` calls it directly because
-    /// it needs the full [`QueryOutcome`] for its report line and exit
-    /// code).
+    /// Records one deadline-scoped query outcome in the census; a run
+    /// without a deadline records nothing (the query helpers call this;
+    /// `repro query` calls it directly because it needs the full
+    /// [`QueryOutcome`] for its report line and exit code).
     pub fn note_outcome(&self, o: &QueryOutcome) {
+        if self.deadline.is_none() {
+            return;
+        }
         let mut c = self.census.borrow_mut();
         c.timed_queries += 1;
         if o.degraded {
@@ -161,27 +164,17 @@ impl Run {
     /// the bounds degrade to sound coarse enclosures instead of
     /// blocking. Without a deadline this is exactly `denotation_bounds`.
     pub fn denotation_bounds(&self, a: &Analyzer, u: Interval) -> (f64, f64) {
-        match self.deadline() {
-            None => a.denotation_bounds(u),
-            Some(token) => {
-                let o = a.denotation_outcome(u, Some(token));
-                self.note_outcome(&o);
-                o.bounds()
-            }
-        }
+        let o = a.denotation_outcome(u, self.deadline());
+        self.note_outcome(&o);
+        o.bounds()
     }
 
     /// [`Analyzer::posterior_probability`] under the run's deadline; see
     /// [`Run::denotation_bounds`].
     pub fn posterior_probability(&self, a: &Analyzer, u: Interval) -> (f64, f64) {
-        match self.deadline() {
-            None => a.posterior_probability(u),
-            Some(token) => {
-                let o = a.posterior_outcome(u, Some(token));
-                self.note_outcome(&o);
-                o.bounds()
-            }
-        }
+        let o = a.posterior_outcome(u, self.deadline());
+        self.note_outcome(&o);
+        o.bounds()
     }
 }
 

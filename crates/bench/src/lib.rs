@@ -5,7 +5,7 @@
 //! * [`models`] — every program of the paper's evaluation (§7) in our
 //!   SPCF surface syntax, with per-benchmark parameters;
 //! * [`baseline56`] — the probability-estimation baseline of
-//!   Sankaranarayanan et al. (the "[56]" column of Table 1);
+//!   Sankaranarayanan et al. (the "\[56\]" column of Table 1);
 //! * [`groundtruth`] — exact rational posteriors for the discrete
 //!   Table 2 models (the PSI stand-in);
 //! * [`harness`] — the run value (configuration parsed once, shared

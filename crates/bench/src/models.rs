@@ -1,7 +1,7 @@
 //! The benchmark model zoo: every program used by the paper's evaluation
 //! (§7), re-modelled in our SPCF surface syntax.
 //!
-//! The original sources of [56] and the PSI repository are not all
+//! The original sources of \[56\] and the PSI repository are not all
 //! published; models marked "re-modelled" are reconstructed from the
 //! papers' prose and parameters are chosen to reproduce the *shape* of
 //! the reported results (see EXPERIMENTS.md for per-benchmark notes).

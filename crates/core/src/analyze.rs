@@ -7,10 +7,8 @@ use std::sync::{Arc, Mutex};
 
 use gubpi_analysis::{lint_program, Lint, ProgramFacts};
 use gubpi_interval::Interval;
-use gubpi_lang::{infer, parse, LangError, Program, TypeMap};
-use gubpi_pool::{
-    run_jobs_cancellable, run_jobs_with, CancelToken, PathJob, SweepProgress, Threads, WorkerPool,
-};
+use gubpi_lang::{infer, parse, LangError, Program};
+use gubpi_pool::{run_jobs_cancellable, run_jobs_with, CancelToken, PathJob, Threads, WorkerPool};
 use gubpi_symbolic::{
     symbolic_paths_report_cancellable, ExecReport, KernelSeed, SymExecOptions, SymPath,
 };
@@ -19,8 +17,8 @@ use gubpi_types::{infer_interval_types, IntervalTyping};
 use crate::histogram::HistogramBounds;
 use crate::pathbounds::{
     coarse_path_enclosure, linear_applicable, plan_path_grid_only_seeded, plan_path_query_seeded,
-    plan_path_seeded, run_adaptive_refinement, run_adaptive_refinement_cancellable,
-    tail_substituted, BoundSink, GridRefiner, PathBoundOptions, QueryFold, RefineOptions, Region,
+    plan_path_seeded, run_adaptive_refinement_cancellable, tail_substituted, BoundSink,
+    GridRefiner, PathBoundOptions, QueryFold, RefineOptions, Region,
 };
 
 /// Which per-path semantics to use.
@@ -183,7 +181,7 @@ struct QueryCache {
 /// ```
 ///
 /// Entries are verified by structural path equality before reuse (see
-/// [`QueryKey`]), so sharing is sound even across unrelated programs.
+/// `QueryKey`), so sharing is sound even across unrelated programs.
 /// Hit/miss counters live in the shared cache: each per-path lookup is
 /// counted exactly once, no matter which analyzer issued it.
 ///
@@ -436,7 +434,6 @@ fn same_path(a: &SymPath, b: &SymPath) -> bool {
 /// supplied via [`Analyzer::from_source_with`]).
 pub struct Analyzer {
     program: Program,
-    simple: TypeMap,
     typing: IntervalTyping,
     /// Pre-execution static facts (intervals, weights, reachability) —
     /// computed once per program, before symbolic execution.
@@ -464,8 +461,7 @@ impl Analyzer {
     ///
     /// Propagates lexing, parsing and simple-type errors.
     pub fn from_source(source: &str, opts: AnalysisOptions) -> Result<Analyzer, LangError> {
-        let program = parse(source)?;
-        Analyzer::from_program(program, opts)
+        Analyzer::from_source_with(source, opts, &SharedQueryCache::new(), WorkerPool::global())
     }
 
     /// [`Analyzer::from_source`] attached to a [`SharedQueryCache`], so
@@ -497,57 +493,19 @@ impl Analyzer {
         pool: &WorkerPool,
     ) -> Result<Analyzer, LangError> {
         let program = parse(source)?;
-        Analyzer::from_program_with(program, opts, cache, pool)
-    }
-
-    /// Analysis of an already-parsed program.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simple-type errors.
-    pub fn from_program(program: Program, opts: AnalysisOptions) -> Result<Analyzer, LangError> {
-        Analyzer::from_program_with_cache(program, opts, &SharedQueryCache::new())
-    }
-
-    /// [`Analyzer::from_program`] attached to a [`SharedQueryCache`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates simple-type errors.
-    pub fn from_program_with_cache(
-        program: Program,
-        opts: AnalysisOptions,
-        cache: &SharedQueryCache,
-    ) -> Result<Analyzer, LangError> {
-        Analyzer::from_program_with(program, opts, cache, WorkerPool::global())
-    }
-
-    /// [`Analyzer::from_program_with_cache`] on an explicit persistent
-    /// [`WorkerPool`].
-    ///
-    /// Symbolic execution submits its frontier forks to the pool at the
-    /// width resolved from `opts.threads` (the path set is identical for
-    /// every setting; see `gubpi_symbolic`'s docs).
-    ///
-    /// # Errors
-    ///
-    /// Propagates simple-type errors.
-    pub fn from_program_with(
-        program: Program,
-        opts: AnalysisOptions,
-        cache: &SharedQueryCache,
-        pool: &WorkerPool,
-    ) -> Result<Analyzer, LangError> {
         Analyzer::from_program_cancellable(program, opts, cache, pool, None)
     }
 
-    /// [`Analyzer::from_program_with`] under a cooperative cancellation
-    /// token: the symbolic executor polls the token at deterministic
-    /// checkpoints and, on expiry, closes every in-flight branch as a
-    /// sound ⊤ path. The resulting analyzer is fully usable — its
-    /// bounds are merely coarser — and reports
-    /// [`Analyzer::exec_cancelled`] so queries carry a `degraded`
-    /// marker.
+    /// Analysis of an already-parsed program on an explicit persistent
+    /// [`WorkerPool`], under an optional cooperative cancellation token.
+    ///
+    /// Symbolic execution submits its frontier forks to the pool at the
+    /// width resolved from `opts.threads` (the path set is identical for
+    /// every setting; see `gubpi_symbolic`'s docs). The executor polls
+    /// `cancel` at deterministic checkpoints and, on expiry, closes
+    /// every in-flight branch as a sound ⊤ path. The resulting analyzer
+    /// is fully usable — its bounds are merely coarser — and every
+    /// query on it reports `degraded`. `None` never cancels.
     ///
     /// # Errors
     ///
@@ -586,7 +544,6 @@ impl Analyzer {
         let fingerprints = paths.iter().map(SymPath::fingerprint).collect();
         Ok(Analyzer {
             program,
-            simple,
             typing,
             facts,
             exec_report,
@@ -598,14 +555,6 @@ impl Analyzer {
             pool: pool.clone(),
             opts,
         })
-    }
-
-    /// Whether a cancellation token fired during this analyzer's
-    /// symbolic execution (see
-    /// [`Analyzer::from_program_cancellable`]); the path set is then a
-    /// sound coarsening and every query reports `degraded`.
-    pub fn exec_cancelled(&self) -> bool {
-        self.exec_cancelled
     }
 
     /// The memo cache this analyzer reads and fills; hand the clone to
@@ -623,16 +572,6 @@ impl Analyzer {
     /// The analysed program.
     pub fn program(&self) -> &Program {
         &self.program
-    }
-
-    /// The simple types.
-    pub fn simple_types(&self) -> &TypeMap {
-        &self.simple
-    }
-
-    /// The weight-aware interval typing.
-    pub fn interval_typing(&self) -> &IntervalTyping {
-        &self.typing
     }
 
     /// The symbolic interval paths found by Algorithm 1's exploration.
@@ -683,14 +622,7 @@ impl Analyzer {
     /// Guaranteed bounds on the **unnormalised** denotation `⟦P⟧(U)`
     /// (Corollary 6.3).
     pub fn denotation_bounds(&self, u: Interval) -> (f64, f64) {
-        self.denotation_bounds_with(u, self.opts.bounds)
-    }
-
-    /// [`Analyzer::denotation_bounds`] under explicit per-path bounding
-    /// options (the memo cache keys on them, so mixing configurations on
-    /// one analyzer is safe).
-    pub fn denotation_bounds_with(&self, u: Interval, bounds: PathBoundOptions) -> (f64, f64) {
-        self.denotation_outcome_with(u, bounds, None).bounds()
+        self.denotation_outcome(u, None).bounds()
     }
 
     /// [`Analyzer::denotation_bounds`] as a deadline-aware
@@ -705,18 +637,11 @@ impl Analyzer {
     /// lower bound under the whole-box upper bound) — the outcome is
     /// marked `degraded` with the fraction of planned work completed,
     /// and is **never** cached.
+    ///
+    /// The memo cache keys on `self.opts.bounds`, so analyzers with
+    /// different per-path bounding options can share one cache safely.
     pub fn denotation_outcome(&self, u: Interval, cancel: Option<&CancelToken>) -> QueryOutcome {
-        self.denotation_outcome_with(u, self.opts.bounds, cancel)
-    }
-
-    /// [`Analyzer::denotation_outcome`] under explicit per-path
-    /// bounding options.
-    pub fn denotation_outcome_with(
-        &self,
-        u: Interval,
-        bounds: PathBoundOptions,
-        cancel: Option<&CancelToken>,
-    ) -> QueryOutcome {
+        let bounds = self.opts.bounds;
         let method = self.opts.method;
         let refine = RefineOptions {
             refine: self.opts.refine,
@@ -851,55 +776,36 @@ impl Analyzer {
         let mut complete: Vec<bool> = vec![true; misses.len()];
         let mut planned_units = 0.0f64;
         let mut done_units = 0.0f64;
-        let progress: Option<Vec<SweepProgress>> = match cancel {
-            None => {
-                run_jobs_with(&self.pool, width, jobs, |j, region| {
-                    folds[j].apply(&mut computed[uniform_at[j]], region)
-                });
-                None
-            }
-            Some(token) => Some(run_jobs_cancellable(
-                &self.pool,
-                width,
-                jobs,
-                token,
-                |j, region| folds[j].apply(&mut computed[uniform_at[j]], region),
-            )),
-        };
-        if let Some(progress) = &progress {
-            for (j, prog) in progress.iter().enumerate() {
-                let mi = uniform_at[j];
-                planned_units += prog.total as f64;
-                done_units += prog.done as f64;
-                if !prog.complete() {
-                    // The folded prefix's lower bound stays valid (the
-                    // unswept cells only add non-negative mass); its
-                    // upper bound does not — replace it with the
-                    // whole-box enclosure, which contains the full
-                    // path contribution by inclusion monotonicity.
-                    complete[mi] = false;
-                    let path = tailed[mi].as_ref().unwrap_or(misses[mi].1);
-                    let mut coarse = (0.0, 0.0);
-                    if let Some(region) = coarse_path_enclosure(path) {
-                        folds[j].apply(&mut coarse, region);
-                    }
-                    computed[mi] = (computed[mi].0.max(coarse.0), coarse.1);
+        let progress = run_jobs_cancellable(&self.pool, width, jobs, cancel, |j, region| {
+            folds[j].apply(&mut computed[uniform_at[j]], region)
+        });
+        for (j, prog) in progress.iter().enumerate() {
+            let mi = uniform_at[j];
+            planned_units += prog.total as f64;
+            done_units += prog.done as f64;
+            if !prog.complete() {
+                // The folded prefix's lower bound stays valid (the
+                // unswept cells only add non-negative mass); its upper
+                // bound does not — replace it with the whole-box
+                // enclosure, which contains the full path contribution
+                // by inclusion monotonicity.
+                complete[mi] = false;
+                let path = tailed[mi].as_ref().unwrap_or(misses[mi].1);
+                let mut coarse = (0.0, 0.0);
+                if let Some(region) = coarse_path_enclosure(path) {
+                    folds[j].apply(&mut coarse, region);
                 }
+                computed[mi] = (computed[mi].0.max(coarse.0), coarse.1);
             }
         }
         if !refiners.is_empty() {
-            let refined = match cancel {
-                None => {
-                    run_adaptive_refinement(&self.pool, width, &mut refiners, refine.gap_target)
-                }
-                Some(token) => run_adaptive_refinement_cancellable(
-                    &self.pool,
-                    width,
-                    &mut refiners,
-                    refine.gap_target,
-                    token,
-                ),
-            };
+            let refined = run_adaptive_refinement_cancellable(
+                &self.pool,
+                width,
+                &mut refiners,
+                refine.gap_target,
+                cancel,
+            );
             for ((&mi, b), r) in refiner_at.iter().zip(refined).zip(&refiners) {
                 computed[mi] = b;
                 planned_units += r.cell_budget() as f64;
@@ -1046,7 +952,7 @@ impl Analyzer {
         let method = self.opts.method;
         let bounds = self.opts.bounds;
         // Same tail substitution as the queries (see
-        // `denotation_bounds_with`): ⊤ paths with a geometric enclosure
+        // `denotation_outcome`): ⊤ paths with a geometric enclosure
         // sweep with the tightened trailing score.
         let tailed: Vec<Option<SymPath>> = self
             .paths
@@ -1101,38 +1007,16 @@ impl Analyzer {
     // Validated query API: raw endpoints in, typed errors out
     // ----------------------------------------------------------------
 
-    /// [`Analyzer::denotation_bounds`] on raw endpoints, validating them
-    /// instead of panicking deep inside the analysis.
-    ///
-    /// # Errors
-    ///
-    /// [`QueryError::InvalidInterval`] when an endpoint is `NaN` or
-    /// `lo > hi`.
-    pub fn try_denotation_bounds(&self, lo: f64, hi: f64) -> Result<(f64, f64), QueryError> {
-        Ok(self.denotation_bounds(valid_interval(lo, hi)?))
-    }
-
-    /// [`Analyzer::posterior_probability`] on raw endpoints.
-    ///
-    /// # Errors
-    ///
-    /// [`QueryError::InvalidInterval`] when an endpoint is `NaN` or
-    /// `lo > hi`.
-    pub fn try_posterior_probability(&self, lo: f64, hi: f64) -> Result<(f64, f64), QueryError> {
-        Ok(self.posterior_probability(valid_interval(lo, hi)?))
-    }
-
     /// [`Analyzer::denotation_outcome`] on raw endpoints under an
-    /// optional cancellation token.
+    /// optional cancellation token, validating them instead of
+    /// panicking deep inside the analysis.
     ///
     /// # Errors
     ///
-    /// [`QueryError::InvalidInterval`] for `NaN`/inverted endpoints;
-    /// [`QueryError::DeadlineExceeded`] when the token had already
-    /// fired before any bounding work could start **and** no sound
-    /// degraded result exists (an expired token still yields a
-    /// degraded whole-box outcome, so this only triggers for a token
-    /// cancelled before validation).
+    /// Only [`QueryError::InvalidInterval`], for `NaN`/inverted
+    /// endpoints. An expired token still yields a sound, degraded
+    /// outcome, never an error; `gubpi-serve` and `repro query` report
+    /// a deadline that expired before any work started themselves.
     pub fn try_denotation_outcome(
         &self,
         lo: f64,
@@ -1174,21 +1058,6 @@ impl Analyzer {
         bins: usize,
     ) -> Result<HistogramBounds, QueryError> {
         Ok(self.histogram(valid_domain(lo, hi, bins)?, bins))
-    }
-
-    /// [`Analyzer::histogram_exact`] on raw domain edges; same
-    /// validation as [`Analyzer::try_histogram`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Analyzer::try_histogram`].
-    pub fn try_histogram_exact(
-        &self,
-        lo: f64,
-        hi: f64,
-        bins: usize,
-    ) -> Result<HistogramBounds, QueryError> {
-        Ok(self.histogram_exact(valid_domain(lo, hi, bins)?, bins))
     }
 }
 
@@ -1344,28 +1213,32 @@ mod tests {
 
     #[test]
     fn cache_keys_on_path_bound_options() {
-        let a = analyzer("let x = sample in score(x); x");
+        // Two analyzers that differ only in `opts.bounds` share one
+        // cache: their entries must not alias.
+        let src = "let x = sample in score(x); x";
+        let cache = SharedQueryCache::new();
+        let with_splits = |splits: usize| {
+            let mut opts = AnalysisOptions::default();
+            opts.bounds.splits = splits;
+            Analyzer::from_source_with_cache(src, opts, &cache).unwrap()
+        };
+        let coarse = with_splits(4);
+        let fine = with_splits(64);
         let u = Interval::new(0.0, 0.5);
-        let coarse = PathBoundOptions {
-            splits: 4,
-            ..Default::default()
-        };
-        let fine = PathBoundOptions {
-            splits: 64,
-            ..Default::default()
-        };
-        let c1 = a.denotation_bounds_with(u, coarse);
-        let f1 = a.denotation_bounds_with(u, fine);
+        let c1 = coarse.denotation_bounds(u);
+        let f1 = fine.denotation_bounds(u);
         // Different options must not alias: the fine query recomputes
         // rather than reusing the coarse result.
         assert!(f1.1 - f1.0 < c1.1 - c1.0, "fine {f1:?} vs coarse {c1:?}");
-        let s = a.cache_stats();
+        let n_paths = coarse.paths().len() as u64;
+        assert_eq!(fine.paths().len() as u64, n_paths);
+        let s = cache.stats();
         assert_eq!(s.hits, 0);
-        assert_eq!(s.misses, 2 * a.paths().len() as u64);
+        assert_eq!(s.misses, 2 * n_paths);
         // Re-asking each configuration hits its own entry.
-        assert_eq!(a.denotation_bounds_with(u, coarse), c1);
-        assert_eq!(a.denotation_bounds_with(u, fine), f1);
-        assert_eq!(a.cache_stats().hits, 2 * a.paths().len() as u64);
+        assert_eq!(coarse.denotation_bounds(u), c1);
+        assert_eq!(fine.denotation_bounds(u), f1);
+        assert_eq!(cache.stats().hits, 2 * n_paths);
     }
 
     #[test]
@@ -1450,15 +1323,15 @@ mod tests {
     fn invalid_query_endpoints_yield_typed_errors() {
         let a = analyzer("sample");
         assert_eq!(
-            a.try_denotation_bounds(1.0, 0.0),
+            a.try_denotation_outcome(1.0, 0.0, None),
             Err(QueryError::InvalidInterval { lo: 1.0, hi: 0.0 })
         );
         assert!(matches!(
-            a.try_denotation_bounds(f64::NAN, 1.0),
+            a.try_denotation_outcome(f64::NAN, 1.0, None),
             Err(QueryError::InvalidInterval { .. })
         ));
         assert!(matches!(
-            a.try_posterior_probability(0.5, f64::NAN),
+            a.try_posterior_outcome(0.5, f64::NAN, None),
             Err(QueryError::InvalidInterval { .. })
         ));
         assert!(matches!(
@@ -1471,7 +1344,7 @@ mod tests {
         ));
         assert_eq!(a.try_histogram(0.0, 1.0, 0).err(), Some(QueryError::NoBins));
         assert!(matches!(
-            a.try_histogram_exact(2.0, 1.0, 4),
+            a.try_histogram(2.0, 1.0, 4),
             Err(QueryError::InvalidInterval { .. })
         ));
     }
@@ -1481,11 +1354,13 @@ mod tests {
         let a = analyzer("let x = sample in score(x); x");
         let u = Interval::new(0.25, 0.75);
         assert_eq!(
-            a.try_denotation_bounds(0.25, 0.75),
+            a.try_denotation_outcome(0.25, 0.75, None)
+                .map(|o| o.bounds()),
             Ok(a.denotation_bounds(u))
         );
         assert_eq!(
-            a.try_posterior_probability(0.25, 0.75),
+            a.try_posterior_outcome(0.25, 0.75, None)
+                .map(|o| o.bounds()),
             Ok(a.posterior_probability(u))
         );
         let h = a.try_histogram(0.0, 1.0, 4).unwrap();
@@ -1493,6 +1368,43 @@ mod tests {
         for i in 0..4 {
             assert_eq!(h.unnormalized(i), href.unnormalized(i));
         }
+    }
+
+    #[test]
+    fn an_unfired_token_changes_no_bit() {
+        // One linear path (uniform polytope sweep) and one non-linear
+        // sampled path (adaptive refiner), so both the sweep's progress
+        // ledger and the refiner's merged integration run under a token.
+        let src = "let x = sample in if x <= 0.5 then x else x * x";
+        let pool = WorkerPool::new();
+        let a = Analyzer::from_source_with(
+            src,
+            AnalysisOptions::default(),
+            &SharedQueryCache::new(),
+            &pool,
+        )
+        .unwrap();
+        assert!(a.linear_path_count() >= 1);
+        assert!(a.linear_path_count() < a.paths().len());
+        let bits = |o: QueryOutcome| (o.lo.to_bits(), o.hi.to_bits());
+        let token = CancelToken::new();
+        for u in [Interval::new(0.0, 0.75), Interval::new(0.25, 1.0)] {
+            a.clear_cache();
+            let plain = a.denotation_outcome(u, None);
+            a.clear_cache();
+            let tokened = a.denotation_outcome(u, Some(&token));
+            assert_eq!(bits(tokened), bits(plain), "denotation on {u:?}");
+            a.clear_cache();
+            let plain = a.posterior_outcome(u, None);
+            a.clear_cache();
+            let tokened = a.posterior_outcome(u, Some(&token));
+            assert_eq!(bits(tokened), bits(plain), "posterior on {u:?}");
+            for o in [plain, tokened] {
+                assert!(!o.degraded, "{o:?}");
+                assert_eq!(o.completeness, 1.0, "{o:?}");
+            }
+        }
+        assert!(pool.stats().refine_rounds >= 1, "{:?}", pool.stats());
     }
 
     #[test]

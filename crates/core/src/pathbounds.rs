@@ -412,14 +412,8 @@ fn plan_sampleless(
             buf.add(cell.value, lo, cell.weight.hi());
         }
     } else {
-        let empty = BoxN::empty();
-        let def = path.constraints_on_box(&empty, true);
-        let pos = path.constraints_on_box(&empty, false);
-        if pos {
-            let w = path.weight_range_over_box(&empty);
-            let v = path.result.range_over_box(&empty);
-            buf.add(v, if def { w.lo() } else { 0.0 }, w.hi());
-        }
+        // The empty box has volume 1.0, and `1.0 * x == x` bit for bit.
+        buf.extend(cell_region(path, &BoxN::empty()));
     }
     PathJob::Ready(buf)
 }
@@ -548,7 +542,7 @@ fn plan_grid<'a>(
                 let mut odo = Odometer::at(n, range.start, |_| k);
                 for _ in range {
                     let cell: BoxN = (0..n).map(|d| cell_edges[odo.digits[d]]).collect();
-                    process_region(path, &cell, buf);
+                    buf.extend(cell_region(path, &cell));
                     odo.step(|_| k);
                 }
             }),
@@ -600,16 +594,20 @@ fn plan_grid<'a>(
     }
 }
 
-fn process_region(path: &SymPath, cell: &BoxN, sink: &mut impl BoundSink) {
+/// The tree-walking interpreter's contribution of one grid cell: the
+/// result range with the cell's mass bounds (∀ for the lower, ∃ for the
+/// upper bound), or `None` when the constraints definitely exclude the
+/// cell. The compiled kernel emits the same region bit for bit.
+fn cell_region(path: &SymPath, cell: &BoxN) -> Option<Region> {
     if !path.constraints_on_box(cell, false) {
-        return; // definitely outside
+        return None; // definitely outside
     }
     let vol = cell.volume();
     let w = path.weight_range_over_box(cell);
     let v = path.result.range_over_box(cell);
     let definite = path.constraints_on_box(cell, true);
     let lo = if definite { vol * w.lo() } else { 0.0 };
-    sink.add(v, lo, vol * w.hi());
+    Some((v, lo, vol * w.hi()))
 }
 
 /// The path's coarsest sound grid-semantics enclosure: one evaluation
@@ -620,9 +618,7 @@ fn process_region(path: &SymPath, cell: &BoxN, sink: &mut impl BoundSink) {
 /// is contained in its share of this region by inclusion monotonicity.
 pub fn coarse_path_enclosure(path: &SymPath) -> Option<Region> {
     let cell: BoxN = (0..path.n_samples).map(|_| Interval::UNIT).collect();
-    let mut out: Vec<Region> = Vec::with_capacity(1);
-    process_region(path, &cell, &mut out);
-    out.pop()
+    cell_region(path, &cell)
 }
 
 // --------------------------------------------------------------------
@@ -997,7 +993,7 @@ struct Leaf {
 ///
 /// Instead of sweeping the uniform `k^n` grid, the refiner seeds a
 /// coarse grid, scores every evaluated cell by its gap contribution
-/// ([`gap_score`]), and repeatedly bisects the widest dimension of the
+/// (`gap_score`), and repeatedly bisects the widest dimension of the
 /// worst cells until the query's gap target, the cell budget (the
 /// **same** `k^n` the uniform sweep would have spent), or the maximum
 /// depth is reached. Soundness: the two children of a bisection
@@ -1168,16 +1164,9 @@ impl<'a> GridRefiner<'a> {
                     cost: tree_walk_cost(path),
                     process: Box::new(move |range: Range<usize>, buf| {
                         for idx in range {
-                            let cell = &boxes[idx];
-                            if !path.constraints_on_box(cell, false) {
-                                continue;
+                            if let Some(region) = cell_region(path, &boxes[idx]) {
+                                buf.push((idx, region));
                             }
-                            let vol = cell.volume();
-                            let w = path.weight_range_over_box(cell);
-                            let v = path.result.range_over_box(cell);
-                            let definite = path.constraints_on_box(cell, true);
-                            let lo = if definite { vol * w.lo() } else { 0.0 };
-                            buf.push((idx, (v, lo, vol * w.hi())));
                         }
                     }),
                 }
@@ -1185,49 +1174,19 @@ impl<'a> GridRefiner<'a> {
         }
     }
 
-    /// Folds one round's replayed region stream back into the refiner:
-    /// refinable cells (positive score, below max depth) join the
-    /// worklist, everything else settles into the accumulated bounds.
-    fn integrate(&mut self, out: &[(usize, Region)]) {
-        self.used += self.pending.len();
-        for &(idx, region) in out {
-            let score = gap_score(self.fold, region);
-            let depth = self.pending_depth[idx];
-            if score > 0.0 && depth < self.max_depth {
-                self.frontier.push(Leaf {
-                    score,
-                    seq: self.next_seq + idx as u64,
-                    depth,
-                    cell: self.pending[idx].clone(),
-                    region,
-                });
-            } else {
-                self.fold.apply(&mut self.settled, region);
-                self.settled_gap += score;
-            }
-        }
-        self.next_seq += self.pending.len() as u64;
-        self.pending.clear();
-        self.pending_depth.clear();
-    }
-
-    /// [`integrate`](Self::integrate) for a round whose sweep was
-    /// cancelled after evaluating only the prefix `pending[..done]`.
-    /// Evaluated cells integrate normally (an absent index below `done`
-    /// really is a dead cell and contributes nothing); every
+    /// Folds one round's replayed region stream back into the refiner
+    /// after the sweep evaluated the prefix `pending[..done]` (all of
+    /// it unless the round was cancelled): refinable cells (positive
+    /// score, below max depth) join the worklist, everything else
+    /// settles into the accumulated bounds. An absent index below
+    /// `done` really is a dead cell and contributes nothing. Every
     /// unevaluated cell settles conservatively as its volume-share of
     /// the whole-box enclosure, which contains the cell's true
     /// contribution by inclusion monotonicity — so the final bounds
-    /// stay sound, merely coarser. Marks the refiner degraded when any
-    /// cell had to settle this way.
-    fn integrate_interrupted(&mut self, out: &[(usize, Region)], done: usize) {
+    /// stay sound, merely coarser — and marks the refiner interrupted.
+    fn integrate(&mut self, out: &[(usize, Region)], done: usize) {
         let total = self.pending.len();
         let done = done.min(total);
-        if done == total {
-            self.integrate(out);
-            return;
-        }
-        self.interrupted = true;
         self.used += done;
         for &(idx, region) in out {
             let score = gap_score(self.fold, region);
@@ -1245,13 +1204,16 @@ impl<'a> GridRefiner<'a> {
                 self.settled_gap += score;
             }
         }
-        if let Some((v, _, whole_hi)) = coarse_path_enclosure(self.path) {
-            for cell in &self.pending[done..] {
-                let mass = cell.volume() * whole_hi;
-                // 0 · ∞ for a measure-zero cell: its true mass is 0.
-                let region = (v, 0.0, if mass.is_nan() { 0.0 } else { mass });
-                self.fold.apply(&mut self.settled, region);
-                self.settled_gap += gap_score(self.fold, region);
+        if done < total {
+            self.interrupted = true;
+            if let Some((v, _, whole_hi)) = coarse_path_enclosure(self.path) {
+                for cell in &self.pending[done..] {
+                    let mass = cell.volume() * whole_hi;
+                    // 0 · ∞ for a measure-zero cell: its true mass is 0.
+                    let region = (v, 0.0, if mass.is_nan() { 0.0 } else { mass });
+                    self.fold.apply(&mut self.settled, region);
+                    self.settled_gap += gap_score(self.fold, region);
+                }
             }
         }
         self.next_seq += total as u64;
@@ -1318,45 +1280,39 @@ impl<'a> GridRefiner<'a> {
 
 /// Drives a set of per-path [`GridRefiner`]s in lockstep rounds on the
 /// worker pool and returns each path's final `(lo, hi)` bounds (in
-/// refiner order).
-///
-/// Each round dispatches every refiner's pending batch as one
-/// [`run_jobs_with`] call, so workers adopt whole paths **and steal
-/// child-cell chunks from still-running dominant paths**, exactly like
-/// a uniform sweep; all scoring and worklist surgery happens on the
-/// caller's thread between rounds. `gap_target > 0` stops refinement
-/// early once the summed gap across all refiners drops below it (the
-/// budget and depth limits always apply). Rounds, splits and the final
-/// gap are recorded on the pool ([`gubpi_pool::PoolStats`]).
+/// refiner order); [`run_adaptive_refinement_cancellable`] without a
+/// token.
 pub fn run_adaptive_refinement(
     pool: &WorkerPool,
     width: usize,
     refiners: &mut [GridRefiner<'_>],
     gap_target: f64,
 ) -> Vec<(f64, f64)> {
-    run_adaptive_refinement_inner(pool, width, refiners, gap_target, None)
+    run_adaptive_refinement_cancellable(pool, width, refiners, gap_target, None)
 }
 
-/// [`run_adaptive_refinement`] with cooperative cancellation: the token
-/// is polled at every round boundary and inside each round's sweep (at
-/// chunk boundaries). On cancellation the current round's evaluated
-/// prefix integrates normally, every unevaluated pending cell settles
-/// as its share of the path's whole-box enclosure, and still-refinable
-/// worklists settle as-is — the returned bounds are always **sound**,
-/// just coarser than the uncancelled run; affected refiners report
-/// [`GridRefiner::interrupted`]. With an uncancelled token the result
-/// is bit-identical to [`run_adaptive_refinement`].
+/// Drives a set of per-path [`GridRefiner`]s in lockstep rounds on the
+/// worker pool and returns each path's final `(lo, hi)` bounds (in
+/// refiner order).
+///
+/// Each round dispatches every refiner's pending batch as one
+/// [`run_jobs_cancellable`] call, so workers adopt whole paths **and
+/// steal child-cell chunks from still-running dominant paths**, exactly
+/// like a uniform sweep; all scoring and worklist surgery happens on the
+/// caller's thread between rounds. `gap_target > 0` stops refinement
+/// early once the summed gap across all refiners drops below it (the
+/// budget and depth limits always apply). Rounds, splits and the final
+/// gap are recorded on the pool ([`gubpi_pool::PoolStats`]).
+///
+/// `cancel` is polled at every round boundary and inside each round's
+/// sweep (at chunk boundaries). On cancellation the current round's
+/// evaluated prefix integrates normally, every unevaluated pending cell
+/// settles as its share of the path's whole-box enclosure, and
+/// still-refinable worklists settle as-is — the returned bounds are
+/// always **sound**, just coarser than the uncancelled run; affected
+/// refiners report [`GridRefiner::interrupted`]. With `None` or an
+/// uncancelled token the result is bit-identical.
 pub fn run_adaptive_refinement_cancellable(
-    pool: &WorkerPool,
-    width: usize,
-    refiners: &mut [GridRefiner<'_>],
-    gap_target: f64,
-    cancel: &CancelToken,
-) -> Vec<(f64, f64)> {
-    run_adaptive_refinement_inner(pool, width, refiners, gap_target, Some(cancel))
-}
-
-fn run_adaptive_refinement_inner(
     pool: &WorkerPool,
     width: usize,
     refiners: &mut [GridRefiner<'_>],
@@ -1384,31 +1340,19 @@ fn run_adaptive_refinement_inner(
         let progress = {
             let jobs: Vec<PathJob<'_, (usize, Region)>> =
                 refiners.iter().map(GridRefiner::round_job).collect();
-            match cancel {
-                None => {
-                    run_jobs_with(pool, width, jobs, |j, item| outs[j].push(item));
-                    None
-                }
-                Some(token) => Some(run_jobs_cancellable(pool, width, jobs, token, |j, item| {
-                    outs[j].push(item)
-                })),
-            }
+            run_jobs_cancellable(pool, width, jobs, cancel, |j, item| outs[j].push(item))
         };
         rounds += 1;
+        for ((r, out), prog) in refiners.iter_mut().zip(&outs).zip(&progress) {
+            r.integrate(out, prog.done);
+        }
         if cancel.is_some_and(CancelToken::is_cancelled) {
-            let progress = progress.expect("cancellable run reports progress");
-            for ((r, out), prog) in refiners.iter_mut().zip(&outs).zip(&progress) {
-                r.integrate_interrupted(out, prog.done);
-            }
             for r in refiners.iter_mut() {
                 if r.would_refine() {
                     r.interrupted = true;
                 }
             }
             break;
-        }
-        for (r, out) in refiners.iter_mut().zip(&outs) {
-            r.integrate(out);
         }
         if gap_target > 0.0 {
             let total: f64 = refiners.iter().map(GridRefiner::gap).sum();
@@ -2078,7 +2022,7 @@ mod tests {
     #[test]
     fn tail_enclosed_geo_paths_get_finite_upper_bounds_end_to_end() {
         use gubpi_analysis::ProgramFacts;
-        use gubpi_symbolic::{symbolic_paths_report, WorkerPool};
+        use gubpi_symbolic::{symbolic_paths_report_cancellable, WorkerPool};
 
         let src = "let rec geo x = if sample <= 0.5 then x else geo (x + 1) in geo 0";
         let p = parse(src).unwrap();
@@ -2090,8 +2034,15 @@ mod tests {
             max_paths: 6,
             ..Default::default()
         };
-        let (paths, _) =
-            symbolic_paths_report(&p, &typing, None, Some(&facts), opts, WorkerPool::global());
+        let (paths, _) = symbolic_paths_report_cancellable(
+            &p,
+            &typing,
+            None,
+            Some(&facts),
+            opts,
+            WorkerPool::global(),
+            None,
+        );
         assert!(paths.iter().any(|q| q.budget_truncated));
         let with_tail = PathBoundOptions::default();
         let no_tail = PathBoundOptions {

@@ -168,7 +168,8 @@ impl SweepProgress {
 
 /// Executes `jobs` on up to `width` participants (the caller plus pool
 /// workers) and folds every produced item into `fold` in deterministic
-/// **(path index, region index) order**.
+/// **(path index, region index) order**; [`run_jobs_cancellable`]
+/// without a token.
 ///
 /// `fold(path_idx, item)` always runs on the calling thread.
 pub fn run_jobs_with<T: Send + Sync>(
@@ -177,29 +178,23 @@ pub fn run_jobs_with<T: Send + Sync>(
     jobs: Vec<PathJob<'_, T>>,
     fold: impl FnMut(usize, T),
 ) {
-    run_jobs_inner(pool, width, jobs, None, fold);
+    run_jobs_cancellable(pool, width, jobs, None, fold);
 }
 
-/// [`run_jobs_with`] polling a cooperative [`CancelToken`] at every
-/// chunk boundary (claims and the sequential fast path alike).
+/// Executes `jobs` on up to `width` participants (the caller plus pool
+/// workers) and folds every produced item into `fold` in deterministic
+/// **(path index, region index) order**, polling an optional
+/// cooperative [`CancelToken`] at every chunk boundary (claims and the
+/// sequential fast path alike).
 ///
-/// On cancellation, work already claimed still completes; each job's
+/// `fold(path_idx, item)` always runs on the calling thread. On
+/// cancellation, work already claimed still completes; each job's
 /// folded items are the contiguous **prefix** of its sequential stream
 /// reported in the returned [`SweepProgress`] (see its docs for the
 /// monotone-cursor argument). `Ready` jobs always fold fully. A run
-/// that is never cancelled behaves exactly like [`run_jobs_with`] —
-/// same partition, same replay, bit-identical fold sequence.
+/// that is never cancelled completes every job — same partition, same
+/// replay, bit-identical fold sequence with or without a token.
 pub fn run_jobs_cancellable<T: Send + Sync>(
-    pool: &WorkerPool,
-    width: usize,
-    jobs: Vec<PathJob<'_, T>>,
-    cancel: &CancelToken,
-    fold: impl FnMut(usize, T),
-) -> Vec<SweepProgress> {
-    run_jobs_inner(pool, width, jobs, Some(cancel), fold)
-}
-
-fn run_jobs_inner<T: Send + Sync>(
     pool: &WorkerPool,
     width: usize,
     jobs: Vec<PathJob<'_, T>>,
@@ -658,7 +653,7 @@ mod tests {
                 &pool,
                 width,
                 sweep_jobs(&[5, 0, 3, 1000, 2]),
-                &token,
+                Some(&token),
                 |p, item| got.push((p, item)),
             );
             assert_eq!(got, reference, "width {width}");
@@ -685,8 +680,9 @@ mod tests {
                 },
             ];
             let mut got = Vec::new();
-            let progress =
-                run_jobs_cancellable(&pool, width, jobs, &token, |p, item| got.push((p, item)));
+            let progress = run_jobs_cancellable(&pool, width, jobs, Some(&token), |p, item| {
+                got.push((p, item))
+            });
             assert_eq!(got, vec![(0, 7), (0, 8)], "width {width}");
             assert!(progress[0].complete());
             assert_eq!(
@@ -721,7 +717,7 @@ mod tests {
             }];
             let mut got = Vec::new();
             let progress =
-                run_jobs_cancellable(&pool, width, jobs, &token, |_, item| got.push(item));
+                run_jobs_cancellable(&pool, width, jobs, Some(&token), |_, item| got.push(item));
             let done = progress[0].done;
             assert!(done < 1_000_000, "width {width}: cancellation must bite");
             assert_eq!(got.len(), done, "width {width}");
@@ -745,7 +741,7 @@ mod tests {
             }),
         }];
         let mut chunks = 0usize;
-        let progress = run_jobs_cancellable(&pool, 2, jobs, &token, |_, _| chunks += 1);
+        let progress = run_jobs_cancellable(&pool, 2, jobs, Some(&token), |_, _| chunks += 1);
         assert!(!progress[0].complete(), "an unbounded sweep must be cut");
         assert!(token.is_cancelled());
     }

@@ -145,24 +145,22 @@ pub fn symbolic_paths(
     typing: &IntervalTyping,
     opts: SymExecOptions,
 ) -> Vec<SymPath> {
-    symbolic_paths_in(program, typing, opts, WorkerPool::global())
+    symbolic_paths_report_cancellable(
+        program,
+        typing,
+        None,
+        None,
+        opts,
+        WorkerPool::global(),
+        None,
+    )
+    .0
 }
 
-/// [`symbolic_paths`] on an explicit persistent worker pool (the
-/// process-global pool is used otherwise). Frontier forks become pool
-/// tasks; the produced path set is identical for every pool and worker
-/// count.
-pub fn symbolic_paths_in(
-    program: &Program,
-    typing: &IntervalTyping,
-    opts: SymExecOptions,
-    pool: &WorkerPool,
-) -> Vec<SymPath> {
-    symbolic_paths_report(program, typing, None, None, opts, pool).0
-}
-
-/// [`symbolic_paths_in`] with optional static facts and a pruning /
-/// truncation census.
+/// Symbolic execution on an explicit persistent worker pool, with
+/// optional static facts, a pruning / truncation census and an optional
+/// cooperative [`CancelToken`]. Frontier forks become pool tasks; the
+/// produced path set is identical for every pool and worker count.
 ///
 /// When `facts` is supplied (and not
 /// [aborted](ProgramFacts::is_aborted)), the executor
@@ -191,28 +189,15 @@ pub fn symbolic_paths_in(
 /// flow in even to unpruned runs without perturbing the pruning
 /// bit-identity contract; whether the enclosure is *used* is decided by
 /// the tail-aware bounding layer (`gubpi_core::pathbounds`).
-pub fn symbolic_paths_report(
-    program: &Program,
-    typing: &IntervalTyping,
-    facts: Option<&ProgramFacts>,
-    tail_facts: Option<&ProgramFacts>,
-    opts: SymExecOptions,
-    pool: &WorkerPool,
-) -> (Vec<SymPath>, ExecReport) {
-    symbolic_paths_report_cancellable(program, typing, facts, tail_facts, opts, pool, None)
-}
-
-/// [`symbolic_paths_report`] polling a cooperative [`CancelToken`]
-/// along the frontier.
 ///
-/// Once the token fires, every still-running branch closes off as a ⊤
+/// Once `cancel` fires, every still-running branch closes off as a ⊤
 /// path at its next checkpoint — the same sound "anything can happen
 /// beyond this point" closure a budget or fuel exhaustion produces, so
 /// the truncated path set still encloses the program's denotation
 /// (just more coarsely). The checkpoint sits next to the fuel check:
 /// the latched flag is read on every node and the deadline clock every
 /// 1024 nodes, so expiry is observed promptly without a per-node
-/// syscall. `None` reproduces the uncancellable behaviour exactly.
+/// syscall. `None` never cancels.
 pub fn symbolic_paths_report_cancellable(
     program: &Program,
     typing: &IntervalTyping,
@@ -1053,7 +1038,15 @@ mod tests {
         let f = if prune { Some(&facts) } else { None };
         // Tail facts flow in regardless of the prune gate, mirroring
         // the analyzer's wiring.
-        symbolic_paths_report(&p, &typing, f, Some(&facts), opts, WorkerPool::global())
+        symbolic_paths_report_cancellable(
+            &p,
+            &typing,
+            f,
+            Some(&facts),
+            opts,
+            WorkerPool::global(),
+            None,
+        )
     }
 
     #[test]
@@ -1239,8 +1232,15 @@ mod tests {
         let p = parse(src).unwrap();
         let simple = infer(&p).unwrap();
         let typing = infer_interval_types(&p, &simple);
-        let (paths, report) =
-            symbolic_paths_report(&p, &typing, None, None, opts, WorkerPool::global());
+        let (paths, report) = symbolic_paths_report_cancellable(
+            &p,
+            &typing,
+            None,
+            None,
+            opts,
+            WorkerPool::global(),
+            None,
+        );
         assert!(paths.iter().any(|p| p.budget_truncated));
         assert_eq!(report.tail_enclosed_paths, 0);
         assert!(paths.iter().all(|p| p.tail.is_none()));

@@ -47,10 +47,7 @@ pub mod kernel;
 mod path;
 mod symval;
 
-pub use exec::{
-    symbolic_paths, symbolic_paths_in, symbolic_paths_report, symbolic_paths_report_cancellable,
-    ExecReport, SymExecOptions,
-};
+pub use exec::{symbolic_paths, symbolic_paths_report_cancellable, ExecReport, SymExecOptions};
 pub use gubpi_pool::{CancelToken, WorkerPool};
 pub use kernel::{
     kernel_stats, note_kernel_cells, CellBounds, KernelSeed, KernelStats, Tape, TapeScratch, LANES,
