@@ -1386,22 +1386,22 @@ mod tests {
         .unwrap();
         assert!(a.linear_path_count() >= 1);
         assert!(a.linear_path_count() < a.paths().len());
-        let bits = |o: QueryOutcome| (o.lo.to_bits(), o.hi.to_bits());
         let token = CancelToken::new();
         for u in [Interval::new(0.0, 0.75), Interval::new(0.25, 1.0)] {
-            a.clear_cache();
-            let plain = a.denotation_outcome(u, None);
-            a.clear_cache();
-            let tokened = a.denotation_outcome(u, Some(&token));
-            assert_eq!(bits(tokened), bits(plain), "denotation on {u:?}");
-            a.clear_cache();
-            let plain = a.posterior_outcome(u, None);
-            a.clear_cache();
-            let tokened = a.posterior_outcome(u, Some(&token));
-            assert_eq!(bits(tokened), bits(plain), "posterior on {u:?}");
-            for o in [plain, tokened] {
-                assert!(!o.degraded, "{o:?}");
-                assert_eq!(o.completeness, 1.0, "{o:?}");
+            for posterior in [false, true] {
+                // A cold cache, so every query computes.
+                let run = |cancel: Option<&CancelToken>| {
+                    a.clear_cache();
+                    let o = if posterior {
+                        a.posterior_outcome(u, cancel)
+                    } else {
+                        a.denotation_outcome(u, cancel)
+                    };
+                    assert!(!o.degraded, "{o:?}");
+                    assert_eq!(o.completeness, 1.0, "{o:?}");
+                    (o.lo.to_bits(), o.hi.to_bits())
+                };
+                assert_eq!(run(Some(&token)), run(None), "{u:?}, posterior {posterior}");
             }
         }
         assert!(pool.stats().refine_rounds >= 1, "{:?}", pool.stats());

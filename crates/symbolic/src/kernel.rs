@@ -639,7 +639,7 @@ impl Tape {
     /// (`dims.len() == n_inputs`), bailing at the first ∃-test that
     /// fails. Returns `None` when the cell is definitely outside the
     /// constraints, otherwise the result range, the score product and
-    /// the ∀-verdict — everything `process_region` needs, in one pass.
+    /// the ∀-verdict — everything `cell_region` needs, in one pass.
     pub fn eval_cell(&self, dims: &[Interval], s: &mut TapeScratch) -> Option<CellBounds> {
         debug_assert_eq!(dims.len(), self.n_inputs);
         s.regs[..self.n_inputs].copy_from_slice(dims);

@@ -11,7 +11,7 @@
 //! infinities, and out-of-domain distribution parameters (the zero-
 //! density totality fix) — across random boxes and compare every
 //! endpoint bit pattern against `range_over_box` / the four-walk
-//! `process_region` semantics.
+//! `cell_region` semantics.
 
 use std::sync::Arc;
 
