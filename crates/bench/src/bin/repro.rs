@@ -317,27 +317,20 @@ fn stats(run: &Run, elapsed_s: f64) {
     }
     let p = WorkerPool::global().stats();
     println!(
-        "pool:  {} workers spawned, {} dispatches, {} inline runs, last chunk width {}",
-        p.spawned_workers, p.dispatches, p.inline_runs, p.last_chunk_width
+        "pool:  {} workers spawned, {} dispatches, {} inline runs",
+        p.spawned_workers, p.dispatches, p.inline_runs
     );
     if p.refine_rounds == 0 {
         println!("refine: no adaptive rounds (uniform sweeps only; see --no-refine)");
     } else {
         println!(
-            "refine: {} adaptive rounds, {} cell splits, last query gap {:.6}",
-            p.refine_rounds,
-            p.refine_splits,
-            p.last_refine_gap()
+            "refine: {} adaptive rounds, {} cell splits",
+            p.refine_rounds, p.refine_splits
         );
     }
     println!(
-        "tasks: {} path, {} region chunks; steals: {} path, {} region; forks: {} pooled, {} inline",
-        p.path_tasks,
-        p.region_tasks,
-        p.path_steals,
-        p.region_steals,
-        p.forks_parallel,
-        p.forks_inline
+        "tasks: {} path, {} region chunks; steals: {} path, {} region",
+        p.path_tasks, p.region_tasks, p.path_steals, p.region_steals
     );
     let r = census.exec;
     println!(

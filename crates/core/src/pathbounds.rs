@@ -1361,9 +1361,8 @@ pub fn run_adaptive_refinement_cancellable(
             }
         }
     }
-    let final_gap: f64 = refiners.iter().map(GridRefiner::gap).sum();
     let splits: u64 = refiners.iter().map(GridRefiner::splits).sum();
-    pool.note_refinement(rounds, splits, final_gap);
+    pool.note_refinement(rounds, splits);
     refiners.iter_mut().map(GridRefiner::finish).collect()
 }
 

@@ -82,13 +82,6 @@ impl Interval {
         Interval::new(a.min(b), a.max(b))
     }
 
-    /// The convex hull of a non-empty collection of intervals.
-    ///
-    /// Returns `None` for an empty iterator.
-    pub fn hull_of<I: IntoIterator<Item = Interval>>(iter: I) -> Option<Interval> {
-        iter.into_iter().reduce(|a, b| a.join(b))
-    }
-
     /// Lower endpoint.
     #[inline]
     pub fn lo(&self) -> f64 {

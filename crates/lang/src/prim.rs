@@ -283,14 +283,6 @@ impl PrimOp {
             }
         }
     }
-
-    /// Is `f` a *linear* function of its arguments when the marked
-    /// arguments are variables and the rest are constants? Used by the
-    /// linear semantics (§6.4) to extract linear forms: `Add`, `Sub` and
-    /// `Neg` are linear; `Mul`/`Div` are linear when one side is constant.
-    pub fn preserves_linearity(self) -> bool {
-        matches!(self, PrimOp::Add | PrimOp::Sub | PrimOp::Neg)
-    }
 }
 
 /// Hull with the zero density contributed by out-of-domain scale

@@ -14,8 +14,9 @@
 //! The crate sits at the bottom of the workspace (std only) so both the
 //! symbolic executor (frontier forking via [`WorkerPool::fork_join`])
 //! and the core analyzer (query scheduling via [`run_jobs_with`]) can
-//! share one set of warm workers. `gubpi_core::pool` re-exports this
-//! API.
+//! share one set of warm workers. Both run on the same work-claiming
+//! latch: a fork is a task set of two claims. `gubpi_core::pool`
+//! re-exports this API.
 
 mod cancel;
 mod fault;
@@ -27,7 +28,7 @@ pub use cancel::CancelToken;
 pub use fault::{
     arm_fault_from_env, fault_point, faults_injected, set_fault_plan, FaultKind, FaultPlan,
 };
-pub use pool::{PoolStats, WorkerPool};
+pub use pool::{PoolStats, WorkerPool, WORKER_STACK_BYTES};
 pub use sched::{
     chunk_width, run_jobs_cancellable, run_jobs_with, PathJob, RegionFn, SweepProgress, Task,
     LANE_GRAIN,

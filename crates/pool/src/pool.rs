@@ -9,39 +9,34 @@
 //! default ([`WorkerPool::global`]) and explicit pools can be shared
 //! across `Analyzer` instances exactly like a `SharedQueryCache`.
 //!
-//! Two primitives cover every consumer:
-//!
-//! * [`WorkerPool::run_quota`] — enlist up to `extra` pool workers to
-//!   run a work-claiming closure alongside the caller (used by the
-//!   deterministic task scheduler in [`crate::sched`]). The caller
-//!   always participates; queued helper slots that no worker picks up
-//!   before the work runs dry are cancelled, so a small query never
-//!   blocks on pool capacity.
-//! * [`WorkerPool::fork_join`] — run `f` on the calling thread and `g`
-//!   on an idle worker when one is available (inline otherwise); used by
-//!   the symbolic-execution frontier. Join steals the task back if no
-//!   worker claimed it yet, so a join never waits on *unstarted* work —
-//!   the chain of waiters always ends at a thread making progress,
-//!   which rules out deadlock by construction.
+//! One primitive carries every consumer: [`WorkerPool::run_quota`]
+//! enlists up to `extra` pool workers to run a work-claiming closure
+//! alongside the caller. The caller always participates; queued helper
+//! slots that no worker picks up before the work runs dry are purged,
+//! so a small query never blocks on pool capacity. The deterministic
+//! task scheduler in [`crate::sched`] claims path and region tasks in
+//! that loop; [`WorkerPool::fork_join`] (the symbolic-execution
+//! frontier) claims its two sides in it. A participant only ever waits
+//! for helpers that already claimed a slot and are running the loop, so
+//! every chain of waiters ends at a thread making progress, which rules
+//! out deadlock by construction.
 //!
 //! # Safety
 //!
-//! Both primitives hand the pool **borrowed** closures through a raw
+//! `run_quota` hands the pool a **borrowed** closure through a raw
 //! `*const dyn Fn` (the workers are long-lived, so `std::thread::scope`
 //! cannot tie the lifetimes). The invariant that makes this sound is
-//! enforced in exactly two places: `run_quota` returns only after every
+//! enforced in exactly one place: `run_quota` returns only after every
 //! claimed helper slot has finished and every unclaimed slot has been
 //! purged from the queue (both transitions happen under the pool
-//! mutex), and `fork_join` returns only after the forked task was
-//! either stolen back (under the same mutex) or reported `Done` by the
-//! worker running it. Either way no worker can touch the closure after
-//! the owning frame unwinds. Panics inside tasks are caught, carried
-//! across the latch and resumed on the caller.
+//! mutex), so no worker can touch the closure after the owning frame
+//! unwinds. Panics inside the closure are caught, carried across the
+//! latch and resumed on the caller.
 
 use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 /// Hard cap on threads a single pool will ever spawn — a backstop
@@ -49,19 +44,25 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 /// count.
 const MAX_POOL_THREADS: usize = 256;
 
+/// Stack of every pool worker. Frontier forks run the symbolic
+/// executor's recursive `eval` on workers, so a worker needs the same
+/// depth as the thread that forked: the 8 MiB of a process's main
+/// thread, not the 2 MiB default of spawned threads.
+pub const WORKER_STACK_BYTES: usize = 8 << 20;
+
 /// A borrowed task closure smuggled to long-lived workers; see the
 /// module-level safety contract.
 #[derive(Copy, Clone)]
 struct RawTask(*const (dyn Fn() + Sync));
 
 // SAFETY: the pointee is `Sync` (shared calls are safe) and the
-// run_quota/fork_join latches guarantee it outlives every call.
+// run_quota latch guarantees it outlives every call.
 unsafe impl Send for RawTask {}
 unsafe impl Sync for RawTask {}
 
 impl RawTask {
     /// SAFETY: caller guarantees the closure outlives every call (the
-    /// run_quota / fork_join latches; see the module docs).
+    /// run_quota latch; see the module docs).
     unsafe fn new(task: &(dyn Fn() + Sync)) -> RawTask {
         let short: *const (dyn Fn() + Sync + '_) = task;
         RawTask(std::mem::transmute::<
@@ -79,33 +80,15 @@ impl RawTask {
 /// One helper slot of a [`WorkerPool::run_quota`] call.
 struct QuotaJob {
     task: RawTask,
-    /// Set (under the pool mutex) once the caller finished its own pass;
-    /// queued slots observing it are dropped instead of run.
-    cancelled: AtomicBool,
     /// Helpers currently *running* the task; incremented under the pool
-    /// mutex at claim time so cancellation can never race a startup.
+    /// mutex at claim time so the purge can never race a startup.
     active: Mutex<usize>,
     done: Condvar,
     panic: Mutex<Option<Box<dyn Any + Send>>>,
 }
 
-/// A forked task (symbolic-frontier else-continuation) waiting for a
-/// worker, for steal-back, or for completion.
-struct ForkJob {
-    task: RawTask,
-    /// `false` until a worker (or the joining caller) claimed the task.
-    claimed: AtomicBool,
-    finished: Mutex<bool>,
-    done: Condvar,
-}
-
-enum Assignment {
-    Slot(Arc<QuotaJob>),
-    Fork(Arc<ForkJob>),
-}
-
 struct State {
-    queue: VecDeque<Assignment>,
+    queue: VecDeque<Arc<QuotaJob>>,
     /// Threads spawned so far (monotone; workers never exit before
     /// shutdown).
     spawned: usize,
@@ -124,7 +107,8 @@ struct State {
 pub struct PoolStats {
     /// OS threads spawned over the pool's lifetime.
     pub spawned_workers: u64,
-    /// Parallel task-set dispatches (`run_quota` with helpers enlisted).
+    /// Parallel dispatches (`run_quota` with helpers enlisted): task
+    /// sets and symbolic-frontier forks on a reserved pool.
     pub dispatches: u64,
     /// Task sets resolved inline on the caller (width or work ≤ 1) —
     /// the clamp that keeps a 1-job query from waking an 8-worker pool.
@@ -139,33 +123,12 @@ pub struct PoolStats {
     /// Region chunks claimed from a path first claimed by another
     /// participant — cross-path work stealing actually happening.
     pub region_steals: u64,
-    /// Symbolic-frontier forks shipped to a pool worker.
-    pub forks_parallel: u64,
-    /// Symbolic-frontier forks run inline (no idle worker, or stolen
-    /// back at join).
-    pub forks_inline: u64,
-    /// Chunk width chosen for the most recently planned region sweep —
-    /// a gauge (not monotone) exposing the adaptive, cost-seeded
-    /// chunking decision (`gubpi_pool::chunk_width`).
-    pub last_chunk_width: u64,
     /// Gap-driven adaptive refinement rounds driven to completion (one
     /// per lockstep worklist batch the refiner dispatched as a sweep).
     pub refine_rounds: u64,
     /// Worklist cells bisected during adaptive refinement (each split
     /// re-evaluates two child cells on the compiled tape).
     pub refine_splits: u64,
-    /// `f64::to_bits` of the total (upper − lower) gap left by the most
-    /// recently finished adaptive refinement run — a gauge, like
-    /// [`PoolStats::last_chunk_width`]; decode with
-    /// [`PoolStats::last_refine_gap`].
-    pub last_refine_gap_bits: u64,
-}
-
-impl PoolStats {
-    /// The [`PoolStats::last_refine_gap_bits`] gauge as an `f64`.
-    pub fn last_refine_gap(&self) -> f64 {
-        f64::from_bits(self.last_refine_gap_bits)
-    }
 }
 
 #[derive(Default)]
@@ -177,12 +140,8 @@ pub(crate) struct StatsCells {
     pub(crate) region_tasks: AtomicU64,
     pub(crate) path_steals: AtomicU64,
     pub(crate) region_steals: AtomicU64,
-    forks_parallel: AtomicU64,
-    forks_inline: AtomicU64,
-    pub(crate) last_chunk_width: AtomicU64,
     refine_rounds: AtomicU64,
     refine_splits: AtomicU64,
-    last_refine_gap_bits: AtomicU64,
 }
 
 struct Inner {
@@ -280,25 +239,17 @@ impl WorkerPool {
             region_tasks: s.region_tasks.load(Ordering::Relaxed),
             path_steals: s.path_steals.load(Ordering::Relaxed),
             region_steals: s.region_steals.load(Ordering::Relaxed),
-            forks_parallel: s.forks_parallel.load(Ordering::Relaxed),
-            forks_inline: s.forks_inline.load(Ordering::Relaxed),
-            last_chunk_width: s.last_chunk_width.load(Ordering::Relaxed),
             refine_rounds: s.refine_rounds.load(Ordering::Relaxed),
             refine_splits: s.refine_splits.load(Ordering::Relaxed),
-            last_refine_gap_bits: s.last_refine_gap_bits.load(Ordering::Relaxed),
         }
     }
 
     /// Records one finished adaptive-refinement run: `rounds` lockstep
-    /// worklist rounds, `splits` cell bisections, and the final
-    /// (upper − lower) gap (stored as a bits gauge; see
-    /// [`PoolStats::last_refine_gap`]).
-    pub fn note_refinement(&self, rounds: u64, splits: u64, final_gap: f64) {
+    /// worklist rounds and `splits` cell bisections.
+    pub fn note_refinement(&self, rounds: u64, splits: u64) {
         let s = &self.inner.stats;
         s.refine_rounds.fetch_add(rounds, Ordering::Relaxed);
         s.refine_splits.fetch_add(splits, Ordering::Relaxed);
-        s.last_refine_gap_bits
-            .store(final_gap.to_bits(), Ordering::Relaxed);
     }
 
     /// Number of worker threads spawned so far.
@@ -338,7 +289,6 @@ impl WorkerPool {
         let job = Arc::new(QuotaJob {
             // SAFETY: `task` outlives this call; see the latch protocol.
             task: unsafe { RawTask::new(task) },
-            cancelled: AtomicBool::new(false),
             active: Mutex::new(0),
             done: Condvar::new(),
             panic: Mutex::new(None),
@@ -355,7 +305,7 @@ impl WorkerPool {
                 self.spawn_worker(&mut st);
             }
             for _ in 0..extra {
-                st.queue.push_back(Assignment::Slot(Arc::clone(&job)));
+                st.queue.push_back(Arc::clone(&job));
             }
             self.inner.work.notify_all();
             self.inner.stats.dispatches.fetch_add(1, Ordering::Relaxed);
@@ -364,12 +314,12 @@ impl WorkerPool {
         let caller_panic = catch_unwind(AssertUnwindSafe(task)).err();
         // Purge helper slots nobody claimed; claimed ones are tracked by
         // `active` and awaited below.
-        {
-            let mut st = self.inner.state.lock().expect("pool poisoned");
-            job.cancelled.store(true, Ordering::Relaxed);
-            st.queue
-                .retain(|a| !matches!(a, Assignment::Slot(j) if Arc::ptr_eq(j, &job)));
-        }
+        self.inner
+            .state
+            .lock()
+            .expect("pool poisoned")
+            .queue
+            .retain(|j| !Arc::ptr_eq(j, &job));
         let mut active = job.active.lock().expect("pool poisoned");
         while *active > 0 {
             active = job.done.wait(active).expect("pool poisoned");
@@ -384,132 +334,41 @@ impl WorkerPool {
         }
     }
 
-    /// Runs `f` on the calling thread and `g` on an idle pool worker
-    /// when one is available (inline otherwise), returning both results
-    /// as `(f(), g())`.
+    /// Runs `f` and `g` on the calling thread and at most one pool
+    /// worker, returning `(f(), g())`.
+    ///
+    /// The two sides are the claims of one work-claiming dispatch: each
+    /// participant runs the next unclaimed side until none is left, so a
+    /// side no helper reached runs on the caller. A pool never
+    /// [reserved](WorkerPool::reserve) for width > 1 enlists no helper
+    /// and runs both sides inline. Each side runs under its own
+    /// `catch_unwind`, so a panic in `f` never skips `g`; `f`'s panic is
+    /// resumed first.
     ///
     /// Used by the symbolic-execution frontier: purity plus pre-split
-    /// path budgets make the result independent of whether the fork was
-    /// actually shipped, so the availability heuristic can never
-    /// perturb the produced path set.
-    pub fn fork_join<A, B: Send>(
+    /// path budgets make the result independent of which thread ran
+    /// which side, so scheduling can never perturb the produced path set.
+    pub fn fork_join<A: Send, B: Send>(
         &self,
-        f: impl FnOnce() -> A,
+        f: impl FnOnce() -> A + Send,
         g: impl FnOnce() -> B + Send,
     ) -> (A, B) {
-        // Admission under the lock: ship only when an idle worker is not
-        // already promised to queued work, or when the pool may still
-        // grow within its width hint.
-        let accepted = {
-            let mut st = self.inner.state.lock().expect("pool poisoned");
-            if st.shutdown {
-                false
-            } else if st.idle > st.queue.len() {
-                true
-            } else if st.spawned < st.width_hint.saturating_sub(1).min(MAX_POOL_THREADS) {
-                self.spawn_worker(&mut st);
-                true
-            } else {
-                false
+        let reserved = self.inner.state.lock().expect("pool poisoned").width_hint > 1;
+        let (f, g) = (Mutex::new(Some(f)), Mutex::new(Some(g)));
+        let (a, b) = (Mutex::new(None), Mutex::new(None));
+        let next = AtomicUsize::new(0);
+        self.run_quota(usize::from(reserved), &|| loop {
+            match next.fetch_add(1, Ordering::Relaxed) {
+                0 => run_side(&f, &a),
+                1 => run_side(&g, &b),
+                _ => return,
             }
-        };
-        if !accepted {
-            self.inner
-                .stats
-                .forks_inline
-                .fetch_add(1, Ordering::Relaxed);
-            let a = f();
-            let b = g();
-            return (a, b);
-        }
-
-        // Output slot + one-shot claim cell for the FnOnce.
-        let result: Mutex<Option<std::thread::Result<B>>> = Mutex::new(None);
-        let pending: Mutex<Option<_>> = Mutex::new(Some(g));
-        let job_holder: Mutex<Option<Arc<ForkJob>>> = Mutex::new(None);
-        let runner = || {
-            let Some(g) = pending.lock().expect("fork poisoned").take() else {
-                return;
-            };
-            let r = catch_unwind(AssertUnwindSafe(g));
-            *result.lock().expect("fork poisoned") = Some(r);
-            // Signal completion on the job handle.
-            let job = job_holder
-                .lock()
-                .expect("fork poisoned")
-                .clone()
-                .expect("job registered before dispatch");
-            let mut fin = job.finished.lock().expect("fork poisoned");
-            *fin = true;
-            job.done.notify_all();
-        };
-        let job = Arc::new(ForkJob {
-            // SAFETY: `runner` outlives this call; see the join protocol.
-            task: unsafe { RawTask::new(&runner) },
-            claimed: AtomicBool::new(false),
-            finished: Mutex::new(false),
-            done: Condvar::new(),
         });
-        *job_holder.lock().expect("fork poisoned") = Some(Arc::clone(&job));
-        {
-            let mut st = self.inner.state.lock().expect("pool poisoned");
-            st.queue.push_back(Assignment::Fork(Arc::clone(&job)));
-            self.inner.work.notify_one();
-        }
-
-        // Join: steal the task back if nobody claimed it yet (under the
-        // pool mutex, so the claim cannot race), otherwise wait for the
-        // running worker to report completion.
-        let join = || {
-            let stolen = {
-                let mut st = self.inner.state.lock().expect("pool poisoned");
-                if job.claimed.load(Ordering::Relaxed) {
-                    false
-                } else {
-                    job.claimed.store(true, Ordering::Relaxed);
-                    st.queue
-                        .retain(|x| !matches!(x, Assignment::Fork(j) if Arc::ptr_eq(j, &job)));
-                    true
-                }
-            };
-            if stolen {
-                self.inner
-                    .stats
-                    .forks_inline
-                    .fetch_add(1, Ordering::Relaxed);
-                runner();
-            } else {
-                self.inner
-                    .stats
-                    .forks_parallel
-                    .fetch_add(1, Ordering::Relaxed);
-                let mut fin = job.finished.lock().expect("fork poisoned");
-                while !*fin {
-                    fin = job.done.wait(fin).expect("fork poisoned");
-                }
-            }
-        };
-
-        // `f` may panic; the borrowed runner must be joined *before* the
-        // unwind leaves this frame, or a worker could touch freed stack.
-        let a = match catch_unwind(AssertUnwindSafe(f)) {
-            Ok(a) => {
-                join();
-                a
-            }
-            Err(p) => {
-                join();
-                resume_unwind(p);
-            }
-        };
-        let r = result
-            .lock()
-            .expect("fork poisoned")
-            .take()
-            .expect("fork task ran to completion");
-        match r {
-            Ok(b) => (a, b),
-            Err(p) => resume_unwind(p),
+        let a = a.into_inner().expect("pool poisoned");
+        match (a, b.into_inner().expect("pool poisoned")) {
+            (Some(Ok(a)), Some(Ok(b))) => (a, b),
+            (Some(Err(p)), _) | (_, Some(Err(p))) => resume_unwind(p),
+            _ => unreachable!("run_quota returns after both sides ran"),
         }
     }
 
@@ -524,66 +383,52 @@ impl WorkerPool {
             .fetch_add(1, Ordering::Relaxed);
         std::thread::Builder::new()
             .name("gubpi-pool-worker".to_owned())
+            .stack_size(WORKER_STACK_BYTES)
             .spawn(move || worker_loop(&inner))
             .expect("worker thread spawns");
     }
 }
 
+/// Runs one claimed [`WorkerPool::fork_join`] side, leaving its result
+/// (or caught panic) in `out`.
+fn run_side<T>(
+    side: &Mutex<Option<impl FnOnce() -> T>>,
+    out: &Mutex<Option<std::thread::Result<T>>>,
+) {
+    let side = side.lock().expect("pool poisoned").take();
+    let side = side.expect("each side is claimed once");
+    *out.lock().expect("pool poisoned") = Some(catch_unwind(AssertUnwindSafe(side)));
+}
+
 fn worker_loop(inner: &Inner) {
     loop {
-        let assignment = {
+        let job = {
             let mut st = inner.state.lock().expect("pool poisoned");
             loop {
-                match st.queue.pop_front() {
-                    Some(Assignment::Slot(job)) => {
-                        if job.cancelled.load(Ordering::Relaxed) {
-                            continue;
-                        }
-                        // Claim under the pool mutex: cancellation
-                        // (also under the mutex) either removed this
-                        // slot or will await this increment.
-                        *job.active.lock().expect("pool poisoned") += 1;
-                        break Some(Assignment::Slot(job));
-                    }
-                    Some(Assignment::Fork(job)) => {
-                        if job.claimed.swap(true, Ordering::Relaxed) {
-                            continue; // stolen back by the joiner
-                        }
-                        break Some(Assignment::Fork(job));
-                    }
-                    None => {
-                        if st.shutdown {
-                            break None;
-                        }
-                        st.idle += 1;
-                        st = inner.work.wait(st).expect("pool poisoned");
-                        st.idle -= 1;
-                    }
+                if let Some(job) = st.queue.pop_front() {
+                    // Claim under the pool mutex: run_quota's purge (also
+                    // under the mutex) either removed this slot or will
+                    // await this increment.
+                    *job.active.lock().expect("pool poisoned") += 1;
+                    break job;
                 }
+                if st.shutdown {
+                    return;
+                }
+                st.idle += 1;
+                st = inner.work.wait(st).expect("pool poisoned");
+                st.idle -= 1;
             }
         };
-        let Some(assignment) = assignment else { return };
-        match assignment {
-            Assignment::Slot(job) => {
-                // SAFETY: `active > 0` holds until the decrement below,
-                // and run_quota waits for it before invalidating `task`.
-                let r = catch_unwind(AssertUnwindSafe(|| unsafe { job.task.call() }));
-                if let Err(p) = r {
-                    let mut slot = job.panic.lock().expect("pool poisoned");
-                    slot.get_or_insert(p);
-                }
-                let mut active = job.active.lock().expect("pool poisoned");
-                *active -= 1;
-                if *active == 0 {
-                    job.done.notify_all();
-                }
-            }
-            Assignment::Fork(job) => {
-                // SAFETY: fork_join waits for `finished` (set by the
-                // runner itself) before invalidating `task`; the runner
-                // catches panics internally.
-                unsafe { job.task.call() }
-            }
+        // SAFETY: `active > 0` holds until the decrement below, and
+        // run_quota waits for it before invalidating `task`.
+        if let Err(p) = catch_unwind(AssertUnwindSafe(|| unsafe { job.task.call() })) {
+            job.panic.lock().expect("pool poisoned").get_or_insert(p);
+        }
+        let mut active = job.active.lock().expect("pool poisoned");
+        *active -= 1;
+        if *active == 0 {
+            job.done.notify_all();
         }
     }
 }
@@ -653,8 +498,7 @@ mod tests {
             let (a, b) = pool.fork_join(|| i * 2, || i * 3);
             assert_eq!((a, b), (i * 2, i * 3));
         }
-        let s = pool.stats();
-        assert_eq!(s.forks_parallel + s.forks_inline, 32);
+        assert_eq!(pool.stats().dispatches, 32, "every fork is one dispatch");
     }
 
     #[test]
@@ -662,8 +506,8 @@ mod tests {
         let pool = WorkerPool::new();
         let (a, b) = pool.fork_join(|| 1, || 2);
         assert_eq!((a, b), (1, 2));
-        assert_eq!(pool.spawned_workers(), 0);
-        assert_eq!(pool.stats().forks_inline, 1);
+        assert_eq!(pool.stats().dispatches, 0, "no dispatch");
+        assert_eq!(pool.spawned_workers(), 0, "no thread");
     }
 
     #[test]

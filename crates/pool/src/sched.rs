@@ -213,18 +213,12 @@ pub fn run_jobs_cancellable<T: Send + Sync>(
         .map(|j| match j {
             PathJob::Ready(_) => None,
             PathJob::Sweep { total, .. } if *total == 0 => None,
-            PathJob::Sweep { total, cost, .. } => {
-                let chunk = chunk_width(*total, width, *cost);
-                pool.stats_cells()
-                    .last_chunk_width
-                    .store(chunk as u64, Ordering::Relaxed);
-                Some(Space {
-                    total: *total,
-                    chunk,
-                    cursor: AtomicUsize::new(0),
-                    owner: AtomicUsize::new(usize::MAX),
-                })
-            }
+            PathJob::Sweep { total, cost, .. } => Some(Space {
+                total: *total,
+                chunk: chunk_width(*total, width, *cost),
+                cursor: AtomicUsize::new(0),
+                owner: AtomicUsize::new(usize::MAX),
+            }),
         })
         .collect();
     // Units of schedulable work decide the effective width (the clamp
@@ -568,11 +562,6 @@ mod tests {
             100_000usize.div_ceil(chunk_width(100_000, 4, 1)) as u64 + 3,
             "chunk partition is a pure function of (total, width, cost)"
         );
-        assert_eq!(
-            after.last_chunk_width,
-            chunk_width(1, 4, 1) as u64,
-            "gauge reflects the most recently planned sweep (the trailing 1-region paths)"
-        );
     }
 
     #[test]
@@ -600,7 +589,7 @@ mod tests {
         // An adaptive-refinement round: a small batch of expensive
         // cells. The raw cost target would shatter it into one-region
         // chunks; the lane floor must hold the width at one lane block,
-        // observable through the `last_chunk_width` gauge.
+        // observable as the number of region tasks the sweep ran.
         let pool = WorkerPool::new();
         assert_eq!(chunk_width(40, 4, 1 << 20), LANE_GRAIN);
         let jobs: Vec<PathJob<'_, usize>> = vec![PathJob::Sweep {
@@ -608,9 +597,13 @@ mod tests {
             cost: 1 << 20,
             process: Box::new(|range, buf| buf.extend(range)),
         }];
+        let before = pool.stats().region_tasks;
         let got = collect(&pool, 4, jobs);
         assert_eq!(got.len(), 40);
-        assert_eq!(pool.stats().last_chunk_width, LANE_GRAIN as u64);
+        assert_eq!(
+            pool.stats().region_tasks - before,
+            40usize.div_ceil(LANE_GRAIN) as u64
+        );
     }
 
     #[test]

@@ -5,8 +5,6 @@
 //! [`TraceSource`], which either replays a fixed trace or samples fresh
 //! values from an RNG while recording them.
 
-use rand::{Rng, RngExt};
-
 /// A finite trace of uniform samples.
 pub type Trace = Vec<f64>;
 
@@ -67,13 +65,6 @@ impl<'a> TraceSource<'a> {
             TraceSource::Random { recorded, .. } => recorded.len(),
         }
     }
-}
-
-/// Builds a random trace source from a [`rand::Rng`].
-///
-/// Returns a closure suitable for [`TraceSource::Random`].
-pub fn rng_sampler<R: Rng>(rng: &mut R) -> impl FnMut() -> f64 + '_ {
-    move || rng.random::<f64>()
 }
 
 #[cfg(test)]

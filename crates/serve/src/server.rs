@@ -192,8 +192,8 @@ pub fn start_with_cache(config: ServeConfig, cache: SharedQueryCache) -> io::Res
 /// The parser caps nesting at `gubpi_lang::parser::MAX_NESTING`; the
 /// recursive phases after it need more than the 2 MiB default of spawned
 /// threads to reach that depth in unoptimised builds, so connections get
-/// the 8 MiB a process's main thread (the `repro` CLI) has.
-const CONN_STACK_BYTES: usize = 8 << 20;
+/// the stack of a pool worker, which continues their symbolic forks.
+const CONN_STACK_BYTES: usize = gubpi_pool::WORKER_STACK_BYTES;
 
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     for conn in listener.incoming() {

@@ -28,11 +28,10 @@
 //! subtree whose budget reaches 1 at a fork is closed off by a single ⊤
 //! path, which soundly covers both branches.
 //!
-//! Since PR 4, big forks are no longer shipped via per-call scoped
-//! thread spawns: else-continuations are submitted as tasks to the
-//! persistent [`WorkerPool`] ([`WorkerPool::fork_join`]), so repeated
-//! symbolic executions reuse the same warm workers as the bounding
-//! engine.
+//! Big forks run on the persistent [`WorkerPool`]
+//! ([`WorkerPool::fork_join`]): the caller and at most one warm worker
+//! claim the two sides, so repeated symbolic executions reuse the same
+//! workers as the bounding engine.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -398,14 +397,14 @@ struct Executor<'a> {
     tail_facts: Option<&'a ProgramFacts>,
     /// `NodeId →` "subtree is syntactically linear" (see [`mark_linear`]).
     linear: HashMap<NodeId, bool>,
-    /// The persistent executor that runs claimed else-continuations.
+    /// The persistent executor that runs the sides of claimed forks.
     pool: &'a WorkerPool,
     /// Cooperative cancellation: once fired, branches close off as ⊤
     /// paths at their next evaluation checkpoint (sound truncation).
     cancel: Option<&'a CancelToken>,
     /// Spare fork slots for frontier sharding (`frontier_workers − 1`):
-    /// caps how many else-continuations this execution may have in
-    /// flight on the pool, independent of the pool's own size.
+    /// caps how many forks this execution may have in flight on the
+    /// pool, independent of the pool's own size.
     fork_budget: AtomicUsize,
     /// Skipped dead `if` sides (atomic: branch continuations may be
     /// claimed by pool workers).
@@ -668,11 +667,11 @@ impl Executor<'_> {
             })
     }
 
-    /// Evaluates the two sides of an uncertain branch, submitting the
-    /// else-continuation as a persistent-pool task when a fork slot is
-    /// free and the fork is big enough to amortise the hand-off. Purity
-    /// plus pre-split budgets make the result independent of the fork
-    /// decision, so the claim heuristic cannot perturb the path set.
+    /// Evaluates the two sides of an uncertain branch, offering them to
+    /// the persistent pool when a fork slot is free and the fork is big
+    /// enough to amortise the hand-off. Purity plus pre-split budgets
+    /// make the result independent of the fork decision, so the claim
+    /// heuristic cannot perturb the path set.
     fn eval_fork(
         &self,
         t: &Expr,

@@ -507,3 +507,94 @@ fn one_unit_queries_run_inline_on_wide_pools() {
     assert_eq!(after.inline_runs, before.inline_runs + 1, "ran inline");
     assert_eq!(pool.spawned_workers(), 0, "no threads for a 1-unit query");
 }
+
+/// Several callers on one pool at once: each thread builds a fork-heavy
+/// analyzer on the shared pool, so frontier forks enlist workers (and
+/// nest forks on them) while other callers' region sweeps run. Every
+/// caller must still see the sequential path set and bits.
+#[test]
+fn concurrent_callers_on_one_pool_are_bit_identical() {
+    use gubpi_core::{SharedQueryCache, WorkerPool};
+    const SRC: &str = "
+        let start = 3 * sample in
+        let rec walk x =
+          if x <= 0 then 0 else
+            let step = sample in
+            if sample <= 0.5 then step + walk (x + step)
+            else step + walk (x - step)
+        in
+        let d = walk start in
+        observe d from normal(1.1, 0.1);
+        start";
+    let build = |threads, pool: &WorkerPool| {
+        let mut opts = AnalysisOptions {
+            sym: SymExecOptions {
+                max_fix_unfoldings: 3,
+                ..Default::default()
+            },
+            threads,
+            ..Default::default()
+        };
+        opts.bounds.splits = 8;
+        Analyzer::from_source_with(SRC, opts, &SharedQueryCache::new(), pool).unwrap()
+    };
+    let u = Interval::new(0.0, 1.5);
+    let reference = build(Threads::Off, &WorkerPool::new());
+    let ref_bounds = reference.denotation_bounds(u);
+    let pool = WorkerPool::new();
+    std::thread::scope(|s| {
+        let callers: Vec<_> = (0..4)
+            .map(|_| {
+                s.spawn(|| {
+                    let a = build(Threads::Fixed(4), &pool);
+                    (a.paths().len(), a.denotation_bounds(u))
+                })
+            })
+            .collect();
+        for caller in callers {
+            let (paths, got) = caller.join().expect("caller panicked");
+            assert_eq!(paths, reference.paths().len(), "path count");
+            assert_bits_eq(ref_bounds, got, "concurrent caller");
+        }
+    });
+}
+
+/// A frontier fork may run either side on a pool worker, so a worker
+/// must recurse as deep as the thread that forked. Both sides here are
+/// a 200-deep `let` chain, analysed from a thread with a main-thread
+/// (8 MiB) stack; on 2 MiB workers an unoptimised build overflows and
+/// aborts the process.
+#[test]
+fn deep_fork_sides_fit_on_worker_stacks() {
+    use gubpi_core::{SharedQueryCache, WorkerPool};
+    let chain: String = (1..200)
+        .map(|i| format!("let x{i} = x{} + 1 in ", i - 1))
+        .collect();
+    let side = format!("(let x0 = sample in {chain}x199)");
+    let src = format!("if sample <= 0.5 then {side} else {side}");
+    let run = |threads: Threads| {
+        let src = src.clone();
+        std::thread::Builder::new()
+            .stack_size(8 << 20)
+            .spawn(move || {
+                let opts = AnalysisOptions {
+                    threads,
+                    ..Default::default()
+                };
+                let pool = WorkerPool::new();
+                let a = Analyzer::from_source_with(&src, opts, &SharedQueryCache::new(), &pool)
+                    .unwrap();
+                (
+                    a.paths().len(),
+                    a.denotation_bounds(Interval::new(0.0, 150.0)),
+                )
+            })
+            .unwrap()
+            .join()
+            .expect("analysis thread panicked")
+    };
+    let (ref_paths, ref_bounds) = run(Threads::Off);
+    let (paths, got) = run(Threads::Fixed(2));
+    assert_eq!(paths, ref_paths, "path count");
+    assert_bits_eq(ref_bounds, got, "deep fork");
+}
