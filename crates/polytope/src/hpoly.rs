@@ -2,7 +2,7 @@
 
 use gubpi_interval::{BoxN, Interval};
 
-use crate::simplex::{solve_lp, LpOutcome, Row};
+use crate::simplex::{solve_lp, LpOutcome, LpScratch, LpValue};
 use crate::LinExpr;
 
 /// A convex polytope `{ x ≥ 0 | aᵢ·x ≤ bᵢ }` in H-representation.
@@ -80,6 +80,11 @@ impl HPolytope {
             })
     }
 
+    /// Row `i` as `(a, b)`.
+    fn row(&self, i: usize) -> (&[f64], f64) {
+        (&self.rows[i].0, self.rows[i].1)
+    }
+
     /// Adds the constraint `a·x ≤ b`.
     ///
     /// # Panics
@@ -102,10 +107,10 @@ impl HPolytope {
 
     /// Is the polytope empty (within LP tolerance)?
     pub fn is_empty(&self) -> bool {
-        matches!(
-            solve_lp(&vec![0.0; self.dim], false, &self.rows, self.dim),
-            LpOutcome::Infeasible
-        )
+        let zero = vec![0.0; self.dim];
+        let m = self.rows.len();
+        LpScratch::default().solve(&zero, false, false, self.dim, m, |i| self.row(i))
+            == LpValue::Infeasible
     }
 
     /// Minimises `w·x` over the polytope.
@@ -159,11 +164,14 @@ impl HPolytope {
     /// its left-hand side subject to the rest; redundant iff `max ≤ b`).
     /// An infeasible check (empty polytope) keeps the row.
     pub fn without_redundant_rows(&self) -> HPolytope {
-        let keep = irredundant_mask(&self.rows, |(a, b), others| {
-            matches!(
-                solve_lp(a, true, others, self.dim),
-                LpOutcome::Optimal(v, _) if v <= b + 1e-9
-            )
+        let mut lp = LpScratch::default();
+        let (mut keep, mut others) = (Vec::new(), Vec::new());
+        irredundant_mask(self.rows.len(), &mut keep, &mut others, |i, others| {
+            let (a, b) = self.row(i);
+            let v = lp.solve(a, true, false, self.dim, others.len(), |k| {
+                self.row(others[k])
+            });
+            matches!(v, LpValue::Optimal(v) if v <= b + 1e-9)
         });
         HPolytope {
             dim: self.dim,
@@ -178,25 +186,24 @@ impl HPolytope {
     }
 }
 
-/// Which rows survive sequential redundancy removal: row `i` is dropped
-/// when `implied(row_i, others)` holds, where `others` borrows the rows
-/// kept before `i` followed by every row after it.
-pub(crate) fn irredundant_mask(rows: &[Row], implied: impl Fn(&Row, &[&Row]) -> bool) -> Vec<bool> {
-    let mut keep = vec![false; rows.len()];
-    let mut others: Vec<&Row> = Vec::with_capacity(rows.len());
-    for (i, row) in rows.iter().enumerate() {
+/// Sequential redundancy removal over `m` rows: `keep[i]` is set unless
+/// `implied(i, others)` holds, where `others` lists the rows kept before
+/// `i` followed by every row after it. `keep` and `others` are the
+/// caller's buffers, overwritten.
+pub(crate) fn irredundant_mask(
+    m: usize,
+    keep: &mut Vec<bool>,
+    others: &mut Vec<usize>,
+    mut implied: impl FnMut(usize, &[usize]) -> bool,
+) {
+    keep.clear();
+    keep.resize(m, false);
+    for i in 0..m {
         others.clear();
-        others.extend(
-            rows[..i]
-                .iter()
-                .zip(&keep)
-                .filter(|&(_, &k)| k)
-                .map(|(r, _)| r),
-        );
-        others.extend(&rows[i + 1..]);
-        keep[i] = !implied(row, &others);
+        others.extend((0..i).filter(|&j| keep[j]));
+        others.extend(i + 1..m);
+        keep[i] = !implied(i, others);
     }
-    keep
 }
 
 #[cfg(test)]

@@ -1,17 +1,18 @@
 //! Bit-identity oracles for the volume layer (compiled for tests only).
 //!
-//! The product code runs the simplex on one flat tableau with borrowed
-//! rows and memoizes Lasserre's recursion per face. This module keeps
-//! the plain forms those optimisations must reproduce bit for bit: a
-//! nested-vector tableau with the free-variable split built as doubled
-//! rows, redundancy checks over cloned row lists, and the recursion
-//! without a memo. The property tests below compare the two on random
-//! LPs and polytopes with `f64::to_bits`.
+//! The product code runs one simplex core on reusable flat buffers and
+//! runs Lasserre's recursion on flat row systems with per-depth scratch
+//! and a face memo. This module keeps the plain forms those
+//! optimisations must reproduce bit for bit: a nested-vector tableau
+//! with the free-variable split built as doubled rows, redundancy checks
+//! over cloned row lists, and the recursion over `Vec<Row>` lists
+//! without a memo. It shares no helper with the code it checks. The
+//! property tests below compare the two on random LPs and polytopes with
+//! `f64::to_bits`.
 #![allow(clippy::needless_range_loop)] // index loops mirror tableau notation
 
 use crate::hpoly::HPolytope;
 use crate::simplex::{LpOutcome, Row};
-use crate::volume::{dedup_rows, interval_length_1d, reduce_rows_free};
 
 const EPS: f64 = 1e-9;
 
@@ -220,15 +221,12 @@ pub(crate) fn volume_lasserre(p: &HPolytope) -> f64 {
 }
 
 fn vol_rec(rows: &[Row], dim: usize, lp_levels: u32) -> f64 {
-    let Some(red) = reduce_rows_free(rows, dim) else {
+    let Some((factor, dim, rows)) = reduce_rows_free(rows, dim) else {
         return 0.0;
     };
-    let factor = red.factor;
     if factor == 0.0 {
         return 0.0;
     }
-    let dim = red.dim;
-    let rows = red.rows;
     if dim == 0 {
         return factor;
     }
@@ -311,10 +309,137 @@ fn simplify_rows(rows: &[Row], dim: usize) -> Vec<Row> {
     result
 }
 
+/// Axis-aligned reduction for rows over *free* variables: `(factor,
+/// dim, rows)`, or `None` when the per-variable bounds are infeasible.
+fn reduce_rows_free(rows: &[Row], n: usize) -> Option<(f64, usize, Vec<Row>)> {
+    let mut lo = vec![f64::NEG_INFINITY; n];
+    let mut hi = vec![f64::INFINITY; n];
+    let mut coupled: Vec<Row> = Vec::new();
+    for (a, b) in rows {
+        let nz: Vec<usize> = (0..n).filter(|&j| a[j].abs() > EPS).collect();
+        match nz.len() {
+            0 => {
+                if *b < -EPS {
+                    return None;
+                }
+            }
+            1 => {
+                let j = nz[0];
+                let bound = b / a[j];
+                if a[j] > 0.0 {
+                    hi[j] = hi[j].min(bound);
+                } else {
+                    lo[j] = lo[j].max(bound);
+                }
+            }
+            _ => coupled.push((a.clone(), *b)),
+        }
+    }
+    for j in 0..n {
+        if hi[j] < lo[j] - EPS {
+            return None;
+        }
+        hi[j] = hi[j].max(lo[j]);
+    }
+    let mut involved = vec![false; n];
+    for (a, _) in &coupled {
+        for j in 0..n {
+            if a[j].abs() > EPS {
+                involved[j] = true;
+            }
+        }
+    }
+    let mut factor = 1.0f64;
+    let mut remap: Vec<Option<usize>> = vec![None; n];
+    let mut dim = 0usize;
+    for j in 0..n {
+        if involved[j] {
+            remap[j] = Some(dim);
+            dim += 1;
+        } else {
+            factor *= hi[j] - lo[j];
+        }
+    }
+    if factor == 0.0 {
+        return Some((0.0, 0, Vec::new()));
+    }
+    let mut out_rows: Vec<Row> = Vec::new();
+    for (a, b) in &coupled {
+        let mut na = vec![0.0; dim];
+        for j in 0..n {
+            if let Some(k) = remap[j] {
+                na[k] = a[j];
+            }
+        }
+        out_rows.push((na, *b));
+    }
+    for j in 0..n {
+        if let Some(k) = remap[j] {
+            if hi[j].is_finite() {
+                let mut up = vec![0.0; dim];
+                up[k] = 1.0;
+                out_rows.push((up, hi[j]));
+            }
+            if lo[j].is_finite() {
+                let mut down = vec![0.0; dim];
+                down[k] = -1.0;
+                out_rows.push((down, -lo[j]));
+            }
+        }
+    }
+    Some((factor, dim, out_rows))
+}
+
+/// Normalises and deduplicates rows without LP calls.
+fn dedup_rows(rows: &[Row]) -> Vec<Row> {
+    let mut kept: Vec<Row> = Vec::new();
+    'next: for (a, b) in rows {
+        let norm = a.iter().map(|x| x * x).sum::<f64>().sqrt();
+        if norm <= EPS {
+            continue;
+        }
+        let na: Vec<f64> = a.iter().map(|x| x / norm).collect();
+        let nb = b / norm;
+        for (ka, kb) in &mut kept {
+            if ka.iter().zip(&na).all(|(x, y)| (x - y).abs() < 1e-9) {
+                *kb = kb.min(nb);
+                continue 'next;
+            }
+        }
+        kept.push((na, nb));
+    }
+    kept
+}
+
+/// Length of the 1-D feasible interval of `rows`.
+fn interval_length_1d(rows: &[Row]) -> f64 {
+    let mut lo = f64::NEG_INFINITY;
+    let mut hi = f64::INFINITY;
+    for (a, b) in rows {
+        let a = a[0];
+        if a.abs() <= EPS {
+            if *b < -EPS {
+                return 0.0;
+            }
+            continue;
+        }
+        let bound = b / a;
+        if a > 0.0 {
+            hi = hi.min(bound);
+        } else {
+            lo = lo.max(bound);
+        }
+    }
+    if hi.is_infinite() || lo.is_infinite() {
+        return f64::INFINITY;
+    }
+    (hi - lo).max(0.0)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::simplex;
+    use crate::simplex::{self, LpScratch};
     use proptest::collection::vec;
     use proptest::prelude::*;
 
@@ -368,7 +493,10 @@ mod tests {
         (c, rows)
     }
 
-    fn lp_material() -> impl Strategy<Value = (usize, usize, usize, Vec<f64>, Vec<f64>)> {
+    /// `(dim, shape, n_rows, coefs, rhs)` for [`build_lp`].
+    type LpMaterial = (usize, usize, usize, Vec<f64>, Vec<f64>);
+
+    fn lp_material() -> impl Strategy<Value = LpMaterial> {
         (
             2usize..7,
             0usize..3,
@@ -380,7 +508,7 @@ mod tests {
 
     /// A unit cube of dimension `dim` cut by one plane that couples every
     /// variable, its duplicate, rescaled and near-duplicate copies, and up
-    /// to two further random cuts (rhs below zero included).
+    /// to six further random cuts (rhs below zero included).
     fn build_polytope(dim: usize, extra: usize, coefs: &[f64], rhs: &[f64]) -> HPolytope {
         let mut p = HPolytope::unit_cube(dim);
         // |coefficient| ≥ 0.2 keeps every variable coupled.
@@ -399,58 +527,128 @@ mod tests {
         p
     }
 
+    /// `(dim, extra, coefs, rhs)` for [`build_polytope`].
+    type PolytopeMaterial = (usize, usize, Vec<f64>, Vec<f64>);
+
+    /// Coupled dimension 2–7 (the pedestrian runs at `exact_dim_cap = 7`)
+    /// and 0–6 extra cuts.
+    fn polytope_material() -> impl Strategy<Value = PolytopeMaterial> {
+        (
+            2usize..8,
+            0usize..7,
+            vec(-0.8f64..0.8, 49),
+            vec(-0.5f64..1.5, 7),
+        )
+    }
+
+    /// The flat simplex (owned and borrowed rows, fixed and free
+    /// variables) against the nested-vector oracle.
+    fn check_simplex(lp: LpMaterial, max: bool) {
+        let (dim, shape, n_rows, coefs, rhs) = lp;
+        let (c, rows) = build_lp(dim, shape, n_rows, &coefs, &rhs);
+        let flat = simplex::solve_lp(&c, max, &rows, dim);
+        assert_eq!(
+            outcome_bits(&flat),
+            outcome_bits(&solve_lp(&c, max, &rows, dim))
+        );
+        let flat_free = simplex::solve_lp_free(&c, max, &rows, dim);
+        assert_eq!(
+            outcome_bits(&flat_free),
+            outcome_bits(&solve_lp_free(&c, max, &rows, dim))
+        );
+        // Borrowed rows take the same path as owned ones.
+        let borrowed: Vec<&Row> = rows.iter().collect();
+        assert_eq!(
+            outcome_bits(&simplex::solve_lp_free(&c, max, &borrowed, dim)),
+            outcome_bits(&flat_free)
+        );
+    }
+
+    /// The memoized flat recursion and the LP-based redundancy removal
+    /// against the oracle recursion and the cloning removal.
+    fn check_polytope((dim, extra, coefs, rhs): PolytopeMaterial) {
+        let p = build_polytope(dim, extra, &coefs, &rhs);
+        assert_eq!(p.coupled_dim(), dim);
+        let v = p.volume_lasserre();
+        assert_eq!(v.to_bits(), volume_lasserre(&p).to_bits(), "{p:?}");
+        let (lo, hi) = p.volume_range(8, 100);
+        assert_eq!((lo.to_bits(), hi.to_bits()), (v.to_bits(), v.to_bits()));
+        let pruned = p.without_redundant_rows();
+        let mut oracle = HPolytope::nonneg_orthant(dim);
+        for (a, b) in without_redundant_rows(&p) {
+            oracle.add_constraint(a, b);
+        }
+        assert!(pruned.bit_eq(&oracle));
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(200))]
         #[test]
         fn flat_simplex_matches_the_nested_oracle_bit_for_bit(
-            (dim, shape, n_rows, coefs, rhs) in lp_material(),
+            lp in lp_material(),
             maximize in 0usize..2,
         ) {
-            let (c, rows) = build_lp(dim, shape, n_rows, &coefs, &rhs);
-            let max = maximize == 1;
-            let flat = simplex::solve_lp(&c, max, &rows, dim);
-            prop_assert_eq!(outcome_bits(&flat), outcome_bits(&solve_lp(&c, max, &rows, dim)));
-            let flat_free = simplex::solve_lp_free(&c, max, &rows, dim);
-            prop_assert_eq!(
-                outcome_bits(&flat_free),
-                outcome_bits(&solve_lp_free(&c, max, &rows, dim))
-            );
-            // Borrowed rows take the same path as owned ones.
-            let borrowed: Vec<&Row> = rows.iter().collect();
-            prop_assert_eq!(
-                outcome_bits(&simplex::solve_lp_free(&c, max, &borrowed, dim)),
-                outcome_bits(&flat_free)
-            );
+            check_simplex(lp, maximize == 1);
         }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(40))]
         #[test]
-        fn memoized_recursion_matches_the_oracle_bit_for_bit(
-            dim in 2usize..7,
-            extra in 0usize..3,
-            coefs in vec(-0.8f64..0.8, 24),
-            rhs in vec(-0.5f64..1.5, 3),
+        fn memoized_recursion_matches_the_oracle_bit_for_bit(material in polytope_material()) {
+            check_polytope(material);
+        }
+    }
+
+    // Soak copies of the two bit-identity properties: 2,000 cases each on
+    // their own random streams, too slow for a debug `cargo test`. CI
+    // runs them in release with `--ignored`.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2_000))]
+        #[test]
+        #[ignore = "soak: cargo test --release -p gubpi-polytope -- --ignored"]
+        fn flat_simplex_soak(lp in lp_material(), maximize in 0usize..2) {
+            check_simplex(lp, maximize == 1);
+        }
+
+        #[test]
+        #[ignore = "soak: cargo test --release -p gubpi-polytope -- --ignored"]
+        fn memoized_recursion_soak(material in polytope_material()) {
+            check_polytope(material);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(40))]
+        /// One scratch carried through a sequence of LPs of varying size,
+        /// fixed and free, there and back (so every size is met after a
+        /// larger and after a smaller one), solves each exactly like a
+        /// fresh scratch and the oracle: no tableau, basis or cost entry
+        /// of an earlier LP leaks into a later one.
+        #[test]
+        fn a_reused_scratch_solves_like_a_fresh_one(
+            seq in vec((lp_material(), 0usize..2, 0usize..2), 1..10),
         ) {
-            let p = build_polytope(dim, extra, &coefs, &rhs);
-            prop_assert_eq!(p.coupled_dim(), dim);
-            let v = p.volume_lasserre();
-            prop_assert_eq!(v.to_bits(), volume_lasserre(&p).to_bits(), "{:?}", p);
-            let (lo, hi) = p.volume_range(8, 100);
-            prop_assert_eq!((lo.to_bits(), hi.to_bits()), (v.to_bits(), v.to_bits()));
-            let pruned = p.without_redundant_rows();
-            let mut oracle = HPolytope::nonneg_orthant(dim);
-            for (a, b) in without_redundant_rows(&p) {
-                oracle.add_constraint(a, b);
+            let mut scratch = LpScratch::default();
+            for ((dim, shape, n_rows, coefs, rhs), maximize, free) in seq.iter().chain(seq.iter().rev()) {
+                let (c, rows) = build_lp(*dim, *shape, *n_rows, coefs, rhs);
+                let (max, free) = (*maximize == 1, *free == 1);
+                let reused = simplex::solve_in(&c, max, &rows, *dim, free, &mut scratch);
+                let fresh = simplex::solve_in(&c, max, &rows, *dim, free, &mut LpScratch::default());
+                let oracle = if free {
+                    solve_lp_free(&c, max, &rows, *dim)
+                } else {
+                    solve_lp(&c, max, &rows, *dim)
+                };
+                prop_assert_eq!(outcome_bits(&reused), outcome_bits(&fresh));
+                prop_assert_eq!(outcome_bits(&reused), outcome_bits(&oracle));
             }
-            prop_assert!(pruned.bit_eq(&oracle));
         }
     }
 
     /// The generators above reach every outcome the comparisons must
     /// cover: optimal, infeasible and unbounded LPs for both solvers,
-    /// empty and non-empty polytopes, and every coupled dimension 2–6.
+    /// empty and non-empty polytopes, and every coupled dimension 2–7.
     #[test]
     fn generators_cover_every_outcome() {
         let mut rng = proptest::TestRng::from_name("generators_cover_every_outcome");
@@ -474,13 +672,12 @@ mod tests {
             "[solver][infeasible, unbounded, optimal]"
         );
 
-        let mut dims = [false; 7];
+        let mut dims = [false; 8];
         let (mut empty, mut nonempty) = (false, false);
+        let material = polytope_material();
         for _ in 0..60 {
-            let dim = (2usize..7).gen_value(&mut rng);
-            let coefs = vec(-0.8f64..0.8, 24).gen_value(&mut rng);
-            let rhs = vec(-0.5f64..1.5, 3).gen_value(&mut rng);
-            let p = build_polytope(dim, 2, &coefs, &rhs);
+            let (dim, extra, coefs, rhs) = material.gen_value(&mut rng);
+            let p = build_polytope(dim, extra, &coefs, &rhs);
             dims[p.coupled_dim()] = true;
             if p.volume_lasserre() > 0.0 {
                 nonempty = true;
@@ -488,7 +685,7 @@ mod tests {
                 empty = true;
             }
         }
-        assert_eq!(&dims[2..], &[true; 5]);
+        assert_eq!(&dims[2..], &[true; 6]);
         assert!(empty && nonempty);
     }
 }

@@ -7,11 +7,15 @@
 //! absolute (`1e-9`), adequate for the small well-scaled systems produced
 //! by the analyzer.
 //!
-//! Each solve works on one contiguous row-major tableau. Free variables
+//! Every solve runs one core on the buffers of an `LpScratch`: a
+//! contiguous row-major tableau, its basis and a cost row. A caller that
+//! solves many LPs (redundancy removal solves one per row) keeps one
+//! scratch and allocates nothing per LP. The core reads constraint rows
+//! through an accessor, so an "every row but one" system is a list of row
+//! indices, not a copy of the rows, and free variables
 //! (`solve_lp_free`) are split as `x = u − v` while the tableau is
-//! filled, and callers may pass borrowed rows (`&[&Row]`), so a
-//! "every row but one" system costs a vector of references, not a copy
-//! of the rows.
+//! filled. The optimal point is read off the tableau only by the
+//! callers that want it.
 
 use std::borrow::Borrow;
 
@@ -40,7 +44,7 @@ const EPS: f64 = 1e-9;
 ///
 /// Panics on dimension mismatches.
 pub fn solve_lp<R: Borrow<Row>>(c: &[f64], maximize: bool, rows: &[R], dim: usize) -> LpOutcome {
-    solve(c, maximize, rows, dim, false)
+    solve_in(c, maximize, rows, dim, false, &mut LpScratch::default())
 }
 
 /// Solves `optimize c·x` s.t. `rows[i].0 · x ≤ rows[i].1` with **free**
@@ -56,142 +60,193 @@ pub fn solve_lp_free<R: Borrow<Row>>(
     rows: &[R],
     dim: usize,
 ) -> LpOutcome {
-    solve(c, maximize, rows, dim, true)
+    solve_in(c, maximize, rows, dim, true, &mut LpScratch::default())
 }
 
-fn solve<R: Borrow<Row>>(
+/// [`solve_lp`] (`free = false`) or [`solve_lp_free`] (`free = true`)
+/// on the buffers of `s`, with the optimal point.
+pub(crate) fn solve_in<R: Borrow<Row>>(
     c: &[f64],
     maximize: bool,
     rows: &[R],
     dim: usize,
     free: bool,
+    s: &mut LpScratch,
 ) -> LpOutcome {
-    assert_eq!(c.len(), dim, "objective dimension mismatch");
-    let row_at = |i: usize| -> &Row { rows[i].borrow() };
-    for i in 0..rows.len() {
-        assert_eq!(row_at(i).0.len(), dim, "row dimension mismatch");
-    }
-    let m = rows.len();
-    // Structural columns: `x`, or `u | v` for free variables.
-    let nx = if free { 2 * dim } else { dim };
-
-    // Columns: nx structural | m slacks | artificials… ; plus rhs.
-    // Rows with negative rhs are negated (slack coeff −1) and get an
-    // artificial basic variable.
-    let n_art = (0..m).filter(|&i| row_at(i).1 < 0.0).count();
-    let ncols = nx + m + n_art;
-    let mut t = Tableau {
-        a: vec![0.0f64; m * (ncols + 1)],
-        width: ncols + 1,
-        basis: vec![0usize; m],
+    let row = |i: usize| {
+        let (a, b): &Row = rows[i].borrow();
+        (a.as_slice(), *b)
     };
-    let mut art_col = nx + m;
-    for i in 0..m {
-        let (coef, b) = row_at(i);
-        let neg = *b < 0.0;
-        let sign = if neg { -1.0 } else { 1.0 };
-        let row = t.row_mut(i);
-        for (j, &w) in coef.iter().enumerate() {
-            row[j] = sign * w;
-            if free {
-                row[dim + j] = sign * -w;
-            }
-        }
-        row[nx + i] = sign; // slack
-        row[ncols] = sign * b;
-        if neg {
-            row[art_col] = 1.0;
-            t.basis[i] = art_col;
-            art_col += 1;
-        } else {
-            t.basis[i] = nx + i;
-        }
+    match s.solve(c, maximize, free, dim, rows.len(), row) {
+        LpValue::Infeasible => LpOutcome::Infeasible,
+        LpValue::Unbounded => LpOutcome::Unbounded,
+        LpValue::Optimal(v) => LpOutcome::Optimal(v, s.point(dim, free)),
     }
-
-    // ---- Phase 1: minimize the sum of artificials -----------------------
-    if n_art > 0 {
-        let mut cost = vec![0.0f64; ncols + 1];
-        cost[nx + m..ncols].fill(1.0);
-        // Zero out basic (artificial) columns of the cost row.
-        for i in 0..m {
-            if t.basis[i] >= nx + m {
-                for (cj, &aij) in cost.iter_mut().zip(t.row(i)) {
-                    *cj -= aij;
-                }
-            }
-        }
-        if t.iterate(&mut cost, ncols).is_err() {
-            // Phase-1 objective is bounded below by 0; unboundedness here
-            // signals numerical trouble — report infeasible conservatively.
-            return LpOutcome::Infeasible;
-        }
-        let z1 = -cost[ncols];
-        if z1 > 1e-7 {
-            return LpOutcome::Infeasible;
-        }
-        // Drive any degenerate artificials out of the basis.
-        for i in 0..m {
-            if t.basis[i] >= nx + m {
-                if let Some(j) = t.row(i)[..nx + m].iter().position(|x| x.abs() > EPS) {
-                    t.pivot(i, j, None);
-                }
-                // If no pivot column exists the row is all-zero
-                // (redundant); leaving the artificial basic at value 0 is
-                // harmless for phase 2 since its column is never entered.
-            }
-        }
-    }
-
-    // ---- Phase 2 ---------------------------------------------------------
-    // Minimize cmin·x where cmin = −c for maximisation (and `v` carries
-    // the negated objective of a free variable).
-    let mut cost = vec![0.0f64; ncols + 1];
-    for (j, &cj) in c.iter().enumerate() {
-        cost[j] = if maximize { -cj } else { cj };
-        if free {
-            cost[dim + j] = if maximize { cj } else { -cj };
-        }
-    }
-    // Forbid artificials from re-entering.
-    cost[nx + m..ncols].fill(f64::INFINITY);
-    // Express the cost row in terms of non-basic variables.
-    for i in 0..m {
-        let factor = cost[t.basis[i]];
-        if factor != 0.0 && factor.is_finite() {
-            for (cj, &aij) in cost.iter_mut().zip(t.row(i)) {
-                if cj.is_finite() {
-                    *cj -= factor * aij;
-                }
-            }
-        }
-    }
-    if t.iterate(&mut cost, ncols).is_err() {
-        return LpOutcome::Unbounded;
-    }
-
-    // Read the solution.
-    let mut x = vec![0.0f64; nx];
-    for i in 0..m {
-        if t.basis[i] < nx {
-            x[t.basis[i]] = t.row(i)[ncols];
-        }
-    }
-    if free {
-        x = (0..dim).map(|i| x[i] - x[dim + i]).collect();
-    }
-    let z_min = -cost[ncols];
-    let value = if maximize { -z_min } else { z_min };
-    LpOutcome::Optimal(value, x)
 }
 
-/// A row-major `m × width` simplex tableau with its basis.
-struct Tableau {
+/// An [`LpOutcome`] without the optimal point.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) enum LpValue {
+    Infeasible,
+    Unbounded,
+    Optimal(f64),
+}
+
+/// Reusable buffers of the simplex core: a row-major tableau of `width`
+/// columns (the last one the rhs), its basis, and a cost row. Every
+/// solve overwrites all three before reading them.
+#[derive(Default)]
+pub(crate) struct LpScratch {
     a: Vec<f64>,
     width: usize,
     basis: Vec<usize>,
+    cost: Vec<f64>,
 }
 
-impl Tableau {
+impl LpScratch {
+    /// Solves `optimize c·x` s.t. `row(i).0 · x ≤ row(i).1` for
+    /// `i < m`, over `x ≥ 0`, or over free `x` when `free` is set. The
+    /// optimal point stays in the tableau; [`LpScratch::point`] reads it.
+    ///
+    /// # Panics
+    ///
+    /// Panics on dimension mismatches.
+    pub(crate) fn solve<'r>(
+        &mut self,
+        c: &[f64],
+        maximize: bool,
+        free: bool,
+        dim: usize,
+        m: usize,
+        row: impl Fn(usize) -> (&'r [f64], f64),
+    ) -> LpValue {
+        assert_eq!(c.len(), dim, "objective dimension mismatch");
+        for i in 0..m {
+            assert_eq!(row(i).0.len(), dim, "row dimension mismatch");
+        }
+        // Structural columns: `x`, or `u | v` for free variables.
+        let nx = if free { 2 * dim } else { dim };
+
+        // Columns: nx structural | m slacks | artificials… ; plus rhs.
+        // Rows with negative rhs are negated (slack coeff −1) and get an
+        // artificial basic variable.
+        let n_art = (0..m).filter(|&i| row(i).1 < 0.0).count();
+        let ncols = nx + m + n_art;
+        self.width = ncols + 1;
+        self.a.clear();
+        self.a.resize(m * self.width, 0.0);
+        self.basis.clear();
+        self.basis.resize(m, 0);
+        let mut art_col = nx + m;
+        for i in 0..m {
+            let (coef, b) = row(i);
+            let neg = b < 0.0;
+            let sign = if neg { -1.0 } else { 1.0 };
+            let r = self.row_mut(i);
+            for (j, &w) in coef.iter().enumerate() {
+                r[j] = sign * w;
+                if free {
+                    r[dim + j] = sign * -w;
+                }
+            }
+            r[nx + i] = sign; // slack
+            r[ncols] = sign * b;
+            if neg {
+                r[art_col] = 1.0;
+                self.basis[i] = art_col;
+                art_col += 1;
+            } else {
+                self.basis[i] = nx + i;
+            }
+        }
+
+        // ---- Phase 1: minimize the sum of artificials -------------------
+        if n_art > 0 {
+            self.cost.clear();
+            self.cost.resize(ncols + 1, 0.0);
+            self.cost[nx + m..ncols].fill(1.0);
+            // Zero out basic (artificial) columns of the cost row.
+            for i in 0..m {
+                if self.basis[i] >= nx + m {
+                    let r = &self.a[i * self.width..(i + 1) * self.width];
+                    for (cj, &aij) in self.cost.iter_mut().zip(r) {
+                        *cj -= aij;
+                    }
+                }
+            }
+            if self.iterate(ncols).is_err() {
+                // Phase-1 objective is bounded below by 0; unboundedness
+                // here signals numerical trouble — report infeasible
+                // conservatively.
+                return LpValue::Infeasible;
+            }
+            let z1 = -self.cost[ncols];
+            if z1 > 1e-7 {
+                return LpValue::Infeasible;
+            }
+            // Drive any degenerate artificials out of the basis.
+            for i in 0..m {
+                if self.basis[i] >= nx + m {
+                    if let Some(j) = self.row(i)[..nx + m].iter().position(|x| x.abs() > EPS) {
+                        self.pivot(i, j, false);
+                    }
+                    // If no pivot column exists the row is all-zero
+                    // (redundant); leaving the artificial basic at value 0
+                    // is harmless for phase 2 since its column is never
+                    // entered.
+                }
+            }
+        }
+
+        // ---- Phase 2 -----------------------------------------------------
+        // Minimize cmin·x where cmin = −c for maximisation (and `v`
+        // carries the negated objective of a free variable).
+        self.cost.clear();
+        self.cost.resize(ncols + 1, 0.0);
+        for (j, &cj) in c.iter().enumerate() {
+            self.cost[j] = if maximize { -cj } else { cj };
+            if free {
+                self.cost[dim + j] = if maximize { cj } else { -cj };
+            }
+        }
+        // Forbid artificials from re-entering.
+        self.cost[nx + m..ncols].fill(f64::INFINITY);
+        // Express the cost row in terms of non-basic variables.
+        for i in 0..m {
+            let factor = self.cost[self.basis[i]];
+            if factor != 0.0 && factor.is_finite() {
+                let r = &self.a[i * self.width..(i + 1) * self.width];
+                for (cj, &aij) in self.cost.iter_mut().zip(r) {
+                    if cj.is_finite() {
+                        *cj -= factor * aij;
+                    }
+                }
+            }
+        }
+        if self.iterate(ncols).is_err() {
+            return LpValue::Unbounded;
+        }
+        let z_min = -self.cost[ncols];
+        LpValue::Optimal(if maximize { -z_min } else { z_min })
+    }
+
+    /// The optimal point of the last [`LpScratch::solve`] that returned
+    /// [`LpValue::Optimal`], for the same `dim` and `free`.
+    pub(crate) fn point(&self, dim: usize, free: bool) -> Vec<f64> {
+        let nx = if free { 2 * dim } else { dim };
+        let rhs = self.width - 1;
+        let mut x = vec![0.0f64; nx];
+        for (i, &bi) in self.basis.iter().enumerate() {
+            if bi < nx {
+                x[bi] = self.row(i)[rhs];
+            }
+        }
+        if free {
+            x = (0..dim).map(|i| x[i] - x[dim + i]).collect();
+        }
+        x
+    }
+
     fn row(&self, i: usize) -> &[f64] {
         &self.a[i * self.width..(i + 1) * self.width]
     }
@@ -200,11 +255,12 @@ impl Tableau {
         &mut self.a[i * self.width..(i + 1) * self.width]
     }
 
-    /// Runs simplex iterations until optimal (`Ok`) or unbounded (`Err`).
-    fn iterate(&mut self, cost: &mut [f64], ncols: usize) -> Result<(), ()> {
+    /// Runs simplex iterations on the cost row until optimal (`Ok`) or
+    /// unbounded (`Err`).
+    fn iterate(&mut self, ncols: usize) -> Result<(), ()> {
         for _round in 0..100_000 {
             // Bland: entering column = smallest index with negative reduced cost.
-            let Some(col) = cost[..ncols]
+            let Some(col) = self.cost[..ncols]
                 .iter()
                 .position(|&cj| cj.is_finite() && cj < -EPS)
             else {
@@ -230,15 +286,16 @@ impl Tableau {
             let Some((row, _)) = leave else {
                 return Err(()); // unbounded
             };
-            self.pivot(row, col, Some(cost));
+            self.pivot(row, col, true);
         }
         // Iteration limit: treat as optimal-enough; Bland's rule should
         // prevent reaching this for the problem sizes at hand.
         Ok(())
     }
 
-    /// Pivots the tableau (and the cost row, if any) on `(row, col)`.
-    fn pivot(&mut self, row: usize, col: usize, cost: Option<&mut [f64]>) {
+    /// Pivots the tableau (and the cost row, if `with_cost`) on
+    /// `(row, col)`.
+    fn pivot(&mut self, row: usize, col: usize, with_cost: bool) {
         let w = self.width;
         let (head, rest) = self.a.split_at_mut(row * w);
         let (prow, tail) = rest.split_at_mut(w);
@@ -256,7 +313,8 @@ impl Tableau {
                 r[col] = 0.0;
             }
         }
-        if let Some(cost) = cost {
+        if with_cost {
+            let cost = &mut self.cost;
             let f = cost[col];
             if f.is_finite() && f != 0.0 {
                 for (cj, &y) in cost.iter_mut().zip(prow.iter()) {

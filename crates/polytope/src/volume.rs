@@ -28,10 +28,12 @@
 //! returns the very bits a recomputation would. The memo lives for one
 //! call and is passed down by `&mut`; nothing is shared between calls.
 //!
-//! The LP-based redundancy removal hands the simplex solver borrowed
-//! rows, and the solver runs on one flat tableau per LP (see
-//! [`crate::simplex`]), with the same pivot order as a nested-vector
-//! tableau.
+//! The recursion allocates per call, not per node: a row system is one
+//! flat row-major buffer, every recursion depth owns one set of reused
+//! buffers, and the LP-based redundancy removal addresses its rows by
+//! index and runs every LP on one reused simplex scratch (see
+//! [`crate::simplex`]). The floating-point operations and their order
+//! are those of the plain recursion over row lists.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
@@ -39,7 +41,7 @@ use std::collections::{BinaryHeap, HashMap};
 use gubpi_interval::BoxN;
 
 use crate::hpoly::{irredundant_mask, HPolytope};
-use crate::simplex::{solve_lp_free, LpOutcome, Row};
+use crate::simplex::{LpScratch, LpValue, Row};
 use crate::LinExpr;
 
 const EPS: f64 = 1e-9;
@@ -60,7 +62,7 @@ impl HPolytope {
         if red.rows.is_empty() {
             return red.factor;
         }
-        red.factor * vol_rec(&red.rows, red.dim, 2, &mut FaceMemo::new())
+        red.factor * lasserre(&red.rows, red.dim)
     }
 
     /// The number of variables involved in non-axis-aligned constraints —
@@ -80,7 +82,7 @@ impl HPolytope {
             return (red.factor, red.factor);
         }
         if red.dim <= exact_dim_cap {
-            let v = red.factor * vol_rec(&red.rows, red.dim, 2, &mut FaceMemo::new());
+            let v = red.factor * lasserre(&red.rows, red.dim);
             (v, v)
         } else {
             // Rebuild the reduced polytope for box subdivision. The rows
@@ -295,37 +297,95 @@ impl Ord for VolBox {
 /// Faces measured so far in one top-level volume call: the exact bits
 /// of `(lp_levels, dim, rows)` after axis reduction, mapped to the
 /// face's volume before its axis factor (`None`: no bounding rows).
-pub(crate) type FaceMemo = HashMap<Vec<u64>, Option<f64>>;
+type FaceMemo = HashMap<Vec<u64>, Option<f64>>;
 
-/// Recursive volume of `{x | rows}` (variables are free; all bounds must
-/// be explicit rows). `lp_levels` controls how many recursion levels
-/// still run LP-based redundancy removal; below that, only cheap
-/// normalisation/deduplication and axis reduction are used — projections
-/// turn coupled rows into per-variable bounds, which the reduction then
-/// eliminates, keeping the branching factor small.
-fn vol_rec(rows: &[Row], dim: usize, lp_levels: u32, memo: &mut FaceMemo) -> f64 {
-    // Per-level axis-aligned reduction over *free* variables.
-    let Some(red) = reduce_rows_free(rows, dim) else {
+/// What one top-level volume call shares across every recursion depth:
+/// the face memo and the scratch of the redundancy LPs (which never
+/// nest).
+#[derive(Default)]
+struct CallState {
+    memo: FaceMemo,
+    lp: LpScratch,
+}
+
+/// The buffers of one recursion depth, reused by every node at that
+/// depth. A row system is one row-major `Vec<f64>` of stride `dim + 1`:
+/// a row's coefficients, then its rhs.
+#[derive(Default)]
+struct Level {
+    /// Per-variable bounds of the axis rows of the input.
+    lo: Vec<f64>,
+    hi: Vec<f64>,
+    /// Indices of the input's coupled rows.
+    coupled: Vec<usize>,
+    /// Variables that some coupled row involves.
+    involved: Vec<bool>,
+    /// The axis-reduced rows, the memo key's rows.
+    rows: Vec<f64>,
+    /// `rows` normalised, deduplicated and (with LP levels left) pruned.
+    kept: Vec<f64>,
+    /// Redundancy flags and "the other rows" of the per-row LPs.
+    keep: Vec<bool>,
+    others: Vec<usize>,
+    /// The kept rows projected onto the current facet: the input of the
+    /// next depth.
+    child: Vec<f64>,
+    /// The face key of `rows`.
+    key: Vec<u64>,
+}
+
+/// Exact volume of `{x | rows}` over free variables, for an axis-reduced
+/// row system over `dim` variables: one [`Level`] per recursion depth
+/// (the dimension drops by at least one per depth), a fresh face memo.
+fn lasserre(rows: &[Row], dim: usize) -> f64 {
+    let mut src = Vec::with_capacity(rows.len() * (dim + 1));
+    for (a, b) in rows {
+        src.extend_from_slice(a);
+        src.push(*b);
+    }
+    let mut levels: Vec<Level> = (0..dim.max(1)).map(|_| Level::default()).collect();
+    vol_rec(&src, dim, 2, &mut levels, &mut CallState::default())
+}
+
+/// Recursive volume of the flat row system `src` over `n` free variables
+/// (all bounds must be explicit rows). `lp_levels` controls how many
+/// recursion levels still run LP-based redundancy removal; below that,
+/// only cheap normalisation/deduplication and axis reduction are used —
+/// projections turn coupled rows into per-variable bounds, which the
+/// reduction then eliminates, keeping the branching factor small.
+fn vol_rec(
+    src: &[f64],
+    n: usize,
+    lp_levels: u32,
+    levels: &mut [Level],
+    call: &mut CallState,
+) -> f64 {
+    let (lvl, deeper) = levels
+        .split_first_mut()
+        .expect("one level per recursion depth");
+    let Some((factor, dim)) = lvl.reduce(src, n) else {
         return 0.0;
     };
-    let factor = red.factor;
     if factor == 0.0 {
         return 0.0;
     }
-    let dim = red.dim;
-    let rows = red.rows;
     if dim == 0 {
         return factor;
     }
     if dim == 1 {
-        return factor * interval_length_1d(&rows);
+        return factor * interval_length_1d(&lvl.rows);
     }
-    let key = face_key(lp_levels, dim, &rows);
-    let face = match memo.get(&key) {
+    // The exact bits of this node. Every row has `dim` coefficients, so
+    // the row boundaries are implied.
+    lvl.key.clear();
+    lvl.key.push(u64::from(lp_levels));
+    lvl.key.push(dim as u64);
+    lvl.key.extend(lvl.rows.iter().map(|x| x.to_bits()));
+    let face = match call.memo.get(lvl.key.as_slice()) {
         Some(&v) => v,
         None => {
-            let v = facet_sum(&rows, dim, lp_levels, memo);
-            memo.insert(key, v);
+            let v = facet_sum(lvl, dim, lp_levels, deeper, call);
+            call.memo.insert(lvl.key.clone(), v);
             v
         }
     };
@@ -335,33 +395,27 @@ fn vol_rec(rows: &[Row], dim: usize, lp_levels: u32, memo: &mut FaceMemo) -> f64
     }
 }
 
-/// The exact bits of one recursion node. Every row has `dim`
-/// coefficients, so the row boundaries are implied.
-fn face_key(lp_levels: u32, dim: usize, rows: &[Row]) -> Vec<u64> {
-    let mut key = Vec::with_capacity(2 + rows.len() * (dim + 1));
-    key.push(u64::from(lp_levels));
-    key.push(dim as u64);
-    for (a, b) in rows {
-        key.extend(a.iter().map(|x| x.to_bits()));
-        key.push(b.to_bits());
+/// `(1/n) Σᵢ (bᵢ / |a_ik|) · vol_{n−1}(Fᵢ)` over the facets of the
+/// axis-reduced rows `lvl.rows` of dimension `dim ≥ 2`, clamped at 0;
+/// `None` when no row survives simplification.
+fn facet_sum(
+    lvl: &mut Level,
+    dim: usize,
+    lp_levels: u32,
+    deeper: &mut [Level],
+    call: &mut CallState,
+) -> Option<f64> {
+    let w = dim + 1;
+    dedup_rows(&lvl.rows, dim, &mut lvl.kept);
+    if lp_levels > 0 {
+        drop_redundant_rows(lvl, dim, &mut call.lp);
     }
-    key
-}
-
-/// `(1/n) Σᵢ (bᵢ / |a_ik|) · vol_{n−1}(Fᵢ)` over the facets of an
-/// axis-reduced row system of dimension `dim ≥ 2`, clamped at 0; `None`
-/// when no row survives simplification.
-fn facet_sum(rows: &[Row], dim: usize, lp_levels: u32, memo: &mut FaceMemo) -> Option<f64> {
-    let rows = if lp_levels > 0 {
-        simplify_rows(rows, dim)
-    } else {
-        dedup_rows(rows)
-    };
-    if rows.is_empty() {
+    if lvl.kept.is_empty() {
         return None;
     }
     let mut total = 0.0f64;
-    for (i, (a, b)) in rows.iter().enumerate() {
+    for (i, row) in lvl.kept.chunks_exact(w).enumerate() {
+        let (a, b) = (&row[..dim], row[dim]);
         // Pivot coordinate: largest |a_k| for numerical stability.
         let (k, ak) = match a
             .iter()
@@ -377,23 +431,26 @@ fn facet_sum(rows: &[Row], dim: usize, lp_levels: u32, memo: &mut FaceMemo) -> O
         }
         // Project every other row onto the hyperplane a·x = b by
         // substituting x_k = (b − Σ_{j≠k} a_j x_j) / a_k.
-        let mut sub_rows: Vec<Row> = Vec::with_capacity(rows.len() - 1);
-        for (j, (c, d)) in rows.iter().enumerate() {
+        lvl.child.clear();
+        for (j, r) in lvl.kept.chunks_exact(w).enumerate() {
             if j == i {
                 continue;
             }
-            let ck = c[k];
-            let mut new_c = Vec::with_capacity(dim - 1);
+            let ck = r[k];
             for t in 0..dim {
-                if t == k {
-                    continue;
+                if t != k {
+                    lvl.child.push(r[t] - ck * a[t] / ak);
                 }
-                new_c.push(c[t] - ck * a[t] / ak);
             }
-            let new_d = d - ck * b / ak;
-            sub_rows.push((new_c, new_d));
+            lvl.child.push(r[dim] - ck * b / ak);
         }
-        let facet_proj_vol = vol_rec(&sub_rows, dim - 1, lp_levels.saturating_sub(1), memo);
+        let facet_proj_vol = vol_rec(
+            &lvl.child,
+            dim - 1,
+            lp_levels.saturating_sub(1),
+            deeper,
+            call,
+        );
         if facet_proj_vol.is_finite() && facet_proj_vol > 0.0 {
             total += (b / ak.abs()) * facet_proj_vol;
         }
@@ -401,126 +458,166 @@ fn facet_sum(rows: &[Row], dim: usize, lp_levels: u32, memo: &mut FaceMemo) -> O
     Some((total / dim as f64).max(0.0))
 }
 
-/// Axis-aligned reduction for rows over *free* variables (no implicit
-/// orthant). Returns `None` when the per-variable bounds alone are
-/// infeasible; uninvolved variables with unbounded width make the factor
-/// infinite.
-pub(crate) fn reduce_rows_free(rows: &[Row], n: usize) -> Option<Reduced> {
-    let mut lo = vec![f64::NEG_INFINITY; n];
-    let mut hi = vec![f64::INFINITY; n];
-    let mut coupled: Vec<(Vec<f64>, f64)> = Vec::new();
-    for (a, b) in rows {
-        let nz: Vec<usize> = (0..n).filter(|&j| a[j].abs() > EPS).collect();
-        match nz.len() {
-            0 => {
-                if *b < -EPS {
-                    return None;
+impl Level {
+    /// Axis-aligned reduction of the flat rows `src` over `n` *free*
+    /// variables (no implicit orthant) into `self.rows`: per-variable
+    /// bounds from single-coordinate rows, variables no coupled row
+    /// involves dropped (their widths multiply into the returned factor,
+    /// infinite for an unbounded one), the rest renumbered in order with
+    /// their finite bounds as explicit rows after the coupled rows.
+    /// Returns `(factor, dim)`, or `None` when the per-variable bounds
+    /// alone are infeasible; a zero factor leaves `self.rows` stale.
+    fn reduce(&mut self, src: &[f64], n: usize) -> Option<(f64, usize)> {
+        let w = n + 1;
+        self.lo.clear();
+        self.lo.resize(n, f64::NEG_INFINITY);
+        self.hi.clear();
+        self.hi.resize(n, f64::INFINITY);
+        self.coupled.clear();
+        for (r, row) in src.chunks_exact(w).enumerate() {
+            let (a, b) = (&row[..n], row[n]);
+            let mut nz = (0..n).filter(|&j| a[j].abs() > EPS);
+            match (nz.next(), nz.next()) {
+                (None, _) => {
+                    if b < -EPS {
+                        return None;
+                    }
+                }
+                (Some(j), None) => {
+                    let bound = b / a[j];
+                    if a[j] > 0.0 {
+                        self.hi[j] = self.hi[j].min(bound);
+                    } else {
+                        self.lo[j] = self.lo[j].max(bound);
+                    }
+                }
+                _ => self.coupled.push(r),
+            }
+        }
+        for (lo, hi) in self.lo.iter().zip(&mut self.hi) {
+            if *hi < lo - EPS {
+                return None;
+            }
+            *hi = hi.max(*lo);
+        }
+        self.involved.clear();
+        self.involved.resize(n, false);
+        for &r in &self.coupled {
+            for (inv, x) in self.involved.iter_mut().zip(&src[r * w..r * w + n]) {
+                if x.abs() > EPS {
+                    *inv = true;
                 }
             }
-            1 => {
-                let j = nz[0];
-                let bound = b / a[j];
-                if a[j] > 0.0 {
-                    hi[j] = hi[j].min(bound);
-                } else {
-                    lo[j] = lo[j].max(bound);
+        }
+        let mut factor = 1.0f64;
+        let mut dim = 0usize;
+        for j in 0..n {
+            if self.involved[j] {
+                dim += 1;
+            } else {
+                factor *= self.hi[j] - self.lo[j]; // may be ∞ for unbounded free vars
+            }
+        }
+        if factor == 0.0 {
+            return Some((0.0, 0));
+        }
+        self.rows.clear();
+        for &r in &self.coupled {
+            let row = &src[r * w..(r + 1) * w];
+            for (&x, &inv) in row[..n].iter().zip(&self.involved) {
+                if inv {
+                    self.rows.push(x);
                 }
             }
-            _ => coupled.push((a.clone(), *b)),
+            self.rows.push(row[n]);
         }
-    }
-    for j in 0..n {
-        if hi[j] < lo[j] - EPS {
-            return None;
-        }
-        hi[j] = hi[j].max(lo[j]);
-    }
-    let mut involved = vec![false; n];
-    for (a, _) in &coupled {
+        let mut k = 0;
         for j in 0..n {
-            if a[j].abs() > EPS {
-                involved[j] = true;
+            if !self.involved[j] {
+                continue;
             }
-        }
-    }
-    let mut factor = 1.0f64;
-    let mut remap: Vec<Option<usize>> = vec![None; n];
-    let mut dim = 0usize;
-    for j in 0..n {
-        if involved[j] {
-            remap[j] = Some(dim);
-            dim += 1;
-        } else {
-            factor *= hi[j] - lo[j]; // may be ∞ for unbounded free vars
-        }
-    }
-    if factor == 0.0 {
-        return Some(Reduced {
-            factor: 0.0,
-            dim: 0,
-            rows: Vec::new(),
-        });
-    }
-    let mut out_rows: Vec<(Vec<f64>, f64)> = Vec::new();
-    for (a, b) in &coupled {
-        let mut na = vec![0.0; dim];
-        for j in 0..n {
-            if let Some(k) = remap[j] {
-                na[k] = a[j];
+            for (sign, bound, rhs) in [
+                (1.0, self.hi[j], self.hi[j]),
+                (-1.0, self.lo[j], -self.lo[j]),
+            ] {
+                if bound.is_finite() {
+                    let start = self.rows.len();
+                    self.rows.resize(start + dim, 0.0);
+                    self.rows[start + k] = sign;
+                    self.rows.push(rhs);
+                }
             }
+            k += 1;
         }
-        out_rows.push((na, *b));
+        Some((factor, dim))
     }
-    for j in 0..n {
-        if let Some(k) = remap[j] {
-            if hi[j].is_finite() {
-                let mut up = vec![0.0; dim];
-                up[k] = 1.0;
-                out_rows.push((up, hi[j]));
-            }
-            if lo[j].is_finite() {
-                let mut down = vec![0.0; dim];
-                down[k] = -1.0;
-                out_rows.push((down, -lo[j]));
-            }
-        }
-    }
-    Some(Reduced {
-        factor,
-        dim,
-        rows: out_rows,
-    })
 }
 
-/// Normalises and deduplicates rows without LP calls.
-pub(crate) fn dedup_rows(rows: &[Row]) -> Vec<Row> {
-    let mut kept: Vec<(Vec<f64>, f64)> = Vec::new();
-    'next: for (a, b) in rows {
-        let norm = a.iter().map(|x| x * x).sum::<f64>().sqrt();
+/// Normalises the flat rows `rows` over `dim` variables to unit
+/// coefficient norm into `kept`, dropping zero rows and merging rows
+/// whose coefficients agree within `1e-9` (the smaller rhs wins).
+fn dedup_rows(rows: &[f64], dim: usize, kept: &mut Vec<f64>) {
+    kept.clear();
+    for r in rows.chunks_exact(dim + 1) {
+        let norm = r[..dim].iter().map(|x| x * x).sum::<f64>().sqrt();
         if norm <= EPS {
             continue;
         }
-        let na: Vec<f64> = a.iter().map(|x| x / norm).collect();
-        let nb = b / norm;
-        for (ka, kb) in &mut kept {
-            if ka.iter().zip(&na).all(|(x, y)| (x - y).abs() < 1e-9) {
-                *kb = kb.min(nb);
-                continue 'next;
-            }
+        let start = kept.len();
+        kept.extend(r.iter().map(|x| x / norm));
+        let (old, new) = kept.split_at_mut(start);
+        let same = old.chunks_exact_mut(dim + 1).find(|k| {
+            k[..dim]
+                .iter()
+                .zip(&new[..dim])
+                .all(|(x, y)| (x - y).abs() < 1e-9)
+        });
+        if let Some(k) = same {
+            k[dim] = k[dim].min(new[dim]);
+            kept.truncate(start);
         }
-        kept.push((na, nb));
     }
-    kept
 }
 
-/// Length of the 1-D feasible interval of `rows`.
-pub(crate) fn interval_length_1d(rows: &[Row]) -> f64 {
+/// Drops every row of `lvl.kept` (over `dim` free variables) that the
+/// others imply, by one LP per row, in place.
+fn drop_redundant_rows(lvl: &mut Level, dim: usize, lp: &mut LpScratch) {
+    // LP-based redundancy removal with FREE variables: the recursion's
+    // row system is the whole truth (orthant facets are explicit rows),
+    // so the check must not smuggle in the simplex solver's implicit
+    // `x ≥ 0`.
+    let w = dim + 1;
+    let kept = &lvl.kept;
+    let row = |i: usize| (&kept[i * w..i * w + dim], kept[i * w + dim]);
+    irredundant_mask(
+        kept.len() / w,
+        &mut lvl.keep,
+        &mut lvl.others,
+        |i, others| {
+            let (a, b) = row(i);
+            let v = lp.solve(a, true, true, dim, others.len(), |k| row(others[k]));
+            matches!(v, LpValue::Optimal(v) if v <= b + EPS)
+        },
+    );
+    let mut m = 0;
+    for (i, &k) in lvl.keep.iter().enumerate() {
+        if k {
+            lvl.kept.copy_within(i * w..(i + 1) * w, m * w);
+            m += 1;
+        }
+    }
+    lvl.kept.truncate(m * w);
+}
+
+/// Length of the 1-D feasible interval of the flat rows `rows` (stride
+/// 2).
+fn interval_length_1d(rows: &[f64]) -> f64 {
     let mut lo = f64::NEG_INFINITY;
     let mut hi = f64::INFINITY;
-    for (a, b) in rows {
-        let a = a[0];
+    for r in rows.chunks_exact(2) {
+        let (a, b) = (r[0], r[1]);
         if a.abs() <= EPS {
-            if *b < -EPS {
+            if b < -EPS {
                 return 0.0;
             }
             continue;
@@ -536,27 +633,6 @@ pub(crate) fn interval_length_1d(rows: &[Row]) -> f64 {
         return f64::INFINITY;
     }
     (hi - lo).max(0.0)
-}
-
-/// Normalises and deduplicates rows like [`dedup_rows`], then drops
-/// every row implied by the others (an LP per row).
-fn simplify_rows(rows: &[Row], dim: usize) -> Vec<Row> {
-    let kept = dedup_rows(rows);
-    // LP-based redundancy removal with FREE variables: the recursion's
-    // row system is the whole truth (orthant facets are explicit rows),
-    // so the check must not smuggle in the simplex solver's implicit
-    // `x ≥ 0`.
-    let keep = irredundant_mask(&kept, |(a, b), others| {
-        matches!(
-            solve_lp_free(a, true, others, dim),
-            LpOutcome::Optimal(v, _) if v <= b + EPS
-        )
-    });
-    kept.into_iter()
-        .zip(keep)
-        .filter(|&(_, k)| k)
-        .map(|(r, _)| r)
-        .collect()
 }
 
 #[cfg(test)]
