@@ -15,7 +15,7 @@
 //!   (standing in for their interval/branch-and-bound volume estimates),
 //!   not exact polytope volumes — bounds come out wider but faster.
 
-use gubpi_core::{bound_path, Method, PathBoundOptions, SingleQuery, Threads};
+use gubpi_core::{bound_path, Method, PathBoundOptions, QueryFold, Threads};
 use gubpi_interval::Interval;
 use gubpi_lang::{infer, parse, LangError};
 use gubpi_symbolic::{symbolic_paths, SymExecOptions, SymPath};
@@ -103,10 +103,12 @@ pub fn baseline56_bounds(
         if p.truncated {
             unexplored += path_mass_upper(p, popts);
         } else {
-            let mut sink = SingleQuery::new(u);
-            bound_path(p, popts, Method::Auto, Threads::Off, &mut sink);
-            lo += sink.lo;
-            hi += sink.hi;
+            let (fold, mut acc) = (QueryFold::Filter(u), (0.0, 0.0));
+            bound_path(p, popts, Method::Auto, Threads::Off, |r| {
+                fold.apply(&mut acc, r)
+            });
+            lo += acc.0;
+            hi += acc.1;
         }
     }
     Ok((lo, (hi + unexplored).min(1.0)))
@@ -115,15 +117,17 @@ pub fn baseline56_bounds(
 /// Upper bound on a truncated path's probability mass (score-free ⇒ the
 /// mass is the volume of its constraint region).
 fn path_mass_upper(p: &SymPath, opts: PathBoundOptions) -> f64 {
-    let mut sink = SingleQuery::new(Interval::REAL);
+    let (fold, mut acc) = (QueryFold::Filter(Interval::REAL), (0.0, 0.0));
     // Drop score markers for the mass computation: the path's probability
     // is the measure of traces reaching it.
     let clean = SymPath {
         scores: Vec::new(),
         ..p.clone()
     };
-    bound_path(&clean, opts, Method::Auto, Threads::Off, &mut sink);
-    sink.hi.min(1.0)
+    bound_path(&clean, opts, Method::Auto, Threads::Off, |r| {
+        fold.apply(&mut acc, r)
+    });
+    acc.1.min(1.0)
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@ use gubpi_symbolic::{
 };
 use gubpi_types::{infer_interval_types, IntervalTyping};
 
-use crate::histogram::HistogramBounds;
+use crate::histogram::{normalize, usable_domain, HistogramBounds};
 use crate::pathbounds::{
     coarse_path_enclosure, linear_applicable, plan_path_grid_only_seeded, plan_path_query_seeded,
     plan_path_seeded, run_adaptive_refinement_cancellable, tail_substituted, BoundSink,
@@ -898,7 +898,6 @@ impl Analyzer {
     /// (merely coarser) sub-query bounds yields sound posterior bounds.
     pub fn posterior_outcome(&self, u: Interval, cancel: Option<&CancelToken>) -> QueryOutcome {
         let m = self.denotation_outcome(u, cancel);
-        let (m_lo, m_hi) = m.bounds();
         // Complement mass via two ray queries. For the lower bound the
         // rays are shrunk by one ulp so they are strictly disjoint from U
         // (closed intervals would otherwise double-count boundary atoms);
@@ -912,20 +911,8 @@ impl Analyzer {
         let qrl = self.denotation_outcome(right_open, cancel);
         let qlh = self.denotation_outcome(left_closed, cancel);
         let qrh = self.denotation_outcome(right_closed, cancel);
-        let (ll, rl, lh, rh) = (qll.lo, qrl.lo, qlh.hi, qrh.hi);
-        let (r_lo, r_hi) = (ll + rl, lh + rh);
-        let lo = if m_lo <= 0.0 {
-            0.0
-        } else {
-            m_lo / (m_lo + r_hi)
-        };
-        let hi = if m_hi <= 0.0 {
-            0.0
-        } else if r_lo <= 0.0 {
-            1.0
-        } else {
-            (m_hi / (m_hi + r_lo)).min(1.0)
-        };
+        let rest = (qll.lo + qrl.lo, qlh.hi + qrh.hi);
+        let (lo, hi) = normalize(m.bounds(), rest);
         let subs = [&m, &qll, &qrl, &qlh, &qrh];
         QueryOutcome {
             lo,
@@ -1064,7 +1051,7 @@ impl Analyzer {
 /// Validates raw histogram parameters.
 fn valid_domain(lo: f64, hi: f64, bins: usize) -> Result<Interval, QueryError> {
     let domain = valid_interval(lo, hi)?;
-    if !domain.is_finite() || domain.width() <= 0.0 {
+    if !usable_domain(domain) {
         return Err(QueryError::InvalidDomain { lo, hi });
     }
     if bins == 0 {
@@ -1342,11 +1329,32 @@ mod tests {
             a.try_histogram(0.5, 0.5, 4),
             Err(QueryError::InvalidDomain { .. })
         ));
+        // Finite endpoints whose width overflows to +∞.
+        assert!(matches!(
+            a.try_histogram(-1e308, 1e308, 4),
+            Err(QueryError::InvalidDomain { .. })
+        ));
         assert_eq!(a.try_histogram(0.0, 1.0, 0).err(), Some(QueryError::NoBins));
         assert!(matches!(
             a.try_histogram(2.0, 1.0, 4),
             Err(QueryError::InvalidInterval { .. })
         ));
+    }
+
+    #[test]
+    fn histogram_exact_last_bin_ends_at_the_domain_end() {
+        // `lo + (hi − lo)` rounds to one ulp below 0.2 here. With that as
+        // the last edge, the point mass at 0.19999999999999998 fell in
+        // the gap between the last bin and the right tail, and every
+        // upper bound, Z's included, came out 0.
+        let h = analyzer("0.19999999999999998").histogram_exact(Interval::new(-1.7, 0.2), 1);
+        assert_eq!(h.bin(0).hi(), 0.2);
+        assert!(h.unnormalized(0).1 >= 1.0, "bin {:?}", h.unnormalized(0));
+        // A finite width whose multiples overflow: the edges stay ordered.
+        let h = analyzer("sample").try_histogram(-8e307, 8e307, 4).unwrap();
+        assert_eq!(h.bin(3).hi(), 8e307);
+        let (z_lo, z_hi) = h.z_bounds();
+        assert!(z_lo <= 1.0 && 1.0 <= z_hi, "Z = 1 not in [{z_lo}, {z_hi}]");
     }
 
     #[test]

@@ -12,6 +12,8 @@
 //! ```
 //!
 //! by monotonicity of `x/(x+r)` in `x` (increasing) and `r` (decreasing).
+//! `normalize` is that formula, and the analyzer's posterior query
+//! normalises with it too.
 
 use gubpi_interval::Interval;
 
@@ -42,21 +44,27 @@ pub struct NormalizedBin {
 }
 
 impl HistogramBounds {
-    /// A histogram over `domain` with `bins` equal-width bins.
+    /// A histogram over `domain` with `bins` equal-width bins. The last
+    /// edge is exactly `domain.hi()`, so the bins and the two tails
+    /// cover the real line without a gap.
     ///
     /// # Panics
     ///
-    /// Panics if `bins == 0` or the domain is unbounded or degenerate.
+    /// Panics if `bins == 0` or the domain's width is not finite and
+    /// positive.
     pub fn new(domain: Interval, bins: usize) -> HistogramBounds {
         assert!(bins > 0, "need at least one bin");
         assert!(
-            domain.is_finite() && domain.width() > 0.0,
-            "histogram domain must be bounded with positive width"
+            usable_domain(domain),
+            "histogram domain must have a finite positive width"
         );
-        let mut edges = Vec::with_capacity(bins + 1);
-        for i in 0..=bins {
-            edges.push(domain.lo() + domain.width() * i as f64 / bins as f64);
-        }
+        // Rounding is monotone, so the inner edges ascend; an edge whose
+        // product overflows (a width near f64::MAX) is capped at the
+        // domain's end.
+        let mut edges: Vec<f64> = (0..bins)
+            .map(|i| (domain.lo() + domain.width() * i as f64 / bins as f64).min(domain.hi()))
+            .collect();
+        edges.push(domain.hi());
         HistogramBounds {
             edges,
             lo: vec![0.0; bins],
@@ -130,28 +138,14 @@ impl HistogramBounds {
     /// Returns an empty vector when the upper bound on `Z` is 0 (the
     /// program is almost surely rejected — no posterior exists).
     pub fn normalized(&self) -> Vec<NormalizedBin> {
-        let (_, z_hi) = self.z_bounds();
+        let (z_lo, z_hi) = self.z_bounds();
         if z_hi <= 0.0 {
             return Vec::new();
         }
-        let total_lo: f64 = self.lo.iter().sum::<f64>() + self.left_tail.0 + self.right_tail.0;
-        let total_hi: f64 = self.hi.iter().sum::<f64>() + self.left_tail.1 + self.right_tail.1;
         (0..self.bins())
             .map(|i| {
-                let rest_lo = (total_lo - self.lo[i]).max(0.0);
-                let rest_hi = total_hi - self.hi[i];
-                let lo = if self.lo[i] <= 0.0 {
-                    0.0
-                } else {
-                    self.lo[i] / (self.lo[i] + rest_hi)
-                };
-                let hi = if self.hi[i] <= 0.0 {
-                    0.0
-                } else if rest_lo <= 0.0 {
-                    1.0
-                } else {
-                    (self.hi[i] / (self.hi[i] + rest_lo)).min(1.0)
-                };
+                let rest = ((z_lo - self.lo[i]).max(0.0), z_hi - self.hi[i]);
+                let (lo, hi) = normalize((self.lo[i], self.hi[i]), rest);
                 NormalizedBin {
                     bin: self.bin(i),
                     lo,
@@ -173,6 +167,35 @@ impl HistogramBounds {
             })
             .collect()
     }
+}
+
+/// Can `domain` be split into histogram bins? Its width must be finite
+/// and positive: an infinite width (finite endpoints far apart) would
+/// make the first edge `∞ · 0 = NaN`.
+pub(crate) fn usable_domain(domain: Interval) -> bool {
+    let width = domain.width();
+    width.is_finite() && width > 0.0
+}
+
+/// Sound bounds on a normalised mass `m/(m + r)` from bounds on the mass
+/// `m` and on the rest `r`. `x/(x+r)` increases in `x` and decreases in
+/// `r`, so the lower end pairs `m_lo` with `r_hi` and the upper end
+/// `m_hi` with `r_lo`; a mass with no positive bound normalises to 0,
+/// and a rest with no positive lower bound leaves the upper end at 1.
+pub(crate) fn normalize((m_lo, m_hi): (f64, f64), (r_lo, r_hi): (f64, f64)) -> (f64, f64) {
+    let lo = if m_lo <= 0.0 {
+        0.0
+    } else {
+        m_lo / (m_lo + r_hi)
+    };
+    let hi = if m_hi <= 0.0 {
+        0.0
+    } else if r_lo <= 0.0 {
+        1.0
+    } else {
+        (m_hi / (m_hi + r_lo)).min(1.0)
+    };
+    (lo, hi)
 }
 
 impl BoundSink for HistogramBounds {

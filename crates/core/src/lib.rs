@@ -66,7 +66,7 @@ pub use pathbounds::{
     bound_path, bound_path_query, coarse_path_enclosure, grid_splits, linear_applicable,
     plan_path_grid_only_seeded, plan_path_query_seeded, plan_path_seeded, run_adaptive_refinement,
     run_adaptive_refinement_cancellable, tail_substituted, BoundSink, GridRefiner,
-    PathBoundOptions, QueryFold, RefineOptions, Region, SingleQuery,
+    PathBoundOptions, QueryFold, RefineOptions, Region,
 };
 pub use pool::{CancelToken, PoolStats, Threads, WorkerPool};
 pub use report::render_histogram;

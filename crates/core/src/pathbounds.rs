@@ -13,16 +13,22 @@
 //! of a whole query at once: workers adopt paths, drain their region
 //! spaces chunk by chunk, and **steal chunks from still-running
 //! dominant paths**, while every buffered contribution is replayed
-//! into the caller's sink in (path index, region index) order — so the
-//! sink sees exactly the sequential call sequence and every bound
-//! stays bit-identical across thread counts and steal schedules.
+//! to the caller in (path index, region index) order — so the caller
+//! sees exactly the sequential call sequence and every bound stays
+//! bit-identical across thread counts and steal schedules.
+//!
+//! Each step that combines bounds lives in one function: `cell_mass`
+//! turns a cell's fused tape (or tree-walk) bounds and its volume into
+//! a [`Region`], and [`QueryFold::apply`] classifies a region against
+//! `U` and adds its masses to the query bounds — for the sweeps, the
+//! refiner's gap scores and every caller of [`bound_path`] alike.
 
 use std::ops::Range;
 use std::sync::Arc;
 
 use gubpi_interval::{next_after_down, next_after_up, pow_up, BoxN, Interval};
 use gubpi_polytope::{HPolytope, LinExpr};
-use gubpi_symbolic::{note_kernel_cells, KernelSeed, SymPath, SymVal, Tape, LANES};
+use gubpi_symbolic::{note_kernel_cells, CellBounds, KernelSeed, SymPath, SymVal, Tape, LANES};
 
 use gubpi_pool::{run_jobs_cancellable, run_jobs_with, CancelToken, PathJob, Threads, WorkerPool};
 
@@ -40,57 +46,20 @@ pub trait BoundSink {
     fn add(&mut self, value_range: Interval, lo_mass: f64, hi_mass: f64);
 }
 
-/// A sink for a single query `⟦P⟧(U)`.
-#[derive(Clone, Debug)]
-pub struct SingleQuery {
-    /// The query set `U`.
-    pub u: Interval,
-    /// Accumulated lower bound.
-    pub lo: f64,
-    /// Accumulated upper bound.
-    pub hi: f64,
-}
-
-impl SingleQuery {
-    /// A fresh query accumulator for `U`.
-    pub fn new(u: Interval) -> SingleQuery {
-        SingleQuery {
-            u,
-            lo: 0.0,
-            hi: 0.0,
-        }
-    }
-}
-
-impl BoundSink for SingleQuery {
-    fn add(&mut self, value_range: Interval, lo_mass: f64, hi_mass: f64) {
-        if value_range.subset_of(&self.u) {
-            self.lo += lo_mass;
-        }
-        if value_range.intersects(&self.u) {
-            self.hi += hi_mass;
-        }
-    }
-}
-
 /// One buffered region contribution `(value_range, lo_mass, hi_mass)`.
 ///
 /// The scheduler records these per claimed chunk and replays them into
 /// the real sink in (path, region) order.
 pub type Region = (Interval, f64, f64);
 
-impl BoundSink for Vec<Region> {
-    fn add(&mut self, value_range: Interval, lo_mass: f64, hi_mass: f64) {
-        self.push((value_range, lo_mass, hi_mass));
-    }
-}
-
 /// How a plan's [`Region`] stream folds into `(lo, hi)` query bounds.
 ///
 /// The linear semantics in query mode bakes `result ∈ U` into the
 /// polytopes, so its masses sum directly; the grid semantics (and
 /// sampleless paths) report raw value ranges that the fold must still
-/// classify against `U` — exactly what [`SingleQuery`] does.
+/// classify against `U`. This is the one place a region is classified
+/// against `U` and the one place region masses are summed into query
+/// bounds.
 #[derive(Copy, Clone, Debug)]
 pub enum QueryFold {
     /// Sum the masses as-is (membership already folded into the plan).
@@ -100,22 +69,26 @@ pub enum QueryFold {
 }
 
 impl QueryFold {
+    /// Which masses of a region with value range `v` count toward
+    /// `⟦P⟧(U)`: the lower mass only when every value lies in `U`, the
+    /// upper mass when some value may.
+    #[inline]
+    fn counts(self, v: Interval) -> (bool, bool) {
+        match self {
+            QueryFold::Direct => (true, true),
+            QueryFold::Filter(u) => (v.subset_of(&u), v.intersects(&u)),
+        }
+    }
+
     /// Folds one region into a `(lo, hi)` accumulator.
     #[inline]
     pub fn apply(self, acc: &mut (f64, f64), (v, lo, hi): Region) {
-        match self {
-            QueryFold::Direct => {
-                acc.0 += lo;
-                acc.1 += hi;
-            }
-            QueryFold::Filter(u) => {
-                if v.subset_of(&u) {
-                    acc.0 += lo;
-                }
-                if v.intersects(&u) {
-                    acc.1 += hi;
-                }
-            }
+        let (lo_in, hi_in) = self.counts(v);
+        if lo_in {
+            acc.0 += lo;
+        }
+        if hi_in {
+            acc.1 += hi;
         }
     }
 }
@@ -358,15 +331,16 @@ pub fn bound_path_query(
     acc
 }
 
-/// Bounds `⟦Ψ⟧` for one path under `method`, feeding regions into the
-/// sink. Regions are bounded on the persistent pool at width `threads`;
-/// the sink receives them in the sequential order regardless.
+/// Bounds `⟦Ψ⟧` for one path under `method`, passing each [`Region`]
+/// to `emit` (fold them into query bounds with [`QueryFold::apply`]).
+/// Regions are bounded on the persistent pool at width `threads`;
+/// `emit` receives them in the sequential order regardless.
 pub fn bound_path(
     path: &SymPath,
     opts: PathBoundOptions,
     method: Method,
     threads: Threads,
-    sink: &mut impl BoundSink,
+    mut emit: impl FnMut(Region),
 ) {
     let tailed = tail_substituted(path, &opts);
     let path = tailed.as_ref().unwrap_or(path);
@@ -378,7 +352,7 @@ pub fn bound_path(
         WorkerPool::global(),
         threads.worker_count(usize::MAX),
         vec![job],
-        |_, (v, lo, hi)| sink.add(v, lo, hi),
+        |_, region| emit(region),
     );
 }
 
@@ -403,19 +377,16 @@ fn plan_sampleless(
     opts: PathBoundOptions,
     seed: Option<&KernelSeed>,
 ) -> PathJob<'static, Region> {
-    let mut buf: Vec<Region> = Vec::new();
-    if opts.use_kernel {
+    // The empty box has volume 1.0, and `1.0 * x == x` bit for bit.
+    let region = if opts.use_kernel {
         let tape = Tape::for_path_seeded(path, seed);
         note_kernel_cells(1);
-        if let Some(cell) = tape.eval_cell(&[], &mut tape.scratch()) {
-            let lo = if cell.definite { cell.weight.lo() } else { 0.0 };
-            buf.add(cell.value, lo, cell.weight.hi());
-        }
+        tape.eval_one(&[], &mut tape.scratch())
+            .map(|cell| cell_mass(1.0, cell))
     } else {
-        // The empty box has volume 1.0, and `1.0 * x == x` bit for bit.
-        buf.extend(cell_region(path, &BoxN::empty()));
-    }
-    PathJob::Ready(buf)
+        cell_region(path, &BoxN::empty())
+    };
+    PathJob::Ready(region.into_iter().collect())
 }
 
 /// Incremental mixed-radix decoding of a flat region index: digit `d`
@@ -575,12 +546,7 @@ fn plan_grid<'a>(
             if tape.eval_block(&mut scratch, lanes) {
                 for (lane, &vol) in vols.iter().enumerate().take(lanes) {
                     if let Some(cell) = scratch.lane(lane) {
-                        let lo = if cell.definite {
-                            vol * cell.weight.lo()
-                        } else {
-                            0.0
-                        };
-                        buf.push((cell.value, lo, vol * cell.weight.hi()));
+                        buf.push(cell_mass(vol, cell));
                     }
                 }
             }
@@ -594,20 +560,34 @@ fn plan_grid<'a>(
     }
 }
 
+/// The §6.3 region of a cell of volume `vol` from its fused bounds: the
+/// result range, the lower mass `vol · w.lo` when every constraint holds
+/// definitely (∀) and 0 otherwise, and the upper mass `vol · w.hi`. The
+/// one place a cell's mass is formed, for the kernel and the
+/// interpreter alike.
+fn cell_mass(vol: f64, cell: CellBounds) -> Region {
+    let lo = if cell.definite {
+        vol * cell.weight.lo()
+    } else {
+        0.0
+    };
+    (cell.value, lo, vol * cell.weight.hi())
+}
+
 /// The tree-walking interpreter's contribution of one grid cell: the
-/// result range with the cell's mass bounds (∀ for the lower, ∃ for the
-/// upper bound), or `None` when the constraints definitely exclude the
-/// cell. The compiled kernel emits the same region bit for bit.
+/// four walks (∃-pass, ∀-pass, weight, result) fed to [`cell_mass`], or
+/// `None` when the constraints definitely exclude the cell. The
+/// compiled kernel emits the same region bit for bit.
 fn cell_region(path: &SymPath, cell: &BoxN) -> Option<Region> {
     if !path.constraints_on_box(cell, false) {
         return None; // definitely outside
     }
-    let vol = cell.volume();
-    let w = path.weight_range_over_box(cell);
-    let v = path.result.range_over_box(cell);
-    let definite = path.constraints_on_box(cell, true);
-    let lo = if definite { vol * w.lo() } else { 0.0 };
-    Some((v, lo, vol * w.hi()))
+    let bounds = CellBounds {
+        value: path.result.range_over_box(cell),
+        weight: path.weight_range_over_box(cell),
+        definite: path.constraints_on_box(cell, true),
+    };
+    Some(cell_mass(cell.volume(), bounds))
 }
 
 /// The path's coarsest sound grid-semantics enclosure: one evaluation
@@ -718,8 +698,7 @@ fn plan_linear_with(
         ResultMode::Query(u) => {
             if res_lin.is_constant() {
                 // Classify once: all traces share the value range.
-                const_in_lo = const_value_range.subset_of(&u);
-                const_in_hi = const_value_range.intersects(&u);
+                (const_in_lo, const_in_hi) = QueryFold::Filter(u).counts(const_value_range);
                 if !const_in_hi {
                     return nothing();
                 }
@@ -897,7 +876,12 @@ fn plan_linear_with(
                         }
                     }));
                     let factor = match &skel_tapes {
-                        Some(tapes) => tapes[s].eval_value(&part_ranges, &mut scratches[s]),
+                        Some(tapes) => {
+                            tapes[s]
+                                .eval_one(&part_ranges, &mut scratches[s])
+                                .expect("a value tape has no checks")
+                                .value
+                        }
                         None => d.eval_with_part_ranges(&part_ranges),
                     };
                     w = w * factor.clamp_non_neg();
@@ -954,21 +938,14 @@ impl Default for RefineOptions {
     }
 }
 
-/// A region's contribution to the query's (upper − lower) gap, folded
-/// the same way the bounds themselves are: under [`QueryFold::Filter`]
-/// a cell only contributes its `hi` mass while its value range still
-/// intersects `U`, and only its `lo` mass while the range is contained
-/// in `U`. `NaN` (`∞ − ∞`) settles as `0.0` so an all-⊤ path cannot
-/// wedge the worklist.
-fn gap_score(fold: QueryFold, (v, lo, hi): Region) -> f64 {
-    let score = match fold {
-        QueryFold::Direct => hi - lo,
-        QueryFold::Filter(u) => {
-            let hi_in = if v.intersects(&u) { hi } else { 0.0 };
-            let lo_in = if v.subset_of(&u) { lo } else { 0.0 };
-            hi_in - lo_in
-        }
-    };
+/// A region's contribution to the query's (upper − lower) gap: the
+/// region folded alone by [`QueryFold::apply`], so it counts exactly the
+/// masses the bounds count. `NaN` (`∞ − ∞`) settles as `0.0` so an
+/// all-⊤ path cannot wedge the worklist.
+fn gap_score(fold: QueryFold, region: Region) -> f64 {
+    let mut acc = (0.0, 0.0);
+    fold.apply(&mut acc, region);
+    let score = acc.1 - acc.0;
     if score.is_nan() {
         0.0
     } else {
@@ -1147,13 +1124,7 @@ impl<'a> GridRefiner<'a> {
                     let mut scratch = tape.scratch();
                     let slice = &boxes[range.clone()];
                     tape.eval_boxes(&mut scratch, slice, |i, cell| {
-                        let vol = slice[i].volume();
-                        let lo = if cell.definite {
-                            vol * cell.weight.lo()
-                        } else {
-                            0.0
-                        };
-                        buf.push((range.start + i, (cell.value, lo, vol * cell.weight.hi())));
+                        buf.push((range.start + i, cell_mass(slice[i].volume(), cell)));
                     });
                 }),
             },
@@ -1249,11 +1220,9 @@ impl<'a> GridRefiner<'a> {
     /// The path's current (upper − lower) gap: settled cells plus the
     /// still-refinable worklist.
     pub fn gap(&self) -> f64 {
-        let mut gap = self.settled_gap;
-        for leaf in &self.frontier {
-            gap += leaf.score;
-        }
-        gap
+        self.frontier
+            .iter()
+            .fold(self.settled_gap, |gap, leaf| gap + leaf.score)
     }
 
     /// Cell evaluations spent so far (≤ the uniform sweep's `k^n`).
@@ -1329,6 +1298,14 @@ pub fn run_adaptive_refinement_cancellable(
             }
             break;
         }
+        // The gap target is checked after each round (before round 0
+        // nothing has been scored yet).
+        if rounds > 0 && gap_target > 0.0 {
+            let total: f64 = refiners.iter().map(GridRefiner::gap).sum();
+            if total <= gap_target {
+                break;
+            }
+        }
         let mut any = false;
         for r in refiners.iter_mut() {
             any |= r.select_batch();
@@ -1345,20 +1322,6 @@ pub fn run_adaptive_refinement_cancellable(
         rounds += 1;
         for ((r, out), prog) in refiners.iter_mut().zip(&outs).zip(&progress) {
             r.integrate(out, prog.done);
-        }
-        if cancel.is_some_and(CancelToken::is_cancelled) {
-            for r in refiners.iter_mut() {
-                if r.would_refine() {
-                    r.interrupted = true;
-                }
-            }
-            break;
-        }
-        if gap_target > 0.0 {
-            let total: f64 = refiners.iter().map(GridRefiner::gap).sum();
-            if total <= gap_target {
-                break;
-            }
         }
     }
     let splits: u64 = refiners.iter().map(GridRefiner::splits).sum();
@@ -1452,13 +1415,17 @@ mod tests {
             splits: 64,
             ..Default::default()
         };
-        let mut sink = SingleQuery::new(Interval::new(0.5, 1.5));
+        let fold = QueryFold::Filter(Interval::new(0.5, 1.5));
+        let mut acc = (0.0, 0.0);
         for q in p {
-            bound_path(q, opts, Method::Auto, Threads::Off, &mut sink);
+            bound_path(q, opts, Method::Auto, Threads::Off, |r| {
+                fold.apply(&mut acc, r)
+            });
         }
+        let (lo, hi) = acc;
         let truth = 0.25 * (1.0 + 4.0f64.ln());
-        assert!(sink.lo <= truth && truth <= sink.hi);
-        assert!(sink.hi - sink.lo < 0.1, "[{}, {}]", sink.lo, sink.hi);
+        assert!(lo <= truth && truth <= hi);
+        assert!(hi - lo < 0.1, "[{lo}, {hi}]");
     }
 
     #[test]
@@ -1549,17 +1516,9 @@ mod tests {
             ..Default::default()
         };
         for p in paths(src).iter().filter(|p| !linear_applicable(p)) {
-            let mut seq: Vec<Region> = Vec::new();
-            bound_path(p, opts, Method::Auto, Threads::Off, &mut seq);
+            let seq = regions(p, opts, Threads::Off);
             for threads in [Threads::Fixed(2), Threads::Fixed(4), Threads::Fixed(16)] {
-                let mut par: Vec<Region> = Vec::new();
-                bound_path(p, opts, Method::Auto, threads, &mut par);
-                assert_eq!(seq.len(), par.len());
-                for (a, b) in seq.iter().zip(&par) {
-                    assert_eq!(a.0, b.0);
-                    assert_eq!(a.1.to_bits(), b.1.to_bits(), "lower mass bits");
-                    assert_eq!(a.2.to_bits(), b.2.to_bits(), "upper mass bits");
-                }
+                assert_same_regions(&seq, &regions(p, opts, threads), &format!("{threads:?}"));
             }
         }
     }
@@ -1681,6 +1640,24 @@ mod tests {
         two_volume_calls(q_lb, q_ub, cap, budget)
     }
 
+    /// The region stream [`bound_path`] emits for one path.
+    fn regions(p: &SymPath, opts: PathBoundOptions, threads: Threads) -> Vec<Region> {
+        let mut out = Vec::new();
+        bound_path(p, opts, Method::Auto, threads, |r| out.push(r));
+        out
+    }
+
+    /// Asserts two region streams are the same, bit for bit.
+    fn assert_same_regions(a: &[Region], b: &[Region], ctx: &str) {
+        assert_eq!(a.len(), b.len(), "{ctx}");
+        for (x, y) in a.iter().zip(b) {
+            assert_eq!(x.0.lo().to_bits(), y.0.lo().to_bits(), "{ctx}: value range");
+            assert_eq!(x.0.hi().to_bits(), y.0.hi().to_bits(), "{ctx}: value range");
+            assert_eq!(x.1.to_bits(), y.1.to_bits(), "{ctx}: lower mass bits");
+            assert_eq!(x.2.to_bits(), y.2.to_bits(), "{ctx}: upper mass bits");
+        }
+    }
+
     fn region_stream(job: PathJob<'_, Region>) -> Vec<Region> {
         match job {
             PathJob::Ready(items) => items,
@@ -1719,13 +1696,7 @@ mod tests {
                 let deduped = region_stream(plan_linear(&path, opts, mode()));
                 let two_calls = region_stream(plan_linear_with(&path, opts, mode(), oracle));
                 assert!(!deduped.is_empty());
-                assert_eq!(deduped.len(), two_calls.len());
-                for (a, b) in deduped.iter().zip(&two_calls) {
-                    assert_eq!(a.0.lo().to_bits(), b.0.lo().to_bits(), "value range");
-                    assert_eq!(a.0.hi().to_bits(), b.0.hi().to_bits(), "value range");
-                    assert_eq!(a.1.to_bits(), b.1.to_bits(), "lower mass bits");
-                    assert_eq!(a.2.to_bits(), b.2.to_bits(), "upper mass bits");
-                }
+                assert_same_regions(&deduped, &two_calls, "one vs two volume calls");
             }
         }
     }
@@ -1769,16 +1740,9 @@ mod tests {
                     use_kernel: false,
                     ..kernel_opts
                 };
-                let mut with_kernel: Vec<Region> = Vec::new();
-                let mut with_interp: Vec<Region> = Vec::new();
-                bound_path(p, kernel_opts, Method::Auto, Threads::Off, &mut with_kernel);
-                bound_path(p, interp_opts, Method::Auto, Threads::Off, &mut with_interp);
-                assert_eq!(with_kernel.len(), with_interp.len(), "{src}");
-                for (a, b) in with_kernel.iter().zip(&with_interp) {
-                    assert_eq!(a.0, b.0, "{src}: value range");
-                    assert_eq!(a.1.to_bits(), b.1.to_bits(), "{src}: lower mass bits");
-                    assert_eq!(a.2.to_bits(), b.2.to_bits(), "{src}: upper mass bits");
-                }
+                let with_kernel = regions(p, kernel_opts, Threads::Off);
+                let with_interp = regions(p, interp_opts, Threads::Off);
+                assert_same_regions(&with_kernel, &with_interp, src);
                 // And through the threaded query entry point.
                 let u = Interval::new(0.0, 1.0);
                 let kq = bound_path_query(p, u, kernel_opts, Threads::Fixed(4));

@@ -24,7 +24,8 @@
 //! * **Lane-blocked evaluation** — [`Tape::eval_block`] runs the tape
 //!   structure-of-arrays over up to [`LANES`] cells at once (separate
 //!   contiguous `lo`/`hi` slices per register), so the straight-line
-//!   arithmetic instructions autovectorize.
+//!   arithmetic instructions autovectorize. It is the only evaluator:
+//!   a single cell runs as a one-lane block ([`Tape::eval_one`]).
 //!
 //! # Bit-identity with the tree interpreter
 //!
@@ -171,11 +172,10 @@ pub struct CellBounds {
     pub definite: bool,
 }
 
-/// Reusable evaluation scratch: the scalar register slab plus the
-/// structure-of-arrays lane slabs. Allocate once per worker/chunk via
-/// [`Tape::scratch`]; every per-cell evaluation is then allocation-free.
+/// Reusable evaluation scratch: the structure-of-arrays lane slabs.
+/// Allocate once per worker/chunk via [`Tape::scratch`]; every
+/// evaluation is then allocation-free.
 pub struct TapeScratch {
-    regs: Vec<Interval>,
     lo: Vec<f64>,
     hi: Vec<f64>,
     alive: [bool; LANES],
@@ -580,22 +580,17 @@ impl Tape {
         (self.instrs.len() + self.checks.len() + self.scores.len() + self.n_inputs + 1) as u64
     }
 
-    /// Allocates an evaluation scratch (constants preloaded, both the
-    /// scalar slab and the lane slabs).
+    /// Allocates an evaluation scratch (constants preloaded into every
+    /// lane).
     pub fn scratch(&self) -> TapeScratch {
-        let mut regs = vec![Interval::ZERO; self.n_regs];
         let mut lo = vec![0.0; self.n_regs * LANES];
         let mut hi = vec![0.0; self.n_regs * LANES];
         for (j, c) in self.consts.iter().enumerate() {
-            let r = self.n_inputs + j;
-            regs[r] = *c;
-            for l in 0..LANES {
-                lo[r * LANES + l] = c.lo();
-                hi[r * LANES + l] = c.hi();
-            }
+            let r = (self.n_inputs + j) * LANES;
+            lo[r..r + LANES].fill(c.lo());
+            hi[r..r + LANES].fill(c.hi());
         }
         TapeScratch {
-            regs,
             lo,
             hi,
             alive: [false; LANES],
@@ -603,15 +598,6 @@ impl Tape {
             value: [Interval::ZERO; LANES],
             weight: [Interval::ZERO; LANES],
         }
-    }
-
-    #[inline]
-    fn exec(&self, ins: &Instr, regs: &mut [Interval]) {
-        let mut args = [Interval::ZERO; 3];
-        for j in 0..ins.n_args as usize {
-            args[j] = regs[ins.args[j] as usize];
-        }
-        regs[ins.dst as usize] = ins.op.eval_interval(&args[..ins.n_args as usize]);
     }
 
     /// The ∃-test of one check (`definitely = false` in
@@ -635,53 +621,21 @@ impl Tape {
         }
     }
 
-    /// Fused single-cell evaluation: runs the tape over one cell
-    /// (`dims.len() == n_inputs`), bailing at the first ∃-test that
-    /// fails. Returns `None` when the cell is definitely outside the
-    /// constraints, otherwise the result range, the score product and
-    /// the ∀-verdict — everything `cell_region` needs, in one pass.
-    pub fn eval_cell(&self, dims: &[Interval], s: &mut TapeScratch) -> Option<CellBounds> {
+    /// Evaluates one cell (`dims.len() == n_inputs`) as lane 0 of a
+    /// one-lane [`Tape::eval_block`]. Returns `None` when the cell is
+    /// definitely outside the constraints, otherwise the result range,
+    /// the score product and the ∀-verdict. A value tape has no checks,
+    /// so it always returns `Some`, with the range in `value`.
+    pub fn eval_one(&self, dims: &[Interval], s: &mut TapeScratch) -> Option<CellBounds> {
         debug_assert_eq!(dims.len(), self.n_inputs);
-        s.regs[..self.n_inputs].copy_from_slice(dims);
-        let mut pc = 0usize;
-        for check in &self.checks {
-            while pc < check.after as usize {
-                self.exec(&self.instrs[pc], &mut s.regs);
-                pc += 1;
-            }
-            if !Tape::possibly(check, s.regs[check.reg as usize]) {
-                return None;
-            }
+        for (d, &iv) in dims.iter().enumerate() {
+            s.set_input(d, 0, iv);
         }
-        while pc < self.instrs.len() {
-            self.exec(&self.instrs[pc], &mut s.regs);
-            pc += 1;
+        if self.eval_block(s, 1) {
+            s.lane(0)
+        } else {
+            None
         }
-        let definite = self
-            .checks
-            .iter()
-            .all(|c| Tape::definitely(c, s.regs[c.reg as usize]));
-        let mut weight = Interval::ONE;
-        for &sc in &self.scores {
-            weight = weight * s.regs[sc as usize].clamp_non_neg();
-        }
-        Some(CellBounds {
-            value: s.regs[self.result as usize],
-            weight,
-            definite,
-        })
-    }
-
-    /// Evaluates a value-only tape (no checks, no scores): the range of
-    /// the compiled value over the input box. Bit-identical to
-    /// `SymVal::range_over_box`.
-    pub fn eval_value(&self, dims: &[Interval], s: &mut TapeScratch) -> Interval {
-        debug_assert!(self.checks.is_empty() && self.scores.is_empty());
-        s.regs[..self.n_inputs].copy_from_slice(dims);
-        for ins in &self.instrs {
-            self.exec(ins, &mut s.regs);
-        }
-        s.regs[self.result as usize]
     }
 
     /// Lane-blocked evaluation of up to [`LANES`] cells at once,
@@ -745,7 +699,7 @@ impl Tape {
     /// (same candidate order, same NaN repair, same `0 · ∞ = 0`
     /// convention) as straight-line lane loops the compiler can
     /// vectorize; everything else gathers each lane into `Interval`s and
-    /// calls the same `eval_interval` the scalar path uses.
+    /// calls `PrimOp::eval_interval`, exactly as the tree walk does.
     fn exec_lanes(&self, ins: &Instr, s: &mut TapeScratch, lanes: usize) {
         /// Extended-real product with `0 · ±∞ = 0` (mirrors
         /// `gubpi_interval`'s internal `mul_ext`).
@@ -1031,7 +985,7 @@ mod tests {
             let dims = [Interval::new(alo, ahi), Interval::new(blo, bhi)];
             let cell = BoxN::new(dims.to_vec());
             assert_same(
-                tape.eval_cell(&dims, &mut scratch),
+                tape.eval_one(&dims, &mut scratch),
                 reference(&path, &cell),
                 &format!("cell {cell:?}"),
             );
@@ -1066,7 +1020,7 @@ mod tests {
         assert_eq!(tape.len(), 1, "only the multiply remains");
         let mut scratch = tape.scratch();
         let b = Interval::new(0.25, 0.5);
-        let got = tape.eval_value(&[b], &mut scratch);
+        let got = tape.eval_one(&[b], &mut scratch).expect("no checks").value;
         let want = v.range_over_box(&BoxN::new(vec![b]));
         assert_eq!(got.lo().to_bits(), want.lo().to_bits());
         assert_eq!(got.hi().to_bits(), want.hi().to_bits());
@@ -1111,7 +1065,7 @@ mod tests {
         let mut scratch = tape.scratch();
         for cell in [Interval::new(0.0, 1.0), Interval::new(0.6, 1.0)] {
             assert_same(
-                tape.eval_cell(&[cell], &mut scratch),
+                tape.eval_one(&[cell], &mut scratch),
                 reference(&path, &BoxN::new(vec![cell])),
                 "cheap-first schedule",
             );
@@ -1120,9 +1074,11 @@ mod tests {
 
     #[test]
     fn block_eval_matches_scalar_eval_lane_by_lane() {
+        // Each lane of a full block equals the same cell evaluated
+        // alone as a one-lane block: lanes never leak into each other.
         let path = demo_path();
         let tape = Tape::for_path(&path);
-        let mut scalar = tape.scratch();
+        let mut single = tape.scratch();
         let mut block = tape.scratch();
         // 20 cells: more than one lane block, mixed in/out cells.
         let cells: Vec<[Interval; 2]> = (0..20)
@@ -1138,7 +1094,7 @@ mod tests {
             }
             let any = tape.eval_block(&mut block, chunk.len());
             for (lane, dims) in chunk.iter().enumerate() {
-                let want = tape.eval_cell(dims, &mut scalar);
+                let want = tape.eval_one(dims, &mut single);
                 let got = if any { block.lane(lane) } else { None };
                 assert_same(got, want, &format!("lane {lane}"));
             }
@@ -1150,7 +1106,7 @@ mod tests {
         // demo_path never exercises Min/Max/Abs; build a value tape
         // that does, over inputs straddling zero so every Abs case and
         // NaN-free Min/Max corner fires, and compare each lane with the
-        // one-cell `Interval` evaluation.
+        // tree walk's `Interval` operators.
         let v = SymVal::prim(
             PrimOp::Min,
             vec![
@@ -1163,7 +1119,6 @@ mod tests {
         );
         let tape = Tape::for_value(2, &v);
         let mut block = tape.scratch();
-        let mut single = tape.scratch();
         let spans = [
             Interval::new(-2.0, -1.0),
             Interval::new(-1.0, 1.0),
@@ -1181,7 +1136,7 @@ mod tests {
         assert_eq!(inputs.len(), LANES);
         assert!(tape.eval_block(&mut block, LANES));
         for (l, dims) in inputs.iter().enumerate() {
-            let want = tape.eval_value(dims, &mut single);
+            let want = v.range_over_box(&BoxN::new(dims.to_vec()));
             let got = block.lane(l).expect("a value tape has no checks").value;
             assert_eq!(got.lo().to_bits(), want.lo().to_bits(), "lane {l}");
             assert_eq!(got.hi().to_bits(), want.hi().to_bits(), "lane {l}");
@@ -1193,7 +1148,7 @@ mod tests {
         let path = demo_path();
         let tape = Tape::for_path(&path);
         let mut scratch = tape.scratch();
-        let mut scalar = tape.scratch();
+        let mut single = tape.scratch();
         // Batch sizes that are not lane multiples, reusing one scratch
         // across rounds like the adaptive refiner does.
         for batch in [1usize, 7, LANES, LANES + 3, 2 * LANES + 1] {
@@ -1215,7 +1170,7 @@ mod tests {
             });
             for (i, b) in boxes.iter().enumerate() {
                 let dims: Vec<Interval> = b.intervals().to_vec();
-                let want = tape.eval_cell(&dims, &mut scalar);
+                let want = tape.eval_one(&dims, &mut single);
                 assert_same(got[i], want, &format!("batch {batch} box {i}"));
             }
         }
@@ -1237,23 +1192,25 @@ mod tests {
         };
         let tape = Tape::for_path(&path);
         assert!(tape.is_empty(), "everything pre-folds");
-        let got = tape.eval_cell(&[], &mut tape.scratch()).expect("inside");
+        let got = tape.eval_one(&[], &mut tape.scratch()).expect("inside");
         assert_eq!(got.value, Interval::point(2.0));
         assert_eq!(got.weight, Interval::point(0.25));
         assert!(got.definite);
     }
 
+    /// The kernel seed of the program `src`.
+    fn seed_of(src: &str) -> KernelSeed {
+        let p = gubpi_lang::parse(src).unwrap();
+        let simple = gubpi_lang::infer(&p).unwrap();
+        let typing = gubpi_types::infer_interval_types(&p, &simple);
+        KernelSeed::from_facts(&ProgramFacts::compute(&p, &typing))
+    }
+
     #[test]
     fn seeded_compile_is_bit_identical_to_unseeded() {
-        use gubpi_lang::{infer, parse};
-        use gubpi_types::infer_interval_types;
         // A program whose constants (0.5, 1.1, 0.1) also appear in the
         // demo path's trees, so the seeded pool actually gets hits.
-        let p = parse("observe (sample + sample) from normal(1.1, 0.1); 0.5").unwrap();
-        let simple = infer(&p).unwrap();
-        let typing = infer_interval_types(&p, &simple);
-        let facts = ProgramFacts::compute(&p, &typing);
-        let seed = KernelSeed::from_facts(&facts);
+        let seed = seed_of("observe (sample + sample) from normal(1.1, 0.1); 0.5");
         assert!(!seed.is_empty());
 
         let path = demo_path();
@@ -1270,8 +1227,8 @@ mod tests {
         ] {
             let dims = [Interval::new(alo, ahi), Interval::new(blo, bhi)];
             assert_same(
-                seeded.eval_cell(&dims, &mut s_seeded),
-                plain.eval_cell(&dims, &mut s_plain),
+                seeded.eval_one(&dims, &mut s_seeded),
+                plain.eval_one(&dims, &mut s_plain),
                 &format!("seeded vs plain on {dims:?}"),
             );
         }
@@ -1279,13 +1236,7 @@ mod tests {
 
     #[test]
     fn seed_hits_are_counted() {
-        use gubpi_lang::{infer, parse};
-        use gubpi_types::infer_interval_types;
-        let p = parse("3 * sample + 0.5").unwrap();
-        let simple = infer(&p).unwrap();
-        let typing = infer_interval_types(&p, &simple);
-        let facts = ProgramFacts::compute(&p, &typing);
-        let seed = KernelSeed::from_facts(&facts);
+        let seed = seed_of("3 * sample + 0.5");
         let before = kernel_stats();
         // 3·α₀ + 0.5 re-uses both seeded constants.
         let v = SymVal::prim(

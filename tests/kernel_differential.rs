@@ -132,74 +132,96 @@ fn assert_bits(got: Interval, want: Interval, ctx: &str) {
 
 const DIMS: usize = 3;
 
+/// A path over `n` samples with the given constraints and scores.
+fn path_of(
+    n: usize,
+    result: Arc<SymVal>,
+    constraints: Vec<(Arc<SymVal>, CmpDir)>,
+    scores: Vec<Arc<SymVal>>,
+) -> SymPath {
+    SymPath {
+        result,
+        n_samples: n,
+        constraints: constraints
+            .into_iter()
+            .map(|(value, dir)| SymConstraint { value, dir })
+            .collect(),
+        scores,
+        truncated: false,
+        budget_truncated: false,
+        tail: None,
+    }
+}
+
+/// `Tape::for_value` ≡ `SymVal::range_over_box`, bit for bit.
+fn check_value_tape((v, b): (Arc<SymVal>, BoxN)) {
+    let tape = Tape::for_value(DIMS, &v);
+    let got = tape.eval_one(b.intervals(), &mut tape.scratch());
+    let got = got.expect("a value tape has no checks").value;
+    assert_bits(got, v.range_over_box(&b), "value tape");
+}
+
+type PathCase = (
+    (Arc<SymVal>, Arc<SymVal>, Arc<SymVal>, Arc<SymVal>, BoxN),
+    bool,
+    bool,
+);
+
+/// Material for [`check_path_tape`]: result, two constraints, one
+/// score, a box, and the two constraint directions (`true` is `≤ 0`).
+fn path_case() -> impl Strategy<Value = PathCase> {
+    let le = || (0..2usize).prop_map(|b| b == 1);
+    let vals = (arb_val(DIMS), arb_val(DIMS), arb_val(DIMS), arb_val(DIMS));
+    ((vals.0, vals.1, vals.2, vals.3, arb_box(DIMS)), le(), le())
+}
+
+/// Full fused path evaluation ≡ the four independent tree walks
+/// (∃-pass, ∀-pass, weight product, result range).
+fn check_path_tape(((result, c1, c2, score, b), le1, le2): PathCase) {
+    let dir = |le: bool| if le { CmpDir::LeZero } else { CmpDir::GtZero };
+    let path = path_of(
+        DIMS,
+        result,
+        vec![(c1, dir(le1)), (c2, dir(le2))],
+        vec![score],
+    );
+    let tape = Tape::for_path(&path);
+    let pos = path.constraints_on_box(&b, false);
+    match tape.eval_one(b.intervals(), &mut tape.scratch()) {
+        None => assert!(!pos, "tape excluded a possibly-inside cell"),
+        Some(cell) => {
+            assert!(pos, "tape kept a definitely-outside cell");
+            assert_bits(cell.value, path.result.range_over_box(&b), "result");
+            assert_bits(cell.weight, path.weight_range_over_box(&b), "weight");
+            assert_eq!(cell.definite, path.constraints_on_box(&b, true));
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// `Tape::for_value` ≡ `SymVal::range_over_box`, bit for bit.
     #[test]
-    fn value_tapes_match_tree_ranges((v, b) in (arb_val(DIMS), arb_box(DIMS))) {
-        let tape = Tape::for_value(DIMS, &v);
-        let mut scratch = tape.scratch();
-        let got = tape.eval_value(b.intervals(), &mut scratch);
-        assert_bits(got, v.range_over_box(&b), "value tape");
+    fn value_tapes_match_tree_ranges(case in (arb_val(DIMS), arb_box(DIMS))) {
+        check_value_tape(case);
     }
 
-    /// Full fused path evaluation ≡ the four independent tree walks
-    /// (∃-pass, ∀-pass, weight product, result range).
     #[test]
-    fn path_tapes_match_the_four_walks(
-        (result, c1, c2, score, b) in (
-            arb_val(DIMS), arb_val(DIMS), arb_val(DIMS), arb_val(DIMS), arb_box(DIMS),
-        ),
-        dir1 in (0..2usize).prop_map(|b| b == 1),
-        dir2 in (0..2usize).prop_map(|b| b == 1),
-    ) {
-        let dir = |le: bool| if le { CmpDir::LeZero } else { CmpDir::GtZero };
-        let path = SymPath {
-            result,
-            n_samples: DIMS,
-            constraints: vec![
-                SymConstraint { value: c1, dir: dir(dir1) },
-                SymConstraint { value: c2, dir: dir(dir2) },
-            ],
-            scores: vec![score],
-            truncated: false,
-            budget_truncated: false,
-            tail: None,
-        };
-        let tape = Tape::for_path(&path);
-        let mut scratch = tape.scratch();
-        let got = tape.eval_cell(b.intervals(), &mut scratch);
-        let pos = path.constraints_on_box(&b, false);
-        match got {
-            None => prop_assert!(!pos, "tape excluded a possibly-inside cell"),
-            Some(cell) => {
-                prop_assert!(pos, "tape kept a definitely-outside cell");
-                assert_bits(cell.value, path.result.range_over_box(&b), "result");
-                assert_bits(cell.weight, path.weight_range_over_box(&b), "weight");
-                prop_assert_eq!(cell.definite, path.constraints_on_box(&b, true));
-            }
-        }
+    fn path_tapes_match_the_four_walks(case in path_case()) {
+        check_path_tape(case);
     }
 
-    /// Lane-blocked SoA evaluation ≡ scalar evaluation, lane by lane
-    /// (the batched fast paths replicate the `Interval` operators).
+    /// Lane-blocked evaluation of a full block ≡ each cell evaluated
+    /// alone as a one-lane block: a lane's outputs never depend on its
+    /// neighbours (masked lanes included).
     #[test]
     fn block_eval_matches_scalar_eval(
         (result, guard, score) in (arb_val(DIMS), arb_val(DIMS), arb_val(DIMS)),
         boxes in proptest::collection::vec(arb_box(DIMS), 1..(2 * LANES)),
     ) {
-        let path = SymPath {
-            result,
-            n_samples: DIMS,
-            constraints: vec![SymConstraint { value: guard, dir: CmpDir::LeZero }],
-            scores: vec![score],
-            truncated: false,
-            budget_truncated: false,
-            tail: None,
-        };
+        let path = path_of(DIMS, result, vec![(guard, CmpDir::LeZero)], vec![score]);
         let tape = Tape::for_path(&path);
-        let mut scalar = tape.scratch();
+        let mut single = tape.scratch();
         let mut block = tape.scratch();
         for chunk in boxes.chunks(LANES) {
             for (lane, b) in chunk.iter().enumerate() {
@@ -209,7 +231,7 @@ proptest! {
             }
             let any = tape.eval_block(&mut block, chunk.len());
             for (lane, b) in chunk.iter().enumerate() {
-                let want = tape.eval_cell(b.intervals(), &mut scalar);
+                let want = tape.eval_one(b.intervals(), &mut single);
                 let got = if any { block.lane(lane) } else { None };
                 match (got, want) {
                     (None, None) => {}
@@ -222,6 +244,27 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+// Soak copies of the two tree-walk properties: 2,000 cases each on their
+// own random streams. The lane evaluator is the only code that runs a
+// tape, so these are the widest check that its fast paths reproduce the
+// `Interval` operators bit for bit. CI runs them in release with
+// `--ignored`.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+    #[test]
+    #[ignore = "soak: cargo test --release --test kernel_differential -- --ignored"]
+    fn value_tapes_match_tree_ranges_soak(case in (arb_val(DIMS), arb_box(DIMS))) {
+        check_value_tape(case);
+    }
+
+    #[test]
+    #[ignore = "soak: cargo test --release --test kernel_differential -- --ignored"]
+    fn path_tapes_match_the_four_walks_soak(case in path_case()) {
+        check_path_tape(case);
     }
 }
 
@@ -297,8 +340,10 @@ fn corner_cases_agree_bit_for_bit() {
         let tape = Tape::for_value(2, v);
         let mut scratch = tape.scratch();
         for b in &boxes {
-            let got = tape.eval_value(b.intervals(), &mut scratch);
-            assert_bits(got, v.range_over_box(b), &format!("{v} over {b:?}"));
+            let got = tape
+                .eval_one(b.intervals(), &mut scratch)
+                .expect("no checks");
+            assert_bits(got.value, v.range_over_box(b), &format!("{v} over {b:?}"));
         }
     }
 }
@@ -308,37 +353,32 @@ fn corner_cases_agree_bit_for_bit() {
 /// yields `Some` with `definite == false`).
 #[test]
 fn interval_constraints_keep_the_forall_exists_distinction() {
-    let path = SymPath {
-        result: Arc::new(SymVal::Sample(0)),
-        n_samples: 1,
-        constraints: vec![SymConstraint {
-            // (α₀ + [0, 1]) ≤ 0: at α₀ ∈ [−0.5, −0.5] the range is
-            // [−0.5, 0.5] — possibly, not definitely, ≤ 0.
-            value: Arc::new(SymVal::Prim(
-                PrimOp::Add,
-                vec![
-                    Arc::new(SymVal::Sample(0)),
-                    Arc::new(SymVal::Interval(Interval::UNIT)),
-                ],
-            )),
-            dir: CmpDir::LeZero,
-        }],
-        scores: vec![],
-        truncated: false,
-        budget_truncated: false,
-        tail: None,
-    };
+    // (α₀ + [0, 1]) ≤ 0: at α₀ ∈ [−0.5, −0.5] the range is [−0.5, 0.5]
+    // — possibly, not definitely, ≤ 0.
+    let guard = Arc::new(SymVal::Prim(
+        PrimOp::Add,
+        vec![
+            Arc::new(SymVal::Sample(0)),
+            Arc::new(SymVal::Interval(Interval::UNIT)),
+        ],
+    ));
+    let path = path_of(
+        1,
+        Arc::new(SymVal::Sample(0)),
+        vec![(guard, CmpDir::LeZero)],
+        vec![],
+    );
     let tape = Tape::for_path(&path);
     let mut scratch = tape.scratch();
     let straddle = tape
-        .eval_cell(&[Interval::point(-0.5)], &mut scratch)
+        .eval_one(&[Interval::point(-0.5)], &mut scratch)
         .expect("possibly inside");
     assert!(!straddle.definite, "not all refinements satisfy ≤ 0");
     let inside = tape
-        .eval_cell(&[Interval::point(-1.5)], &mut scratch)
+        .eval_one(&[Interval::point(-1.5)], &mut scratch)
         .expect("definitely inside");
     assert!(inside.definite);
     assert!(tape
-        .eval_cell(&[Interval::point(0.5)], &mut scratch)
+        .eval_one(&[Interval::point(0.5)], &mut scratch)
         .is_none());
 }

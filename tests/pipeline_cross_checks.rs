@@ -2,7 +2,7 @@
 //! linear vs grid semantics, exact vs certified volumes, fast vs exact
 //! histograms — all must bracket the same truths.
 
-use gubpi_core::{bound_path, bound_path_query, PathBoundOptions, SingleQuery, Threads};
+use gubpi_core::{bound_path, bound_path_query, PathBoundOptions, QueryFold, Threads};
 use gubpi_core::{AnalysisOptions, Analyzer, Method};
 use gubpi_interval::Interval;
 use gubpi_lang::{infer, parse};
@@ -94,13 +94,15 @@ fn sink_and_query_are_consistent() {
     for src in ["sample", "let x = sample in score(x + 0.5); x"] {
         for path in paths_of(src) {
             let (ql, qh) = bound_path_query(&path, u, PathBoundOptions::default(), Threads::Off);
-            let mut sink = SingleQuery::new(u);
+            let (fold, mut sink) = (QueryFold::Filter(u), (0.0, 0.0));
             let opts = PathBoundOptions::default();
-            bound_path(&path, opts, Method::Auto, Threads::Off, &mut sink);
+            bound_path(&path, opts, Method::Auto, Threads::Off, |r| {
+                fold.apply(&mut sink, r)
+            });
             // The query folds U into the polytope, so it is at least as
             // tight; both must stay ordered.
-            assert!(sink.lo <= ql + 1e-9, "{src}: sink lower too high");
-            assert!(sink.hi >= qh - 1e-9, "{src}: sink upper too low");
+            assert!(sink.0 <= ql + 1e-9, "{src}: sink lower too high");
+            assert!(sink.1 >= qh - 1e-9, "{src}: sink upper too low");
         }
     }
 }

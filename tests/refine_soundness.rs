@@ -11,7 +11,7 @@
 //! `tests/parallel_determinism.rs`), so a bound verified once holds on
 //! every run.
 
-use gubpi_core::{bound_path, AnalysisOptions, Analyzer, Method, SingleQuery, Threads};
+use gubpi_core::{bound_path, AnalysisOptions, Analyzer, Method, QueryFold, Threads};
 use gubpi_inference::importance::{importance_sample, ImportanceOptions};
 use gubpi_interval::Interval;
 use gubpi_lang::parse;
@@ -208,11 +208,13 @@ fn refine_off_matches_uniform_path_sums() {
         let (lo, hi) = a.denotation_bounds(u);
         let (mut sum_lo, mut sum_hi) = (0.0f64, 0.0f64);
         for p in a.paths() {
-            let mut sink = SingleQuery::new(u);
+            let (fold, mut sink) = (QueryFold::Filter(u), (0.0, 0.0));
             let bounds = grid_opts(8, false).bounds;
-            bound_path(p, bounds, Method::Grid, Threads::Off, &mut sink);
-            sum_lo += sink.lo;
-            sum_hi += sink.hi;
+            bound_path(p, bounds, Method::Grid, Threads::Off, |r| {
+                fold.apply(&mut sink, r)
+            });
+            sum_lo += sink.0;
+            sum_hi += sink.1;
         }
         assert_eq!(
             lo.to_bits(),
