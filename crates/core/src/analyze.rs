@@ -902,15 +902,30 @@ impl Analyzer {
         // rays are shrunk by one ulp so they are strictly disjoint from U
         // (closed intervals would otherwise double-count boundary atoms);
         // the closed rays over-cover the complement for the upper bound,
-        // which is sound.
-        let left_closed = Interval::new(f64::NEG_INFINITY, u.lo());
-        let right_closed = Interval::new(u.hi(), f64::INFINITY);
-        let left_open = Interval::new(f64::NEG_INFINITY, gubpi_interval::next_after_down(u.lo()));
-        let right_open = Interval::new(gubpi_interval::next_after_up(u.hi()), f64::INFINITY);
-        let qll = self.denotation_outcome(left_open, cancel);
-        let qrl = self.denotation_outcome(right_open, cancel);
-        let qlh = self.denotation_outcome(left_closed, cancel);
-        let qrh = self.denotation_outcome(right_closed, cancel);
+        // which is sound. A side where U is unbounded has an empty
+        // complement, and is skipped: its "open" ray would be the point
+        // ±∞ itself (`next_after_down(−∞) = −∞`) and would count an atom
+        // at ±∞ in both `m` and the rest.
+        let empty = QueryOutcome {
+            lo: 0.0,
+            hi: 0.0,
+            degraded: false,
+            completeness: 1.0,
+        };
+        let ray = |lo: f64, hi: f64, unbounded: bool| {
+            if unbounded {
+                empty
+            } else {
+                self.denotation_outcome(Interval::new(lo, hi), cancel)
+            }
+        };
+        let (no_left, no_right) = (u.lo() == f64::NEG_INFINITY, u.hi() == f64::INFINITY);
+        let down = gubpi_interval::next_after_down(u.lo());
+        let up = gubpi_interval::next_after_up(u.hi());
+        let qll = ray(f64::NEG_INFINITY, down, no_left);
+        let qrl = ray(up, f64::INFINITY, no_right);
+        let qlh = ray(f64::NEG_INFINITY, u.lo(), no_left);
+        let qrh = ray(u.hi(), f64::INFINITY, no_right);
         let rest = (qll.lo + qrl.lo, qlh.hi + qrh.hi);
         let (lo, hi) = normalize(m.bounds(), rest);
         let subs = [&m, &qll, &qrl, &qlh, &qrh];
@@ -1355,6 +1370,30 @@ mod tests {
         assert_eq!(h.bin(3).hi(), 8e307);
         let (z_lo, z_hi) = h.z_bounds();
         assert!(z_lo <= 1.0 && 1.0 <= z_hi, "Z = 1 not in [{z_lo}, {z_hi}]");
+    }
+
+    #[test]
+    fn posteriors_over_unbounded_u_count_atoms_at_infinity_once() {
+        // `U` unbounded on one side has an empty complement there. An
+        // "open" ray on that side would be the point ±∞ itself and would
+        // count an atom at ±∞ in both ⟦P⟧(U) and the rest.
+        let neg = Interval::new(f64::NEG_INFINITY, 0.0);
+        let pos = Interval::new(0.0, f64::INFINITY);
+        let cases = [
+            ("log(0)", neg, 1.0),
+            ("if sample <= 0.5 then log(0) else 1", neg, 0.5),
+            ("exp(1000)", pos, 1.0),
+        ];
+        for (src, u, truth) in cases {
+            let (lo, hi) = analyzer(src).posterior_probability(u);
+            assert!(
+                lo <= truth && truth <= hi,
+                "{src}: {truth} not in [{lo}, {hi}]"
+            );
+            assert!(hi - lo < 1e-9, "{src}: [{lo}, {hi}]");
+        }
+        let raw = analyzer("log(0)").try_posterior_outcome(f64::NEG_INFINITY, 0.0, None);
+        assert_eq!(raw.map(|o| o.bounds()), Ok((1.0, 1.0)));
     }
 
     #[test]

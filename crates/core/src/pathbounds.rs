@@ -18,17 +18,19 @@
 //! bit-identical across thread counts and steal schedules.
 //!
 //! Each step that combines bounds lives in one function: `cell_mass`
-//! turns a cell's fused tape (or tree-walk) bounds and its volume into
-//! a [`Region`], and [`QueryFold::apply`] classifies a region against
-//! `U` and adds its masses to the query bounds — for the sweeps, the
-//! refiner's gap scores and every caller of [`bound_path`] alike.
+//! turns a cell's fused tape bounds and its volume into a [`Region`],
+//! and [`QueryFold::apply`] classifies a region against `U` and adds its
+//! masses to the query bounds — for the sweeps, the refiner's gap scores
+//! and every caller of [`bound_path`] alike. Every cell and every §6.4
+//! score-skeleton factor is evaluated through a [`Tape`]; `tape_for` is
+//! the one place that picks its form from [`PathBoundOptions::use_kernel`].
 
 use std::ops::Range;
 use std::sync::Arc;
 
 use gubpi_interval::{next_after_down, next_after_up, pow_up, BoxN, Interval};
 use gubpi_polytope::{HPolytope, LinExpr};
-use gubpi_symbolic::{note_kernel_cells, CellBounds, KernelSeed, SymPath, SymVal, Tape, LANES};
+use gubpi_symbolic::{CellBounds, KernelSeed, SymPath, SymVal, Tape, LANES};
 
 use gubpi_pool::{run_jobs_cancellable, run_jobs_with, CancelToken, PathJob, Threads, WorkerPool};
 
@@ -119,11 +121,12 @@ pub struct PathBoundOptions {
     /// Largest *coupled* dimension for which the exact Lasserre volume is
     /// used; beyond it, certified box bounds take over.
     pub exact_dim_cap: usize,
-    /// Evaluate region sweeps through the compiled interval-tape kernel
-    /// (`gubpi_symbolic::kernel`) instead of the tree-walking
-    /// interpreter. Bounds are **bit-identical** either way (enforced by
-    /// `tests/kernel_differential.rs`, which uses the interpreter as its
-    /// oracle); the kernel is only faster.
+    /// Evaluate cells and §6.4 score skeletons through compiled interval
+    /// tapes (`gubpi_symbolic::kernel`) instead of the tapes' tree-walk
+    /// form ([`Tape::tree_walk`]). Both run through the same sweep code
+    /// and give **bit-identical** bounds (the differential tests compare
+    /// them); the kernel is only faster. Off, [`gubpi_symbolic::kernel_stats`]
+    /// counts no tapes and no cells. Read in one place only.
     pub use_kernel: bool,
     /// Substitute geometric tail enclosures into budget-⊤ paths before
     /// bounding (see [`tail_substituted`]): a ⊤ path carrying a
@@ -366,26 +369,32 @@ pub fn linear_applicable(path: &SymPath) -> bool {
             .all(|c| c.value.linear_form(n).is_some())
 }
 
+/// The tape a plan evaluates `path` with, and the one read of
+/// `opts.use_kernel`: the compiled kernel, or the tree-walk form the
+/// differential tests compare it with. Both give the same bounds, bit
+/// for bit, through the same sweep code.
+fn tape_for(path: &SymPath, opts: PathBoundOptions, seed: Option<&KernelSeed>) -> Tape {
+    if opts.use_kernel {
+        Tape::for_path_seeded(path, seed)
+    } else {
+        Tape::tree_walk(path)
+    }
+}
+
 /// Paths without samples: a single region of measure 1, precomputed at
-/// plan time (nothing to schedule).
-///
-/// With the kernel enabled this is **one** fused tape evaluation over
-/// the empty box; the interpreter preamble used to walk the constraint
-/// trees twice (∃ then ∀) and the weight and result trees separately.
+/// plan time (nothing to schedule) by one tape evaluation over the
+/// empty box.
 fn plan_sampleless(
     path: &SymPath,
     opts: PathBoundOptions,
     seed: Option<&KernelSeed>,
 ) -> PathJob<'static, Region> {
+    let tape = tape_for(path, opts, seed);
+    tape.note_cells(1);
     // The empty box has volume 1.0, and `1.0 * x == x` bit for bit.
-    let region = if opts.use_kernel {
-        let tape = Tape::for_path_seeded(path, seed);
-        note_kernel_cells(1);
-        tape.eval_one(&[], &mut tape.scratch())
-            .map(|cell| cell_mass(1.0, cell))
-    } else {
-        cell_region(path, &BoxN::empty())
-    };
+    let region = tape
+        .eval_one(&[], &mut tape.scratch())
+        .map(|cell| cell_mass(1.0, cell));
     PathJob::Ready(region.into_iter().collect())
 }
 
@@ -421,20 +430,6 @@ impl Odometer {
             *digit = 0;
         }
     }
-}
-
-/// Per-region cost of a tree-walking sweep: the op applications all
-/// four walks perform per cell (`SymVal::prim_op_count`, the same
-/// counter behind the kernel's pre-CSE `tree_nodes` baseline).
-fn tree_walk_cost(path: &SymPath) -> u64 {
-    let constraint_ops: u64 = path
-        .constraints
-        .iter()
-        .map(|c| c.value.prim_op_count())
-        .sum();
-    let score_ops: u64 = path.scores.iter().map(|w| w.prim_op_count()).sum();
-    // ∃ + ∀ over the constraints, one weight walk, one result walk.
-    2 * constraint_ops + score_ops + path.result.prim_op_count() + 1
 }
 
 // --------------------------------------------------------------------
@@ -488,11 +483,11 @@ pub fn grid_splits(splits: usize, n: usize, budget: usize) -> usize {
 /// are replayed in index order, reproducing the sequential `sink.add`
 /// sequence bit for bit.
 ///
-/// With `opts.use_kernel` the path is lowered once into a compiled
-/// interval tape and each claimed chunk is evaluated in lane blocks
-/// with zero per-cell allocations; cells are decoded by an incremental
-/// odometer instead of per-dimension `div`/`mod`. The emitted region
-/// stream is bit-identical to the tree-walking interpreter's.
+/// The path is lowered once into a tape ([`tape_for`]) and each claimed
+/// chunk is evaluated in lane blocks, with zero per-cell allocations
+/// for a compiled tape; cells are decoded by an incremental odometer
+/// instead of per-dimension `div`/`mod`. The emitted region stream is
+/// the same, bit for bit, for either tape form.
 fn plan_grid<'a>(
     path: &'a SymPath,
     opts: PathBoundOptions,
@@ -505,29 +500,14 @@ fn plan_grid<'a>(
     let cell_edges: Vec<Interval> = Interval::UNIT.split(k);
     // k^n ≤ region_budget ≤ usize::MAX whenever k > 1, and 1 otherwise.
     let total = k.pow(n as u32);
-    if !opts.use_kernel {
-        return PathJob::Sweep {
-            total,
-            cost: tree_walk_cost(path),
-            process: Box::new(move |range: Range<usize>, buf| {
-                let mut odo = Odometer::at(n, range.start, |_| k);
-                for _ in range {
-                    let cell: BoxN = (0..n).map(|d| cell_edges[odo.digits[d]]).collect();
-                    buf.extend(cell_region(path, &cell));
-                    odo.step(|_| k);
-                }
-            }),
-        };
-    }
-
-    let tape = Tape::for_path_seeded(path, seed);
+    let tape = tape_for(path, opts, seed);
     let cost = tape.cost();
     // Cell widths mirror `BoxN::volume`'s per-dimension factors; the
     // product below multiplies them in dimension order starting from
     // 1.0, exactly like `Iterator::product` over `Interval::width`.
     let edge_widths: Vec<f64> = cell_edges.iter().map(Interval::width).collect();
     let process = move |range: Range<usize>, buf: &mut Vec<Region>| {
-        note_kernel_cells(range.len() as u64);
+        tape.note_cells(range.len() as u64);
         let mut scratch = tape.scratch();
         let mut odo = Odometer::at(n, range.start, |_| k);
         let mut vols = [0.0f64; LANES];
@@ -563,8 +543,7 @@ fn plan_grid<'a>(
 /// The §6.3 region of a cell of volume `vol` from its fused bounds: the
 /// result range, the lower mass `vol · w.lo` when every constraint holds
 /// definitely (∀) and 0 otherwise, and the upper mass `vol · w.hi`. The
-/// one place a cell's mass is formed, for the kernel and the
-/// interpreter alike.
+/// one place a cell's mass is formed, for either tape form.
 fn cell_mass(vol: f64, cell: CellBounds) -> Region {
     let lo = if cell.definite {
         vol * cell.weight.lo()
@@ -574,31 +553,21 @@ fn cell_mass(vol: f64, cell: CellBounds) -> Region {
     (cell.value, lo, vol * cell.weight.hi())
 }
 
-/// The tree-walking interpreter's contribution of one grid cell: the
-/// four walks (∃-pass, ∀-pass, weight, result) fed to [`cell_mass`], or
-/// `None` when the constraints definitely exclude the cell. The
-/// compiled kernel emits the same region bit for bit.
-fn cell_region(path: &SymPath, cell: &BoxN) -> Option<Region> {
-    if !path.constraints_on_box(cell, false) {
-        return None; // definitely outside
-    }
-    let bounds = CellBounds {
-        value: path.result.range_over_box(cell),
-        weight: path.weight_range_over_box(cell),
-        definite: path.constraints_on_box(cell, true),
-    };
-    Some(cell_mass(cell.volume(), bounds))
-}
-
 /// The path's coarsest sound grid-semantics enclosure: one evaluation
 /// of the whole sample box `[0,1]^n`. `None` means the path's
 /// constraints definitely exclude the entire box, i.e. the path
 /// contributes nothing. This is the anytime fallback for regions a
 /// cancelled sweep never reached — every sub-cell's true contribution
 /// is contained in its share of this region by inclusion monotonicity.
+///
+/// One cell needs no compiling, so this always runs the tree-walk form
+/// (which counts no kernel tapes or cells).
 pub fn coarse_path_enclosure(path: &SymPath) -> Option<Region> {
-    let cell: BoxN = (0..path.n_samples).map(|_| Interval::UNIT).collect();
-    cell_region(path, &cell)
+    let unit = vec![Interval::UNIT; path.n_samples];
+    let tape = Tape::tree_walk(path);
+    // The unit box has volume 1.0.
+    tape.eval_one(&unit, &mut tape.scratch())
+        .map(|cell| cell_mass(1.0, cell))
 }
 
 // --------------------------------------------------------------------
@@ -795,17 +764,16 @@ fn plan_linear_with(
         opts.exact_dim_cap
     };
 
-    // Score-decomposition skeletons compiled to value tapes: the combo
-    // loop below evaluates each skeleton once per combination, and the
-    // tree walk (with its per-`Prim` argument vectors) is the only
-    // allocating part of that loop. Bit-identical to
-    // `eval_with_part_ranges` (same DAG, same `eval_interval` calls).
-    let skel_tapes: Option<Vec<Tape>> = opts.use_kernel.then(|| {
-        decomps
-            .iter()
-            .map(|d| Tape::for_value(d.parts.len(), &d.skeleton))
-            .collect()
-    });
+    // Score-decomposition skeletons as value tapes over their parts:
+    // the combo loop below evaluates each skeleton once per combination,
+    // and compiled, it allocates nothing per combination.
+    let skel_tapes: Vec<Tape> = decomps
+        .iter()
+        .map(|d| {
+            let skeleton = SymPath::of_value(d.parts.len(), d.skeleton.clone());
+            tape_for(&skeleton, opts, None)
+        })
+        .collect();
 
     // Cartesian sweep over chunk combinations, addressed by a linear
     // mixed-radix index (expression 0 fastest) so the combination space
@@ -828,12 +796,7 @@ fn plan_linear_with(
         let mut odo = Odometer::at(chunkings.len(), range.start, radix);
         let mut chunks = vec![Interval::ZERO; chunkings.len()];
         let mut part_ranges: Vec<Interval> = Vec::new();
-        let mut scratches: Vec<_> = skel_tapes
-            .as_deref()
-            .unwrap_or_default()
-            .iter()
-            .map(Tape::scratch)
-            .collect();
+        let mut scratches: Vec<_> = skel_tapes.iter().map(Tape::scratch).collect();
         for _ in range {
             for (ch, (chunking, &digit)) in chunks.iter_mut().zip(chunkings.iter().zip(&odo.digits))
             {
@@ -875,15 +838,10 @@ fn plan_linear_with(
                             Err(fixed) => fixed,
                         }
                     }));
-                    let factor = match &skel_tapes {
-                        Some(tapes) => {
-                            tapes[s]
-                                .eval_one(&part_ranges, &mut scratches[s])
-                                .expect("a value tape has no checks")
-                                .value
-                        }
-                        None => d.eval_with_part_ranges(&part_ranges),
-                    };
+                    let factor = skel_tapes[s]
+                        .eval_one(&part_ranges, &mut scratches[s])
+                        .expect("a value tape has no checks")
+                        .value;
                     w = w * factor.clamp_non_neg();
                 }
                 let value_range = if result_boxed {
@@ -989,7 +947,7 @@ struct Leaf {
 /// **bit-identical across thread counts and steal schedules**.
 pub struct GridRefiner<'a> {
     path: &'a SymPath,
-    tape: Option<Tape>,
+    tape: Tape,
     fold: QueryFold,
     max_depth: u32,
     budget: usize,
@@ -1042,7 +1000,7 @@ impl<'a> GridRefiner<'a> {
         }
         Some(GridRefiner {
             path,
-            tape: opts.use_kernel.then(|| Tape::for_path_seeded(path, seed)),
+            tape: tape_for(path, opts, seed),
             fold,
             max_depth: refine.max_refine_depth,
             budget,
@@ -1114,34 +1072,18 @@ impl<'a> GridRefiner<'a> {
         if self.pending.is_empty() {
             return PathJob::Ready(Vec::new());
         }
-        let boxes = &self.pending;
-        match &self.tape {
-            Some(tape) => PathJob::Sweep {
-                total: boxes.len(),
-                cost: tape.cost(),
-                process: Box::new(move |range: Range<usize>, buf| {
-                    note_kernel_cells(range.len() as u64);
-                    let mut scratch = tape.scratch();
-                    let slice = &boxes[range.clone()];
-                    tape.eval_boxes(&mut scratch, slice, |i, cell| {
-                        buf.push((range.start + i, cell_mass(slice[i].volume(), cell)));
-                    });
-                }),
-            },
-            None => {
-                let path = self.path;
-                PathJob::Sweep {
-                    total: boxes.len(),
-                    cost: tree_walk_cost(path),
-                    process: Box::new(move |range: Range<usize>, buf| {
-                        for idx in range {
-                            if let Some(region) = cell_region(path, &boxes[idx]) {
-                                buf.push((idx, region));
-                            }
-                        }
-                    }),
-                }
-            }
+        let (boxes, tape) = (&self.pending, &self.tape);
+        PathJob::Sweep {
+            total: boxes.len(),
+            cost: tape.cost(),
+            process: Box::new(move |range: Range<usize>, buf| {
+                tape.note_cells(range.len() as u64);
+                let mut scratch = tape.scratch();
+                let slice = &boxes[range.clone()];
+                tape.eval_boxes(&mut scratch, slice, |i, cell| {
+                    buf.push((range.start + i, cell_mass(slice[i].volume(), cell)));
+                });
+            }),
         }
     }
 
@@ -1711,10 +1653,10 @@ mod tests {
         assert!((lo - 0.25).abs() < 1e-12 && (hi - 0.25).abs() < 1e-12);
     }
 
-    /// The compiled kernel and the tree-walking interpreter must emit
-    /// **the same region stream, bit for bit** — same regions, same
-    /// order, same masses — for every plan shape (grid, linear,
-    /// sampleless) and every thread count.
+    /// The compiled kernel and the tapes' tree-walk form must emit **the
+    /// same region stream, bit for bit** — same regions, same order, same
+    /// masses — for every plan shape (grid, linear with its score
+    /// skeletons, sampleless) and every thread count.
     #[test]
     fn kernel_and_interpreter_emit_identical_region_streams() {
         let sources = [
@@ -1749,6 +1691,67 @@ mod tests {
                 let iq = bound_path_query(p, u, interp_opts, Threads::Off);
                 assert_eq!(kq.0.to_bits(), iq.0.to_bits(), "{src}");
                 assert_eq!(kq.1.to_bits(), iq.1.to_bits(), "{src}");
+            }
+        }
+    }
+
+    /// The §6.3 contribution of one grid cell written out without tapes:
+    /// the four tree walks on a `BoxN` cell, `BoxN::volume` and the mass
+    /// formula. The oracle for the uniform grid sweep, whose cell
+    /// volumes are edge-width products and whose cells go through
+    /// `cell_mass` and a tape.
+    fn four_walk_region(path: &SymPath, cell: &BoxN) -> Option<Region> {
+        if !path.constraints_on_box(cell, false) {
+            return None; // definitely outside
+        }
+        let vol = cell.volume();
+        let w = path.weight_range_over_box(cell);
+        let lo = if path.constraints_on_box(cell, true) {
+            vol * w.lo()
+        } else {
+            0.0
+        };
+        Some((path.result.range_over_box(cell), lo, vol * w.hi()))
+    }
+
+    /// The uniform grid sweep emits the four-walk oracle's region stream
+    /// bit for bit — cells in index order, dimension 0 fastest — with
+    /// either tape form, sequentially and on four workers.
+    #[test]
+    fn uniform_grid_matches_the_four_walk_oracle() {
+        let sources = [
+            "let x = sample in let y = sample in
+             if x * y <= 0.25 then sample else 2",
+            "let x = sample in let y = sample in score(x + y); score(2 - x); x + y",
+            "score(0.25); 2",
+            "let x = sample in observe 0.4 from normal(x, 0.25);
+             if x <= 0.5 then x else 1 - x",
+        ];
+        let opts = PathBoundOptions {
+            splits: 8,
+            ..Default::default()
+        };
+        for src in sources {
+            for p in &paths(src) {
+                let n = p.n_samples;
+                let k = grid_splits(opts.splits, n, opts.region_budget);
+                let edges = Interval::UNIT.split(k);
+                let want: Vec<Region> = (0..k.pow(n as u32))
+                    .filter_map(|i| {
+                        let cell: BoxN = (0..n).map(|d| edges[i / k.pow(d as u32) % k]).collect();
+                        four_walk_region(p, &cell)
+                    })
+                    .collect();
+                assert!(!want.is_empty(), "{src}");
+                for use_kernel in [true, false] {
+                    for threads in [Threads::Off, Threads::Fixed(4)] {
+                        let o = PathBoundOptions { use_kernel, ..opts };
+                        let mut got = Vec::new();
+                        bound_path(p, o, Method::Grid, threads, |r| got.push(r));
+                        let ctx = format!("{src}: use_kernel {use_kernel}, {threads:?}");
+                        assert_same_regions(&got, &want, &ctx);
+                    }
+                }
             }
         }
     }
@@ -2047,19 +2050,20 @@ mod tests {
             assert_eq!(total, 8usize.pow(p.n_samples as u32));
             let tape = gubpi_symbolic::Tape::for_path(p);
             assert_eq!(cost, tape.cost(), "cost must be the tape's estimate");
-            // The interpreter fallback carries its own (tree-size)
-            // estimate; both are pure functions of the plan.
-            let interp = PathBoundOptions {
+            // The tree-walk form carries its own (tree-size) estimate;
+            // both are pure functions of the plan.
+            let walk = PathBoundOptions {
                 use_kernel: false,
                 ..opts
             };
             let PathJob::Sweep {
-                cost: tree_cost, ..
-            } = plan_path_seeded(p, interp, None)
+                cost: walk_cost, ..
+            } = plan_path_seeded(p, walk, None)
             else {
                 panic!("grid paths plan as sweeps");
             };
-            assert!(tree_cost > 0);
+            assert_eq!(walk_cost, gubpi_symbolic::Tape::tree_walk(p).cost());
+            assert!(walk_cost > 0);
         }
     }
 }

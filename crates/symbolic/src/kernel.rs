@@ -16,8 +16,8 @@
 //! * **Constant pre-folding** — sample-free subterms are folded at
 //!   lowering time with the *same* `PrimOp::eval_interval` call the
 //!   tree walker would make per cell, into preloaded constant slots;
-//! * **Constraint short-circuiting** — constraints are statically
-//!   ordered cheapest-first (fewest additional instructions needed) and
+//! * **Constraint short-circuiting** — the ∃-tests run in one static
+//!   order, narrowest constraint range over the unit cube first, and
 //!   the evaluator bails at the first ∃-test that proves the cell
 //!   definitely outside; the ∀-pass reuses the registers computed for
 //!   the ∃-pass instead of re-walking the trees;
@@ -27,18 +27,29 @@
 //!   arithmetic instructions autovectorize. It is the only evaluator:
 //!   a single cell runs as a one-lane block ([`Tape::eval_one`]).
 //!
-//! # Bit-identity with the tree interpreter
+//! # The tree-walk form
 //!
-//! Every reported bound is **bit-identical** to the tree-walking
-//! interpreter's: each tape instruction computes exactly
-//! `PrimOp::eval_interval` of its operand slots (the SoA fast paths
-//! replicate the corresponding `Interval` operators literally, NaN
-//! repair and `0 · ∞ = 0` convention included), CSE only shares values
-//! a pure recomputation would reproduce, constant folding evaluates the
-//! same calls at compile time that the walker makes per cell, and the
-//! short-circuit order changes *which* work is skipped for excluded
-//! cells, never a value that is reported. `tests/kernel_differential.rs`
-//! enforces this on random trees and boxes, down to the bits.
+//! [`Tape::tree_walk`] builds a tape without compiling anything: its
+//! [`Tape::eval_block`] reads each lane's box from the same
+//! [`TapeScratch`] and fills the same per-lane outputs from the four
+//! walks (`SymPath::constraints_on_box`, `SymPath::weight_range_over_box`
+//! and `SymVal::range_over_box`). It is the reference the compiled form
+//! is tested against, and what `PathBoundOptions::use_kernel = false`
+//! runs, through the very same sweep code. It is not a kernel:
+//! [`kernel_stats`] counts neither its construction nor its cells.
+//!
+//! # Bit-identity with the tree walks
+//!
+//! Every reported bound is **bit-identical** to the tree walks': each
+//! tape instruction computes exactly `PrimOp::eval_interval` of its
+//! operand slots (the SoA fast paths replicate the corresponding
+//! `Interval` operators literally, NaN repair and `0 · ∞ = 0`
+//! convention included), CSE only shares values a pure recomputation
+//! would reproduce, constant folding evaluates the same calls at compile
+//! time that the walker makes per cell, and the short-circuit order
+//! changes *which* work is skipped for excluded cells, never a value
+//! that is reported. `tests/kernel_differential.rs` enforces this on
+//! random trees and boxes, down to the bits.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -58,11 +69,8 @@ use crate::symval::SymVal;
 /// Seeding is **value-transparent** by construction: the pre-interned
 /// constant pool only renumbers constant slots (every constant still
 /// holds the identical bit pattern and is preloaded into its register
-/// the same way), and the static constraint order only changes *which*
-/// ∃-tests run first — short-circuiting excludes exactly the same cells
-/// in any order, and the ∀-pass always tests every check. No reported
-/// bound can differ from an unseeded compile, no matter how imprecise
-/// the facts are.
+/// the same way). No reported bound can differ from an unseeded
+/// compile, no matter how imprecise the facts are.
 #[derive(Clone, Debug, Default)]
 pub struct KernelSeed {
     consts: Vec<Interval>,
@@ -143,11 +151,13 @@ struct Check {
     after: u32,
 }
 
-/// A compiled interval tape for one [`SymPath`] (or one value).
+/// An interval tape for one [`SymPath`] (or one value): compiled, or
+/// the path's tree-walk form ([`Tape::tree_walk`]).
 ///
 /// Register layout: `[0, n_inputs)` are the per-cell inputs,
 /// `[n_inputs, n_inputs + consts)` are pre-folded constants (loaded once
-/// per scratch), and each instruction writes the next register.
+/// per scratch), and each instruction writes the next register. The
+/// tree-walk form has the input registers only.
 pub struct Tape {
     n_inputs: usize,
     n_regs: usize,
@@ -159,6 +169,9 @@ pub struct Tape {
     /// Primitive-application nodes in the source trees *before* CSE
     /// (duplicates counted) — the baseline for the CSE-savings stat.
     tree_nodes: usize,
+    /// The tree-walk form's path, whose four walks replace the
+    /// instructions (`None` for a compiled tape).
+    walk: Option<SymPath>,
 }
 
 /// The fused per-cell outputs of a tape evaluation.
@@ -224,7 +237,6 @@ struct Builder {
     /// `Arc` pointer memo: shared subterms (the values are DAGs) intern
     /// in O(1) instead of re-walking the whole shared subtree.
     ptr_memo: HashMap<*const SymVal, Slot>,
-    tree_nodes: usize,
 }
 
 impl Builder {
@@ -238,7 +250,6 @@ impl Builder {
             nodes: Vec::new(),
             node_ids: HashMap::new(),
             ptr_memo: HashMap::new(),
-            tree_nodes: 0,
         }
     }
 
@@ -318,23 +329,6 @@ impl Builder {
         slot
     }
 
-    /// Marks every op node reachable from `slot` in `needed` and returns
-    /// how many of them are not yet emitted.
-    fn count_unscheduled(&self, slot: Slot, emitted: &[bool], seen: &mut [bool]) -> usize {
-        let Slot::Node(k) = slot else { return 0 };
-        let k = k as usize;
-        if emitted[k] || seen[k] {
-            return 0;
-        }
-        seen[k] = true;
-        let node = self.nodes[k];
-        let mut count = 1;
-        for j in 0..node.n_args as usize {
-            count += self.count_unscheduled(node.args[j], emitted, seen);
-        }
-        count
-    }
-
     /// Emits (post-order, args left to right) every unemitted node
     /// reachable from `slot` into `order`.
     fn emit(&self, slot: Slot, emitted: &mut [bool], order: &mut Vec<u32>) {
@@ -351,75 +345,66 @@ impl Builder {
     }
 }
 
-/// Compiles roots into a tape (shared by [`Tape::for_path`] and
-/// [`Tape::for_value`]).
+/// Op applications of one walk over the constraints, and of one walk
+/// over the scores plus the result (`SymVal::prim_op_count` counts a
+/// shared `Arc` once per occurrence, exactly like the walker).
+fn walk_ops(path: &SymPath) -> (u64, u64) {
+    let constraints = path
+        .constraints
+        .iter()
+        .map(|c| c.value.prim_op_count())
+        .sum();
+    let scores: u64 = path.scores.iter().map(|v| v.prim_op_count()).sum();
+    (constraints, scores + path.result.prim_op_count())
+}
+
+/// Compiles a path into a tape (shared by [`Tape::for_path_seeded`] and,
+/// through [`SymPath::of_value`], [`Tape::for_value`]).
 ///
-/// `static_order`, when present, fixes the ∃-test schedule up front
-/// (seeded compiles order constraints by their static interval width
-/// once per program) instead of running the per-tape greedy
-/// cheapest-first scan. Either schedule excludes exactly the same cells
-/// — bailing order changes which work is *skipped*, never a reported
-/// value.
-fn compile(
-    mut b: Builder,
-    constraints: &[(Arc<SymVal>, CmpDir)],
-    scores: &[Arc<SymVal>],
-    result: &Arc<SymVal>,
-    static_order: Option<Vec<usize>>,
-) -> Tape {
+/// The ∃-tests run narrowest constraint first, by the width of the
+/// constraint's range over the unit cube (`SymVal::crude_range`): a
+/// narrow guard decides a cell cheaply and early. ∞ and NaN widths
+/// (unbounded guards) sort last via `total_cmp`; the stable sort keeps
+/// the path's order as the deterministic tiebreak. The order changes
+/// which work is *skipped* for excluded cells, never a reported value.
+fn compile(mut b: Builder, path: &SymPath) -> Tape {
     // Pre-CSE baseline: the op applications a per-cell tree walk
-    // performs (`SymVal::prim_op_count` counts shared `Arc`s once per
-    // occurrence, exactly like the walker).
-    b.tree_nodes = constraints
+    // performs.
+    let (constraint_ops, other_ops) = walk_ops(path);
+    let constraint_slots: Vec<(Slot, CmpDir)> = path
+        .constraints
         .iter()
-        .map(|(v, _)| v.prim_op_count())
-        .chain(scores.iter().map(|v| v.prim_op_count()))
-        .chain(std::iter::once(result.prim_op_count()))
-        .sum::<u64>() as usize;
-    let constraint_slots: Vec<(Slot, CmpDir)> = constraints
-        .iter()
-        .map(|(v, dir)| (b.intern(v), *dir))
+        .map(|c| (b.intern(&c.value), c.dir))
         .collect();
-    let score_slots: Vec<Slot> = scores.iter().map(|v| b.intern(v)).collect();
-    let result_slot = b.intern(result);
+    let score_slots: Vec<Slot> = path.scores.iter().map(|v| b.intern(v)).collect();
+    let result_slot = b.intern(&path.result);
+
+    let widths: Vec<f64> = path
+        .constraints
+        .iter()
+        .map(|c| {
+            let r = c.value.crude_range(path.n_samples);
+            let w = r.hi() - r.lo();
+            if w.is_nan() {
+                f64::INFINITY
+            } else {
+                w
+            }
+        })
+        .collect();
+    let mut sched: Vec<usize> = (0..widths.len()).collect();
+    sched.sort_by(|&i, &j| widths[i].total_cmp(&widths[j]));
 
     let n_nodes = b.nodes.len();
     let mut emitted = vec![false; n_nodes];
     let mut order: Vec<u32> = Vec::with_capacity(n_nodes);
-
-    let mut picks: Vec<(usize, u32)> = Vec::with_capacity(constraint_slots.len());
-    if let Some(sched) = static_order {
-        // Pre-computed schedule (seeded compiles): emit in the given
-        // order, no per-tape cost scan.
-        debug_assert_eq!(sched.len(), constraint_slots.len());
-        for i in sched {
+    let picks: Vec<(usize, u32)> = sched
+        .into_iter()
+        .map(|i| {
             b.emit(constraint_slots[i].0, &mut emitted, &mut order);
-            picks.push((i, order.len() as u32));
-        }
-    } else {
-        // Cheapest-first static ordering of the ∃-tests: repeatedly pick
-        // the constraint needing the fewest additional instructions
-        // (ties broken by original index — fully deterministic).
-        let mut scheduled = vec![false; constraint_slots.len()];
-        let mut seen = vec![false; n_nodes];
-        for _ in 0..constraint_slots.len() {
-            let mut best: Option<(usize, usize)> = None;
-            for (i, &(slot, _)) in constraint_slots.iter().enumerate() {
-                if scheduled[i] {
-                    continue;
-                }
-                seen.iter_mut().for_each(|s| *s = false);
-                let cost = b.count_unscheduled(slot, &emitted, &mut seen);
-                if best.is_none_or(|(_, c)| cost < c) {
-                    best = Some((i, cost));
-                }
-            }
-            let (i, _) = best.expect("one unscheduled constraint remains");
-            scheduled[i] = true;
-            b.emit(constraint_slots[i].0, &mut emitted, &mut order);
-            picks.push((i, order.len() as u32));
-        }
-    }
+            (i, order.len() as u32)
+        })
+        .collect();
     for &slot in &score_slots {
         b.emit(slot, &mut emitted, &mut order);
     }
@@ -476,7 +461,8 @@ fn compile(
         checks,
         scores: score_slots.iter().map(|&s| reg(s)).collect(),
         result: reg(result_slot),
-        tree_nodes: b.tree_nodes,
+        tree_nodes: (constraint_ops + other_ops) as usize,
+        walk: None,
     };
     STATS.tapes.fetch_add(1, Ordering::Relaxed);
     STATS
@@ -502,53 +488,41 @@ impl Tape {
     }
 
     /// [`Tape::for_path`] starting from a per-program [`KernelSeed`]:
-    /// the constant table is pre-interned from the static facts and the
-    /// ∃-test schedule is fixed by the constraints' static interval
-    /// widths (narrow, cheap-to-decide guards first) instead of the
-    /// per-tape greedy instruction-cost scan. Produces bit-identical
-    /// cell bounds to an unseeded compile (see [`KernelSeed`]).
+    /// the constant table is pre-interned from the static facts instead
+    /// of per query. Produces bit-identical cell bounds to an unseeded
+    /// compile (see [`KernelSeed`]).
     pub fn for_path_seeded(path: &SymPath, seed: Option<&KernelSeed>) -> Tape {
-        let constraints: Vec<(Arc<SymVal>, CmpDir)> = path
-            .constraints
-            .iter()
-            .map(|c| (c.value.clone(), c.dir))
-            .collect();
-        let (builder, static_order) = match seed {
-            Some(seed) => {
-                // Width-ascending schedule; ∞ and NaN widths (unbounded
-                // guards) sort last via total_cmp. Stable sort keeps the
-                // original index as the deterministic tiebreak.
-                let width = |v: &Arc<SymVal>| {
-                    let r = v.crude_range(path.n_samples);
-                    let w = r.hi() - r.lo();
-                    if w.is_nan() {
-                        f64::INFINITY
-                    } else {
-                        w
-                    }
-                };
-                let mut sched: Vec<usize> = (0..constraints.len()).collect();
-                sched.sort_by(|&i, &j| {
-                    width(&constraints[i].0).total_cmp(&width(&constraints[j].0))
-                });
-                (Builder::seeded(path.n_samples, seed), Some(sched))
-            }
-            None => (Builder::new(path.n_samples), None),
+        let builder = match seed {
+            Some(seed) => Builder::seeded(path.n_samples, seed),
+            None => Builder::new(path.n_samples),
         };
-        compile(
-            builder,
-            &constraints,
-            &path.scores,
-            &path.result,
-            static_order,
-        )
+        compile(builder, path)
     }
 
     /// Lowers a single value over an `n_inputs`-dimensional input space
     /// (used for the linear semantics' score-decomposition skeletons,
     /// whose `Sample(k)` leaves index the decomposition parts).
     pub fn for_value(n_inputs: usize, v: &Arc<SymVal>) -> Tape {
-        compile(Builder::new(n_inputs), &[], &[], v, None)
+        Tape::for_path(&SymPath::of_value(n_inputs, v.clone()))
+    }
+
+    /// The tree-walk form of [`Tape::for_path`] (see the module docs):
+    /// nothing is compiled, and [`Tape::eval_block`] runs the four walks
+    /// on each lane's box. Its bounds are the compiled form's, bit for
+    /// bit. A value's form is `Tape::tree_walk(&SymPath::of_value(n, v))`.
+    pub fn tree_walk(path: &SymPath) -> Tape {
+        let (constraint_ops, other_ops) = walk_ops(path);
+        Tape {
+            n_inputs: path.n_samples,
+            n_regs: path.n_samples,
+            consts: Vec::new(),
+            instrs: Vec::new(),
+            checks: Vec::new(),
+            scores: Vec::new(),
+            result: 0,
+            tree_nodes: (constraint_ops + other_ops) as usize,
+            walk: Some(path.clone()),
+        }
     }
 
     /// Number of per-cell inputs (sample dimensions / skeleton parts).
@@ -561,7 +535,8 @@ impl Tape {
         self.instrs.len()
     }
 
-    /// Is the tape free of executable instructions (fully pre-folded)?
+    /// Is the tape free of executable instructions (fully pre-folded, or
+    /// the tree-walk form)?
     pub fn is_empty(&self) -> bool {
         self.instrs.is_empty()
     }
@@ -574,10 +549,30 @@ impl Tape {
     }
 
     /// Deterministic per-region cost estimate (used to seed the
-    /// scheduler's adaptive chunk width): instructions plus the fixed
-    /// per-cell work (input loads, checks, score product, emission).
+    /// scheduler's adaptive chunk width). Compiled: instructions plus
+    /// the fixed per-cell work (input loads, checks, score product,
+    /// emission). Tree walk: the op applications of the ∃- and ∀-passes
+    /// over the constraints, one weight walk and one result walk.
     pub fn cost(&self) -> u64 {
-        (self.instrs.len() + self.checks.len() + self.scores.len() + self.n_inputs + 1) as u64
+        match &self.walk {
+            Some(path) => {
+                let (constraint_ops, other_ops) = walk_ops(path);
+                2 * constraint_ops + other_ops + 1
+            }
+            None => {
+                (self.instrs.len() + self.checks.len() + self.scores.len() + self.n_inputs + 1)
+                    as u64
+            }
+        }
+    }
+
+    /// Records `n` cells evaluated through this tape in [`kernel_stats`]
+    /// (called once per claimed chunk by the plan builders, not per
+    /// cell). The tree-walk form is not a kernel and records nothing.
+    pub fn note_cells(&self, n: u64) {
+        if self.walk.is_none() {
+            STATS.cells.fetch_add(n, Ordering::Relaxed);
+        }
     }
 
     /// Allocates an evaluation scratch (constants preloaded into every
@@ -650,6 +645,9 @@ impl Tape {
         for l in 0..LANES {
             s.alive[l] = l < lanes;
         }
+        if let Some(path) = &self.walk {
+            return Tape::walk_block(path, s, lanes);
+        }
         let mut pc = 0usize;
         for check in &self.checks {
             while pc < check.after as usize {
@@ -692,6 +690,25 @@ impl Tape {
             s.value[l] = at(self.result);
         }
         true
+    }
+
+    /// [`Tape::eval_block`] of the tree-walk form: the four walks on each
+    /// lane's box.
+    fn walk_block(path: &SymPath, s: &mut TapeScratch, lanes: usize) -> bool {
+        let mut any = false;
+        for l in 0..lanes {
+            let cell: BoxN = (0..path.n_samples)
+                .map(|d| Interval::new(s.lo[d * LANES + l], s.hi[d * LANES + l]))
+                .collect();
+            s.alive[l] = path.constraints_on_box(&cell, false);
+            if s.alive[l] {
+                s.definite[l] = path.constraints_on_box(&cell, true);
+                s.weight[l] = path.weight_range_over_box(&cell);
+                s.value[l] = path.result.range_over_box(&cell);
+                any = true;
+            }
+        }
+        any
     }
 
     /// Executes one instruction across all lanes. The cheap arithmetic
@@ -895,12 +912,6 @@ pub fn kernel_stats() -> KernelStats {
     }
 }
 
-/// Records `n` cells evaluated through a compiled tape (called once per
-/// claimed chunk by the plan builders, not per cell).
-pub fn note_kernel_cells(n: u64) {
-    STATS.cells.fetch_add(n, Ordering::Relaxed);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1027,13 +1038,18 @@ mod tests {
     }
 
     #[test]
-    fn cheapest_constraint_is_checked_first() {
-        // Constraint 0 is expensive (pdf), constraint 1 is one subtract;
-        // the schedule must test the subtract first.
+    fn narrowest_constraint_is_checked_first() {
+        // Constraint 0 is one subtract whose range over [0, 1] is 1 wide;
+        // constraint 1 is a pdf minus 0.3, dearer but only ≈ 0.16 wide.
+        // Seeded or not, the schedule tests the narrow one first.
         let path = SymPath {
             result: s(0),
             n_samples: 1,
             constraints: vec![
+                SymConstraint {
+                    value: SymVal::prim(PrimOp::Sub, vec![s(0), c(0.5)]),
+                    dir: CmpDir::LeZero,
+                },
                 SymConstraint {
                     value: SymVal::prim(
                         PrimOp::Sub,
@@ -1044,31 +1060,33 @@ mod tests {
                     ),
                     dir: CmpDir::GtZero,
                 },
-                SymConstraint {
-                    value: SymVal::prim(PrimOp::Sub, vec![s(0), c(0.5)]),
-                    dir: CmpDir::LeZero,
-                },
             ],
             scores: vec![],
             truncated: false,
             budget_truncated: false,
             tail: None,
         };
-        let tape = Tape::for_path(&path);
-        assert_eq!(tape.checks.len(), 2);
-        assert!(
-            tape.checks[0].after < tape.checks[1].after,
-            "cheap check must come first: {:?}",
-            tape.checks
-        );
-        // Still agrees with the tree walks on a straddling cell.
-        let mut scratch = tape.scratch();
-        for cell in [Interval::new(0.0, 1.0), Interval::new(0.6, 1.0)] {
-            assert_same(
-                tape.eval_one(&[cell], &mut scratch),
-                reference(&path, &BoxN::new(vec![cell])),
-                "cheap-first schedule",
-            );
+        let seed = seed_of("0.5 + sample");
+        for tape in [
+            Tape::for_path(&path),
+            Tape::for_path_seeded(&path, Some(&seed)),
+        ] {
+            assert_eq!(tape.checks.len(), 2);
+            // The pdf check (the only `> 0` one) runs first, right after
+            // its two instructions.
+            assert!(!tape.checks[0].le_zero, "{:?}", tape.checks);
+            assert_eq!(tape.checks[0].after, 2, "{:?}", tape.checks);
+            assert_eq!(tape.checks[1].after, 3, "{:?}", tape.checks);
+            // Still agrees with the tree walks, on a straddling cell and
+            // on one the subtract excludes.
+            let mut scratch = tape.scratch();
+            for cell in [Interval::new(0.0, 1.0), Interval::new(0.6, 1.0)] {
+                assert_same(
+                    tape.eval_one(&[cell], &mut scratch),
+                    reference(&path, &BoxN::new(vec![cell])),
+                    "narrowest-first schedule",
+                );
+            }
         }
     }
 
@@ -1265,7 +1283,7 @@ mod tests {
     fn kernel_stats_accumulate() {
         let before = kernel_stats();
         let tape = Tape::for_path(&demo_path());
-        note_kernel_cells(42);
+        tape.note_cells(42);
         let after = kernel_stats();
         // The counters are process-global and other tests compile tapes
         // concurrently, so only lower bounds on the deltas are stable.

@@ -49,8 +49,6 @@ mod symval;
 
 pub use exec::{symbolic_paths, symbolic_paths_report_cancellable, ExecReport, SymExecOptions};
 pub use gubpi_pool::{CancelToken, WorkerPool};
-pub use kernel::{
-    kernel_stats, note_kernel_cells, CellBounds, KernelSeed, KernelStats, Tape, TapeScratch, LANES,
-};
+pub use kernel::{kernel_stats, CellBounds, KernelSeed, KernelStats, Tape, TapeScratch, LANES};
 pub use path::{CmpDir, SymConstraint, SymPath, TailEnclosure, TailPrefix};
 pub use symval::SymVal;

@@ -133,6 +133,22 @@ pub struct SymPath {
 }
 
 impl SymPath {
+    /// The path of a bare value over `n_samples` inputs: result `v`, no
+    /// constraints and no scores. A tape lowers a value (a §6.4 score
+    /// skeleton, whose `Sample(k)` leaves index its parts) in this form,
+    /// and its `value` output is then `v.range_over_box`.
+    pub fn of_value(n_samples: usize, v: Arc<SymVal>) -> SymPath {
+        SymPath {
+            result: v,
+            n_samples,
+            constraints: Vec::new(),
+            scores: Vec::new(),
+            truncated: false,
+            budget_truncated: false,
+            tail: None,
+        }
+    }
+
     /// Is every sample variable used at most once in the result, in each
     /// constraint and in each score value (Assumption 1, §4.2)?
     pub fn satisfies_single_use(&self) -> bool {

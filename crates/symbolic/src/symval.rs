@@ -77,8 +77,8 @@ impl SymVal {
     /// Number of primitive applications a recursive walk evaluates —
     /// shared `Arc`s count once per *occurrence*, because a tree walk
     /// re-descends into them every time it meets one. This is both the
-    /// kernel's pre-CSE baseline and the per-cell cost of the
-    /// tree-walking interpreter.
+    /// kernel's pre-CSE baseline and the per-cell cost of a tape's
+    /// tree-walk form.
     pub fn prim_op_count(&self) -> u64 {
         match self {
             SymVal::Const(_) | SymVal::Interval(_) | SymVal::Sample(_) => 0,
@@ -213,31 +213,14 @@ impl SymVal {
 
 /// The result of [`SymVal::linear_decomposition`]: a skeleton value whose
 /// `Sample(k)` leaves index into `parts` (interval-linear functions).
+/// Once each part's range is known, the skeleton's range is
+/// `skeleton.range_over_box` of the box of part ranges.
 #[derive(Clone, Debug)]
 pub struct Decomposition {
     /// Skeleton with placeholder `Sample(k)` leaves referring to `parts[k]`.
     pub skeleton: Arc<SymVal>,
     /// The extracted interval-linear sub-expressions.
     pub parts: Vec<(LinExpr, Interval)>,
-}
-
-impl Decomposition {
-    /// Evaluates the skeleton once each part's range is known.
-    pub fn eval_with_part_ranges(&self, ranges: &[Interval]) -> Interval {
-        eval_skeleton(&self.skeleton, ranges)
-    }
-}
-
-fn eval_skeleton(v: &SymVal, ranges: &[Interval]) -> Interval {
-    match v {
-        SymVal::Const(c) => Interval::point(*c),
-        SymVal::Interval(i) => *i,
-        SymVal::Sample(k) => ranges[*k],
-        SymVal::Prim(op, args) => {
-            let xs: Vec<Interval> = args.iter().map(|a| eval_skeleton(a, ranges)).collect();
-            op.eval_interval(&xs)
-        }
-    }
 }
 
 fn decompose(v: &Arc<SymVal>, dim: usize, parts: &mut Vec<(LinExpr, Interval)>) -> Arc<SymVal> {
@@ -363,7 +346,9 @@ mod tests {
         // Evaluating the skeleton with the part pinned to [0.9, 0.9]
         // reproduces the pdf at 0.9.
         use gubpi_dist::ContinuousDist;
-        let r = d.eval_with_part_ranges(&[Interval::point(0.9)]);
+        let r = d
+            .skeleton
+            .range_over_box(&BoxN::new(vec![Interval::point(0.9)]));
         let want = gubpi_dist::Normal::new(1.1, 0.1).pdf(0.9);
         assert!((r.lo() - want).abs() < 1e-12 && (r.hi() - want).abs() < 1e-12);
     }

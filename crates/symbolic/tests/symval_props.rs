@@ -88,7 +88,7 @@ proptest! {
             .iter()
             .map(|(lin, iv)| Interval::point(lin.eval(&s)) + *iv)
             .collect();
-        let via = d.eval_with_part_ranges(&part_vals);
+        let via = d.skeleton.range_over_box(&BoxN::new(part_vals));
         let direct = v.eval(&s);
         // Linear forms re-associate sums (Σ wᵢxᵢ + c vs the original
         // tree), so allow a small relative tolerance, not just one ulp.

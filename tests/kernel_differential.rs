@@ -10,8 +10,11 @@
 //! artefacts), ±∞ endpoints, NaN-repairing additions of opposite
 //! infinities, and out-of-domain distribution parameters (the zero-
 //! density totality fix) — across random boxes and compare every
-//! endpoint bit pattern against `range_over_box` / the four-walk
-//! `cell_region` semantics.
+//! endpoint bit pattern against `range_over_box` / the four walks
+//! (∃-pass, ∀-pass, weight product, result range). The tree-walk form
+//! of a tape (`Tape::tree_walk`), which `use_kernel: false` sweeps
+//! with, is checked against the same walks through the same lane
+//! evaluator entry point.
 
 use std::sync::Arc;
 
@@ -153,12 +156,19 @@ fn path_of(
     }
 }
 
-/// `Tape::for_value` ≡ `SymVal::range_over_box`, bit for bit.
+/// `Tape::for_value` and the tree-walk form of the value ≡
+/// `SymVal::range_over_box`, bit for bit.
 fn check_value_tape((v, b): (Arc<SymVal>, BoxN)) {
-    let tape = Tape::for_value(DIMS, &v);
-    let got = tape.eval_one(b.intervals(), &mut tape.scratch());
-    let got = got.expect("a value tape has no checks").value;
-    assert_bits(got, v.range_over_box(&b), "value tape");
+    let want = v.range_over_box(&b);
+    let walk = Tape::tree_walk(&SymPath::of_value(DIMS, v.clone()));
+    for (tape, ctx) in [
+        (Tape::for_value(DIMS, &v), "value tape"),
+        (walk, "value walk"),
+    ] {
+        let got = tape.eval_one(b.intervals(), &mut tape.scratch());
+        let got = got.expect("a value tape has no checks").value;
+        assert_bits(got, want, ctx);
+    }
 }
 
 type PathCase = (
@@ -175,8 +185,9 @@ fn path_case() -> impl Strategy<Value = PathCase> {
     ((vals.0, vals.1, vals.2, vals.3, arb_box(DIMS)), le(), le())
 }
 
-/// Full fused path evaluation ≡ the four independent tree walks
-/// (∃-pass, ∀-pass, weight product, result range).
+/// Full fused path evaluation, compiled and in the tree-walk form, ≡
+/// the four independent tree walks (∃-pass, ∀-pass, weight product,
+/// result range).
 fn check_path_tape(((result, c1, c2, score, b), le1, le2): PathCase) {
     let dir = |le: bool| if le { CmpDir::LeZero } else { CmpDir::GtZero };
     let path = path_of(
@@ -185,15 +196,16 @@ fn check_path_tape(((result, c1, c2, score, b), le1, le2): PathCase) {
         vec![(c1, dir(le1)), (c2, dir(le2))],
         vec![score],
     );
-    let tape = Tape::for_path(&path);
     let pos = path.constraints_on_box(&b, false);
-    match tape.eval_one(b.intervals(), &mut tape.scratch()) {
-        None => assert!(!pos, "tape excluded a possibly-inside cell"),
-        Some(cell) => {
-            assert!(pos, "tape kept a definitely-outside cell");
-            assert_bits(cell.value, path.result.range_over_box(&b), "result");
-            assert_bits(cell.weight, path.weight_range_over_box(&b), "weight");
-            assert_eq!(cell.definite, path.constraints_on_box(&b, true));
+    for tape in [Tape::for_path(&path), Tape::tree_walk(&path)] {
+        match tape.eval_one(b.intervals(), &mut tape.scratch()) {
+            None => assert!(!pos, "tape excluded a possibly-inside cell"),
+            Some(cell) => {
+                assert!(pos, "tape kept a definitely-outside cell");
+                assert_bits(cell.value, path.result.range_over_box(&b), "result");
+                assert_bits(cell.weight, path.weight_range_over_box(&b), "weight");
+                assert_eq!(cell.definite, path.constraints_on_box(&b, true));
+            }
         }
     }
 }
