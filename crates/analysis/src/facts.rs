@@ -20,7 +20,7 @@
 //!
 //! # Soundness under recursion
 //!
-//! A fixpoint is unfolded [`FactsOptions::max_fix_unfoldings`] times;
+//! A fixpoint is unfolded `MAX_FIX_UNFOLDINGS` times;
 //! when the budget runs out the call returns the `approxFix` interval
 //! from the typing *and* the body is re-evaluated once in a **widened**
 //! environment (parameter bound to its interval *type*, recursive calls
@@ -57,29 +57,17 @@ use gubpi_types::{ITy, IntervalTyping};
 
 use crate::ranking::{self, RankVerdict, RankedTail};
 
-/// Options controlling the abstract interpretation.
-#[derive(Copy, Clone, Debug)]
-pub struct FactsOptions {
-    /// Fixpoint unfoldings before the typing-based approximation (plus
-    /// one widened pass) takes over. Small values lose little: the
-    /// widened pass covers the tail.
-    pub max_fix_unfoldings: u32,
-    /// Recursion guard for the interpreter's own stack.
-    pub max_depth: u32,
-    /// Step budget; exhausting it aborts the interpretation (see the
-    /// module docs — aborted runs keep only syntactic facts).
-    pub fuel: u64,
-}
+/// Fixpoint unfoldings before the typing-based approximation (plus
+/// one widened pass) takes over. Small values lose little: the
+/// widened pass covers the tail.
+const MAX_FIX_UNFOLDINGS: u32 = 3;
 
-impl Default for FactsOptions {
-    fn default() -> FactsOptions {
-        FactsOptions {
-            max_fix_unfoldings: 3,
-            max_depth: 400,
-            fuel: 2_000_000,
-        }
-    }
-}
+/// Recursion guard for the interpreter's own stack.
+const MAX_DEPTH: u32 = 400;
+
+/// Step budget; exhausting it aborts the interpretation (see the
+/// module docs — aborted runs keep only syntactic facts).
+const FUEL: u64 = 2_000_000;
 
 /// Which sides of an `if` the abstract interpreter saw taken.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
@@ -152,26 +140,16 @@ pub struct ProgramFacts {
 }
 
 impl ProgramFacts {
-    /// Runs the abstract interpreter with default options.
+    /// Runs the abstract interpreter.
     pub fn compute(program: &Program, typing: &IntervalTyping) -> ProgramFacts {
-        ProgramFacts::compute_with(program, typing, FactsOptions::default())
-    }
-
-    /// [`ProgramFacts::compute`] with explicit options.
-    pub fn compute_with(
-        program: &Program,
-        typing: &IntervalTyping,
-        opts: FactsOptions,
-    ) -> ProgramFacts {
         let mut interp = Interp {
             typing,
-            opts,
             facts: ProgramFacts::default(),
             widened: HashSet::new(),
-            fuel: opts.fuel,
+            fuel: FUEL,
             aborted: false,
         };
-        interp.eval(&program.root, &AEnv::empty(), opts.max_fix_unfoldings, 0);
+        interp.eval(&program.root, &AEnv::empty(), MAX_FIX_UNFOLDINGS, 0);
         let mut facts = interp.facts;
         if interp.aborted {
             // Partial joins under-approximate; keep nothing the
@@ -802,7 +780,6 @@ fn join_env<'a>(a: &AEnv<'a>, b: &AEnv<'a>) -> Option<AEnv<'a>> {
 
 struct Interp<'a> {
     typing: &'a IntervalTyping,
-    opts: FactsOptions,
     facts: ProgramFacts,
     /// Fix nodes whose widened pass already ran (once per node).
     widened: HashSet<NodeId>,
@@ -815,7 +792,7 @@ impl<'a> Interp<'a> {
         if self.aborted {
             return AbsVal::Top;
         }
-        if depth >= self.opts.max_depth || self.fuel == 0 {
+        if depth >= MAX_DEPTH || self.fuel == 0 {
             self.aborted = true;
             return AbsVal::Top;
         }

@@ -53,6 +53,6 @@ pub mod facts;
 pub mod lint;
 pub mod ranking;
 
-pub use facts::{BranchFlow, FactsOptions, ProgramFacts, TailFact, UnusedSample};
+pub use facts::{BranchFlow, ProgramFacts, TailFact, UnusedSample};
 pub use lint::{lint_program, Lint, LintKind, Severity};
 pub use ranking::{AffineMap, RankVerdict, RankedTail, RankingEvidence};

@@ -428,8 +428,8 @@ fn same_path(a: &SymPath, b: &SymPath) -> bool {
 /// Queries and histograms reuse the path set, so asking many questions of
 /// one program costs one symbolic execution; repeated or overlapping
 /// queries additionally hit a per-path memo cache (see
-/// [`Analyzer::cache_stats`]). All parallel work — symbolic frontier
-/// forks and region sweeps alike — runs on a persistent
+/// [`Analyzer::cache_stats`]). Symbolic execution runs on the building
+/// thread; the region sweeps of every query run on a persistent
 /// [`WorkerPool`] (the process-global pool unless an explicit one is
 /// supplied via [`Analyzer::from_source_with`]).
 pub struct Analyzer {
@@ -499,9 +499,9 @@ impl Analyzer {
     /// Analysis of an already-parsed program on an explicit persistent
     /// [`WorkerPool`], under an optional cooperative cancellation token.
     ///
-    /// Symbolic execution submits its frontier forks to the pool at the
-    /// width resolved from `opts.threads` (the path set is identical for
-    /// every setting; see `gubpi_symbolic`'s docs). The executor polls
+    /// Symbolic execution runs on the calling thread, so building never
+    /// touches `pool`: the pool is kept for the queries' sweeps, at the
+    /// width resolved from `opts.threads`. The executor polls
     /// `cancel` at deterministic checkpoints and, on expiry, closes
     /// every in-flight branch as a sound ⊤ path. The resulting analyzer
     /// is fully usable — its bounds are merely coarser — and every
@@ -520,8 +520,6 @@ impl Analyzer {
         let simple = infer(&program)?;
         let typing = infer_interval_types(&program, &simple);
         let facts = ProgramFacts::compute(&program, &typing);
-        let mut sym = opts.sym;
-        sym.frontier_workers = opts.threads.worker_count(usize::MAX);
         let exec_facts = if opts.prune { Some(&facts) } else { None };
         // Tail facts flow in unconditionally: attaching an enclosure to
         // a ⊤ path never changes the path set (it is data on the path,
@@ -532,7 +530,7 @@ impl Analyzer {
             &typing,
             exec_facts,
             Some(&facts),
-            sym,
+            opts.sym,
             pool,
             cancel,
         );

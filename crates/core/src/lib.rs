@@ -46,8 +46,8 @@ mod report;
 /// The persistent executor subsystem: one long-lived work-stealing
 /// worker pool shared across queries and `Analyzer` instances, with the
 /// unified deterministic task model (`Task::Path` / `Task::Regions`).
-/// Re-exported from the bottom-of-stack `gubpi_pool` crate so the
-/// symbolic executor schedules on the same pool.
+/// Re-exported from the bottom-of-stack `gubpi_pool` crate, which the
+/// symbolic executor also uses for its `CancelToken`.
 pub mod pool {
     pub use gubpi_pool::{
         arm_fault_from_env, fault_point, faults_injected, run_jobs_cancellable, run_jobs_with,

@@ -1,8 +1,8 @@
 //! Cooperative cancellation and deadline tokens.
 //!
 //! A [`CancelToken`] is the single signal threaded through the whole
-//! execution stack — scheduler chunk loops, symbolic frontier
-//! evaluation, adaptive-refinement rounds — so a deadline or an
+//! execution stack — scheduler chunk loops, symbolic execution,
+//! adaptive-refinement rounds — so a deadline or an
 //! explicit cancel turns a long-running query into an **anytime sound
 //! result** instead of a torn bound or a kill. Cancellation is purely
 //! cooperative: work already claimed always runs to completion (the

@@ -11,12 +11,10 @@
 //! bound is bit-identical across thread counts and steal schedules —
 //! see [`run_jobs_with`] for the full argument.
 //!
-//! The crate sits at the bottom of the workspace (std only) so both the
-//! symbolic executor (frontier forking via [`WorkerPool::fork_join`])
-//! and the core analyzer (query scheduling via [`run_jobs_with`]) can
-//! share one set of warm workers. Both run on the same work-claiming
-//! latch: a fork is a task set of two claims. `gubpi_core::pool`
-//! re-exports this API.
+//! The crate sits at the bottom of the workspace (std only): the core
+//! analyzer schedules every query's sweeps through [`run_jobs_with`] on
+//! one set of warm workers, and the symbolic executor takes only the
+//! [`CancelToken`] it polls. `gubpi_core::pool` re-exports this API.
 
 mod cancel;
 mod fault;

@@ -1,8 +1,6 @@
 //! The persistent worker pool.
 //!
-//! PRs 2–3 parallelised with *per-call scoped spawns*: every query (and
-//! every big symbolic fork) paid a thread spawn + join. This module
-//! replaces that machinery with one long-lived executor: OS threads are
+//! One long-lived executor runs every parallel sweep: OS threads are
 //! spawned **lazily** the first time a caller asks for width > 1, then
 //! parked on a condvar between queries, so a production service keeps
 //! its workers hot across requests. One pool is shared process-wide by
@@ -13,13 +11,12 @@
 //! enlists up to `extra` pool workers to run a work-claiming closure
 //! alongside the caller. The caller always participates; queued helper
 //! slots that no worker picks up before the work runs dry are purged,
-//! so a small query never blocks on pool capacity. The deterministic
-//! task scheduler in [`crate::sched`] claims path and region tasks in
-//! that loop; [`WorkerPool::fork_join`] (the symbolic-execution
-//! frontier) claims its two sides in it. A participant only ever waits
-//! for helpers that already claimed a slot and are running the loop, so
-//! every chain of waiters ends at a thread making progress, which rules
-//! out deadlock by construction.
+//! so a small query never blocks on pool capacity. Its only caller is
+//! the deterministic task scheduler in [`crate::sched`], whose
+//! participants claim path and region tasks in that loop. A participant
+//! only ever waits for helpers that already claimed a slot and are
+//! running the loop, so every chain of waiters ends at a thread making
+//! progress, which rules out deadlock by construction.
 //!
 //! # Safety
 //!
@@ -44,10 +41,14 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 /// count.
 const MAX_POOL_THREADS: usize = 256;
 
-/// Stack of every pool worker. Frontier forks run the symbolic
-/// executor's recursive `eval` on workers, so a worker needs the same
-/// depth as the thread that forked: the 8 MiB of a process's main
-/// thread, not the 2 MiB default of spawned threads.
+/// Stack of every pool worker: the 8 MiB of a process's main thread,
+/// not the 2 MiB default of spawned threads. Workers only run sweep
+/// closures (compiled tapes, per-depth volume buffers), which fit the
+/// default even for the deepest program the parser accepts in an
+/// unoptimised build. The constant is kept for the threads that run the
+/// recursive phases (parsing through planning) off the main thread:
+/// `gubpi-serve`'s connection threads use it and overflow 2 MiB on
+/// such programs.
 pub const WORKER_STACK_BYTES: usize = 8 << 20;
 
 /// A borrowed task closure smuggled to long-lived workers; see the
@@ -107,8 +108,8 @@ struct State {
 pub struct PoolStats {
     /// OS threads spawned over the pool's lifetime.
     pub spawned_workers: u64,
-    /// Parallel dispatches (`run_quota` with helpers enlisted): task
-    /// sets and symbolic-frontier forks on a reserved pool.
+    /// Parallel dispatches (`run_quota` with helpers enlisted): one per
+    /// task set that ran wider than the caller.
     pub dispatches: u64,
     /// Task sets resolved inline on the caller (width or work ≤ 1) —
     /// the clamp that keeps a 1-job query from waking an 8-worker pool.
@@ -158,11 +159,17 @@ struct Inner {
 /// copy); the threads shut down when the last handle drops.
 ///
 /// ```
-/// use gubpi_pool::WorkerPool;
+/// use gubpi_pool::{run_jobs_with, PathJob, WorkerPool};
 ///
 /// let pool = WorkerPool::new();
-/// let (a, b) = pool.fork_join(|| 1 + 1, || 2 + 2);
-/// assert_eq!((a, b), (2, 4));
+/// let sweep = || PathJob::Sweep {
+///     total: 1_000,
+///     cost: 1,
+///     process: Box::new(|range, buf: &mut Vec<u64>| buf.extend(range.map(|i| i as u64))),
+/// };
+/// let mut sums = [0u64; 2];
+/// run_jobs_with(&pool, 2, vec![sweep(), sweep()], |path, x| sums[path] += x);
+/// assert_eq!(sums, [499_500, 499_500]);
 /// ```
 pub struct WorkerPool {
     inner: Arc<Inner>,
@@ -334,44 +341,6 @@ impl WorkerPool {
         }
     }
 
-    /// Runs `f` and `g` on the calling thread and at most one pool
-    /// worker, returning `(f(), g())`.
-    ///
-    /// The two sides are the claims of one work-claiming dispatch: each
-    /// participant runs the next unclaimed side until none is left, so a
-    /// side no helper reached runs on the caller. A pool never
-    /// [reserved](WorkerPool::reserve) for width > 1 enlists no helper
-    /// and runs both sides inline. Each side runs under its own
-    /// `catch_unwind`, so a panic in `f` never skips `g`; `f`'s panic is
-    /// resumed first.
-    ///
-    /// Used by the symbolic-execution frontier: purity plus pre-split
-    /// path budgets make the result independent of which thread ran
-    /// which side, so scheduling can never perturb the produced path set.
-    pub fn fork_join<A: Send, B: Send>(
-        &self,
-        f: impl FnOnce() -> A + Send,
-        g: impl FnOnce() -> B + Send,
-    ) -> (A, B) {
-        let reserved = self.inner.state.lock().expect("pool poisoned").width_hint > 1;
-        let (f, g) = (Mutex::new(Some(f)), Mutex::new(Some(g)));
-        let (a, b) = (Mutex::new(None), Mutex::new(None));
-        let next = AtomicUsize::new(0);
-        self.run_quota(usize::from(reserved), &|| loop {
-            match next.fetch_add(1, Ordering::Relaxed) {
-                0 => run_side(&f, &a),
-                1 => run_side(&g, &b),
-                _ => return,
-            }
-        });
-        let a = a.into_inner().expect("pool poisoned");
-        match (a, b.into_inner().expect("pool poisoned")) {
-            (Some(Ok(a)), Some(Ok(b))) => (a, b),
-            (Some(Err(p)), _) | (_, Some(Err(p))) => resume_unwind(p),
-            _ => unreachable!("run_quota returns after both sides ran"),
-        }
-    }
-
     /// Spawns one worker thread. Must be called with the state lock
     /// held (`st` proves it).
     fn spawn_worker(&self, st: &mut State) {
@@ -387,17 +356,6 @@ impl WorkerPool {
             .spawn(move || worker_loop(&inner))
             .expect("worker thread spawns");
     }
-}
-
-/// Runs one claimed [`WorkerPool::fork_join`] side, leaving its result
-/// (or caught panic) in `out`.
-fn run_side<T>(
-    side: &Mutex<Option<impl FnOnce() -> T>>,
-    out: &Mutex<Option<std::thread::Result<T>>>,
-) {
-    let side = side.lock().expect("pool poisoned").take();
-    let side = side.expect("each side is claimed once");
-    *out.lock().expect("pool poisoned") = Some(catch_unwind(AssertUnwindSafe(side)));
 }
 
 fn worker_loop(inner: &Inner) {
@@ -488,73 +446,6 @@ mod tests {
             ok.fetch_add(1, Ordering::Relaxed);
         });
         assert!(ok.load(Ordering::Relaxed) >= 1);
-    }
-
-    #[test]
-    fn fork_join_runs_both_sides() {
-        let pool = WorkerPool::new();
-        pool.reserve(2);
-        for i in 0..32 {
-            let (a, b) = pool.fork_join(|| i * 2, || i * 3);
-            assert_eq!((a, b), (i * 2, i * 3));
-        }
-        assert_eq!(pool.stats().dispatches, 32, "every fork is one dispatch");
-    }
-
-    #[test]
-    fn fork_join_without_reserve_stays_inline() {
-        let pool = WorkerPool::new();
-        let (a, b) = pool.fork_join(|| 1, || 2);
-        assert_eq!((a, b), (1, 2));
-        assert_eq!(pool.stats().dispatches, 0, "no dispatch");
-        assert_eq!(pool.spawned_workers(), 0, "no thread");
-    }
-
-    #[test]
-    fn fork_join_propagates_child_panics() {
-        let pool = WorkerPool::new();
-        pool.reserve(2);
-        let r = catch_unwind(AssertUnwindSafe(|| {
-            pool.fork_join(|| 1, || -> i32 { panic!("child boom") })
-        }));
-        assert!(r.is_err());
-    }
-
-    #[test]
-    fn fork_join_joins_the_child_before_a_caller_panic_unwinds() {
-        // If `f` panics while `g` is in flight on a worker, the unwind
-        // must not leave the frame before the child finished — the
-        // worker borrows the caller's stack. The child's side effect
-        // proves it ran to completion.
-        let pool = WorkerPool::new();
-        pool.reserve(2);
-        for _ in 0..16 {
-            let child_ran = AtomicUsize::new(0);
-            let r = catch_unwind(AssertUnwindSafe(|| {
-                pool.fork_join(
-                    || -> i32 { panic!("caller boom") },
-                    || child_ran.fetch_add(1, Ordering::Relaxed),
-                )
-            }));
-            assert!(r.is_err());
-            assert_eq!(child_ran.load(Ordering::Relaxed), 1);
-        }
-    }
-
-    #[test]
-    fn nested_forks_terminate() {
-        // A fork tree deeper than the worker count must resolve inline
-        // past capacity instead of deadlocking.
-        let pool = WorkerPool::new();
-        pool.reserve(3);
-        fn tree(pool: &WorkerPool, depth: u32) -> u64 {
-            if depth == 0 {
-                return 1;
-            }
-            let (a, b) = pool.fork_join(|| tree(pool, depth - 1), || tree(pool, depth - 1));
-            a + b
-        }
-        assert_eq!(tree(&pool, 8), 256);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The [`Threads`] knob: how wide a query may run on the worker pool.
 
-/// Degree of parallelism for one analysis (symbolic execution and
-/// per-path bounding alike).
+/// Degree of parallelism for one analysis's per-path bounding (symbolic
+/// execution always runs on the calling thread).
 ///
 /// The default is [`Threads::Auto`]. `Auto` honours the `GUBPI_THREADS`
 /// environment variable (`off`, `auto`, or a positive worker count) so

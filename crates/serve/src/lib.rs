@@ -7,7 +7,7 @@
 //!
 //! - **Anytime sound bounds.** Every query runs under a cooperative
 //!   [`CancelToken`](gubpi_core::CancelToken) threaded through the
-//!   whole execution stack (symbolic frontier, region sweeps,
+//!   whole execution stack (symbolic execution, region sweeps,
 //!   refinement rounds). On deadline expiry the reply still carries a
 //!   *guaranteed* enclosure — unswept work contributes its coarse
 //!   whole-box bound — flagged `degraded` with a `completeness`

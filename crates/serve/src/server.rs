@@ -188,11 +188,12 @@ pub fn start_with_cache(config: ServeConfig, cache: SharedQueryCache) -> io::Res
     })
 }
 
-/// Stack of a connection thread, which runs every phase of its queries.
-/// The parser caps nesting at `gubpi_lang::parser::MAX_NESTING`; the
-/// recursive phases after it need more than the 2 MiB default of spawned
-/// threads to reach that depth in unoptimised builds, so connections get
-/// the stack of a pool worker, which continues their symbolic forks.
+/// Stack of a connection thread, which runs every phase of its queries
+/// except the sweeps, symbolic execution included. The parser caps
+/// nesting at `gubpi_lang::parser::MAX_NESTING`; the recursive phases
+/// after it need more than the 2 MiB default of spawned threads to
+/// reach that depth in unoptimised builds, so connections get the
+/// 8 MiB of a process's main thread.
 const CONN_STACK_BYTES: usize = gubpi_pool::WORKER_STACK_BYTES;
 
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {

@@ -1,40 +1,30 @@
-//! The symbolic executor (Fig. 8 + Algorithm 1's path accumulation),
-//! with a shardable branch frontier.
+//! The symbolic executor (Fig. 8 + Algorithm 1's path accumulation).
 //!
-//! # Frontier sharding and determinism
+//! # Path order and the path cap
 //!
-//! Exploration is a tree walk whose only branch points are `if`
-//! expressions with undecidable guards. Evaluation is *pure*: the
-//! executor carries no mutable global state, every branch owns its
-//! [`PState`], and the two sides of a fork are combined in fixed
-//! (then-before-else) order. Independent branch continuations can
-//! therefore be claimed by worker threads
-//! ([`SymExecOptions::frontier_workers`]) without changing the produced
-//! path set — the result is the concatenation of the subtree results in
-//! program order no matter which thread computed what.
+//! Exploration is a tree walk on the calling thread whose only branch
+//! points are `if` expressions with undecidable guards. Every branch
+//! owns its [`PState`], and the two sides of a fork are evaluated and
+//! concatenated in fixed (then-before-else) order, so the produced path
+//! list is a pure function of the program and the options.
 //!
-//! The one global resource, the path cap [`SymExecOptions::max_paths`],
-//! is made scheduling-independent by **deterministic budget splitting**:
-//! each state carries a `path_budget` (max leaves its subtree may
-//! produce) and every uncertain branch divides the budget between its
-//! two sides *before* any evaluation happens. A branch whose expression
-//! is syntactically linear (no `if`, no application anywhere in its
-//! subtree) can produce few leaves on its own, so it is assigned a small
-//! budget-proportional reserve and the bulk of the budget follows the
-//! branchy side —
+//! The path cap [`SymExecOptions::max_paths`] is enforced by
+//! **deterministic budget splitting**: each state carries a
+//! `path_budget` (max leaves its subtree may produce) and every
+//! uncertain branch divides the budget between its two sides *before*
+//! any evaluation happens. A branch whose expression is syntactically
+//! linear (no `if`, no application anywhere in its subtree) can produce
+//! few leaves on its own, so it is assigned a small budget-proportional
+//! reserve and the bulk of the budget follows the branchy side —
 //! this keeps deep one-sided recursions (geometric, random walks) at
 //! full depth while balanced recursion trees degrade exactly like a
 //! global cap (a budget `B` supports `log₂ B` levels of halving). A
 //! subtree whose budget reaches 1 at a fork is closed off by a single ⊤
 //! path, which soundly covers both branches.
-//!
-//! Big forks run on the persistent [`WorkerPool`]
-//! ([`WorkerPool::fork_join`]): the caller and at most one warm worker
-//! claim the two sides, so repeated symbolic executions reuse the same
-//! workers as the bounding engine.
 
+use std::cell::Cell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::rc::Rc;
 use std::sync::Arc;
 
 use gubpi_analysis::ProgramFacts;
@@ -61,12 +51,10 @@ pub struct SymExecOptions {
     pub fuel: u64,
     /// Rust-stack recursion guard.
     pub max_depth: u32,
-    /// Worker threads allowed to claim independent branch continuations
-    /// of the symbolic-execution frontier. `0` and `1` both mean
-    /// sequential. The produced path set is **identical** for every
-    /// value (pure evaluation + pre-split budgets); only wall time may
-    /// change. [`Analyzer`](../gubpi_core/struct.Analyzer.html) wires
-    /// this from its `threads` knob.
+    /// Ignored: symbolic execution always runs on the calling thread.
+    /// The field remains only because the benchmark harness under
+    /// `perfbench/` still sets it; it goes when that harness calls the
+    /// analyzer directly.
     pub frontier_workers: usize,
 }
 
@@ -88,10 +76,6 @@ impl Default for SymExecOptions {
 /// reserve proportionally more (`b/32`), so a linear side whose
 /// continuation is a whole second recursion is not starved.
 const LINEAR_BRANCH_RESERVE: usize = 16;
-
-/// Minimum per-side budget before a fork is worth shipping to another
-/// worker thread (forking is free to skip: results do not depend on it).
-const FORK_MIN_BUDGET: usize = 16;
 
 /// What the executor did beyond producing paths: pruning activity driven
 /// by static [`ProgramFacts`] and the ⊤-path truncation census.
@@ -156,10 +140,10 @@ pub fn symbolic_paths(
     .0
 }
 
-/// Symbolic execution on an explicit persistent worker pool, with
-/// optional static facts, a pruning / truncation census and an optional
-/// cooperative [`CancelToken`]. Frontier forks become pool tasks; the
-/// produced path set is identical for every pool and worker count.
+/// Symbolic execution with optional static facts, a pruning /
+/// truncation census and an optional cooperative [`CancelToken`]. It
+/// runs on the calling thread; `_pool` is ignored and remains only
+/// because the benchmark harness under `perfbench/` still passes it.
 ///
 /// When `facts` is supplied (and not
 /// [aborted](ProgramFacts::is_aborted)), the executor
@@ -203,11 +187,9 @@ pub fn symbolic_paths_report_cancellable(
     facts: Option<&ProgramFacts>,
     tail_facts: Option<&ProgramFacts>,
     opts: SymExecOptions,
-    pool: &WorkerPool,
+    _pool: &WorkerPool,
     cancel: Option<&CancelToken>,
 ) -> (Vec<SymPath>, ExecReport) {
-    let workers = opts.frontier_workers.max(1);
-    pool.reserve(workers);
     let mut linear = HashMap::new();
     mark_linear(&program.root, &mut linear);
     let ex = Executor {
@@ -219,11 +201,9 @@ pub fn symbolic_paths_report_cancellable(
         facts: facts.filter(|f| !f.is_aborted()),
         tail_facts,
         linear,
-        pool,
         cancel,
-        fork_budget: AtomicUsize::new(workers - 1),
-        pruned_branches: AtomicUsize::new(0),
-        zero_score_drops: AtomicUsize::new(0),
+        pruned_branches: Cell::new(0),
+        zero_score_drops: Cell::new(0),
     };
     let st = PState {
         n: 0,
@@ -252,8 +232,8 @@ pub fn symbolic_paths_report_cancellable(
         })
         .collect();
     let report = ExecReport {
-        pruned_branches: ex.pruned_branches.load(Ordering::Relaxed),
-        zero_score_drops: ex.zero_score_drops.load(Ordering::Relaxed),
+        pruned_branches: ex.pruned_branches.get(),
+        zero_score_drops: ex.zero_score_drops.get(),
         budget_truncated_paths: paths.iter().filter(|p| p.budget_truncated).count(),
         depth_truncated_paths: paths
             .iter()
@@ -311,14 +291,14 @@ enum SValue {
     Sym(Arc<SymVal>),
     Closure {
         param: Name,
-        body: Arc<Expr>,
+        body: Rc<Expr>,
         env: SEnv,
     },
     Fix {
         node: NodeId,
         fname: Name,
         param: Name,
-        body: Arc<Expr>,
+        body: Rc<Expr>,
         env: SEnv,
     },
     /// A higher-order `approxFix` stub: behaves as
@@ -330,10 +310,10 @@ enum SValue {
     },
 }
 
-/// Persistent environment (`Arc`-linked so branch continuations can be
-/// claimed by other worker threads).
+/// Persistent environment (`Rc`-linked: the two sides of a fork share
+/// the bindings made before it).
 #[derive(Clone, Default)]
-struct SEnv(Option<Arc<SNode>>);
+struct SEnv(Option<Rc<SNode>>);
 
 struct SNode {
     name: Name,
@@ -346,7 +326,7 @@ impl SEnv {
         SEnv(None)
     }
     fn bind(&self, name: Name, value: SValue) -> SEnv {
-        SEnv(Some(Arc::new(SNode {
+        SEnv(Some(Rc::new(SNode {
             name,
             value,
             rest: self.clone(),
@@ -397,20 +377,13 @@ struct Executor<'a> {
     tail_facts: Option<&'a ProgramFacts>,
     /// `NodeId →` "subtree is syntactically linear" (see [`mark_linear`]).
     linear: HashMap<NodeId, bool>,
-    /// The persistent executor that runs the sides of claimed forks.
-    pool: &'a WorkerPool,
     /// Cooperative cancellation: once fired, branches close off as ⊤
     /// paths at their next evaluation checkpoint (sound truncation).
     cancel: Option<&'a CancelToken>,
-    /// Spare fork slots for frontier sharding (`frontier_workers − 1`):
-    /// caps how many forks this execution may have in flight on the
-    /// pool, independent of the pool's own size.
-    fork_budget: AtomicUsize,
-    /// Skipped dead `if` sides (atomic: branch continuations may be
-    /// claimed by pool workers).
-    pruned_branches: AtomicUsize,
+    /// Skipped dead `if` sides.
+    pruned_branches: Cell<usize>,
     /// Paths dropped at a statically-zero `score`.
-    zero_score_drops: AtomicUsize,
+    zero_score_drops: Cell<usize>,
 }
 
 impl Executor<'_> {
@@ -486,7 +459,7 @@ impl Executor<'_> {
             ExprKind::Lam(param, body) => vec![(
                 Some(SValue::Closure {
                     param: param.clone(),
-                    body: Arc::new((**body).clone()),
+                    body: Rc::new((**body).clone()),
                     env: env.clone(),
                 }),
                 st,
@@ -496,7 +469,7 @@ impl Executor<'_> {
                     node: e.id,
                     fname: fname.clone(),
                     param: param.clone(),
-                    body: Arc::new((**body).clone()),
+                    body: Rc::new((**body).clone()),
                     env: env.clone(),
                 }),
                 st,
@@ -547,17 +520,21 @@ impl Executor<'_> {
                         let skip_then = ex.prunable(t.id, &st_then, depth);
                         let skip_else = ex.prunable(els.id, &st_else, depth);
                         match (skip_then, skip_else) {
-                            (false, false) => ex.eval_fork(t, els, env, st_then, st_else, depth),
+                            (false, false) => {
+                                let mut out = ex.eval(t, env, st_then, depth);
+                                out.extend(ex.eval(els, env, st_else, depth));
+                                out
+                            }
                             (true, false) => {
-                                ex.pruned_branches.fetch_add(1, Ordering::Relaxed);
+                                ex.pruned_branches.set(ex.pruned_branches.get() + 1);
                                 ex.eval(els, env, st_else, depth)
                             }
                             (false, true) => {
-                                ex.pruned_branches.fetch_add(1, Ordering::Relaxed);
+                                ex.pruned_branches.set(ex.pruned_branches.get() + 1);
                                 ex.eval(t, env, st_then, depth)
                             }
                             (true, true) => {
-                                ex.pruned_branches.fetch_add(2, Ordering::Relaxed);
+                                ex.pruned_branches.set(ex.pruned_branches.get() + 2);
                                 vec![]
                             }
                         }
@@ -615,7 +592,7 @@ impl Executor<'_> {
                     // contributes exactly `0.0` to both bounds.
                     // Unconditionally sound; no fuel/depth guard needed.
                     if ex.facts.is_some_and(|f| f.score_is_zero(e.id)) {
-                        ex.zero_score_drops.fetch_add(1, Ordering::Relaxed);
+                        ex.zero_score_drops.set(ex.zero_score_drops.get() + 1);
                         return vec![];
                     }
                     vec![(Some(SValue::Sym(v)), st1)]
@@ -665,48 +642,6 @@ impl Executor<'_> {
             .is_some_and(|cost| {
                 st.fuel > cost && (depth as u64).saturating_add(cost) < self.opts.max_depth as u64
             })
-    }
-
-    /// Evaluates the two sides of an uncertain branch, offering them to
-    /// the persistent pool when a fork slot is free and the fork is big
-    /// enough to amortise the hand-off. Purity plus pre-split budgets
-    /// make the result independent of the fork decision, so the claim
-    /// heuristic cannot perturb the path set.
-    fn eval_fork(
-        &self,
-        t: &Expr,
-        els: &Expr,
-        env: &SEnv,
-        st_then: PState,
-        st_else: PState,
-        depth: u32,
-    ) -> Branches {
-        let parallel =
-            st_then.path_budget.min(st_else.path_budget) >= FORK_MIN_BUDGET && self.claim_slot();
-        if parallel {
-            let (then_out, else_out) = self.pool.fork_join(
-                || self.eval(t, env, st_then, depth),
-                || self.eval(els, env, st_else, depth),
-            );
-            self.release_slot();
-            let mut out = then_out;
-            out.extend(else_out);
-            out
-        } else {
-            let mut out = self.eval(t, env, st_then, depth);
-            out.extend(self.eval(els, env, st_else, depth));
-            out
-        }
-    }
-
-    fn claim_slot(&self) -> bool {
-        self.fork_budget
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |s| s.checked_sub(1))
-            .is_ok()
-    }
-
-    fn release_slot(&self) {
-        self.fork_budget.fetch_add(1, Ordering::Relaxed);
     }
 
     fn apply(&self, f: SValue, a: SValue, st: PState, depth: u32) -> Branches {
@@ -959,30 +894,36 @@ mod tests {
     fn path_budget_caps_leaves_deterministically() {
         // A full binary tree of coin flips: depth 6 ⇒ 64 leaves
         // unconstrained. With max_paths = 8 the budget splitter must cap
-        // the leaf count at 8 (⊤ paths closing off the cut subtrees) and
-        // produce the same path set for every worker count.
-        let src = "
-            let rec flips n =
-              if n <= 0 then 0
-              else if sample <= 0.5 then flips (n - 1)
-              else 1 + flips (n - 1)
-            in flips 6";
-        let full = paths_for(src, 8);
+        // the leaf count at 8 (⊤ paths closing off the cut subtrees).
+        // Depth 8 under max_paths = 40 splits odd budgets unevenly and
+        // must still respect the cap.
+        let flips = |n| {
+            format!(
+                "let rec flips n =
+                   if n <= 0 then 0
+                   else if sample <= 0.5 then flips (n - 1)
+                   else 1 + flips (n - 1)
+                 in flips {n}"
+            )
+        };
+        let full = paths_for(&flips(6), 8);
         assert_eq!(full.iter().filter(|p| !p.truncated).count(), 64);
-        let capped = paths_with(
-            src,
-            SymExecOptions {
-                max_fix_unfoldings: 8,
-                max_paths: 8,
-                ..Default::default()
-            },
-        );
-        assert!(
-            capped.len() <= 8,
-            "budget must cap leaves: {}",
-            capped.len()
-        );
-        assert!(capped.iter().any(|p| p.truncated));
+        for (depth, unfold, cap) in [(6, 8, 8), (8, 10, 40)] {
+            let capped = paths_with(
+                &flips(depth),
+                SymExecOptions {
+                    max_fix_unfoldings: unfold,
+                    max_paths: cap,
+                    ..Default::default()
+                },
+            );
+            assert!(
+                capped.len() <= cap,
+                "budget must cap leaves: {} > {cap}",
+                capped.len()
+            );
+            assert!(capped.iter().any(|p| p.truncated));
+        }
     }
 
     #[test]
@@ -1082,27 +1023,6 @@ mod tests {
         assert!(pruned.is_empty());
         assert_eq!(r.zero_score_drops, 1);
         assert_eq!(r.pruned_branches, 0);
-    }
-
-    #[test]
-    fn pruning_is_worker_count_independent() {
-        let src = "
-            let rec walk x =
-              if x <= 0 then 0 else
-                if sample <= 0.9 then walk (x - sample) else fail
-            in walk 1";
-        let opts = |workers| SymExecOptions {
-            max_fix_unfoldings: 4,
-            frontier_workers: workers,
-            ..Default::default()
-        };
-        let (base, rb) = paths_report(src, opts(1), true);
-        assert!(rb.pruned_branches > 0);
-        for workers in [2usize, 4, 8] {
-            let (sharded, rs) = paths_report(src, opts(workers), true);
-            assert_eq!(base, sharded, "pruned path set under {workers} workers");
-            assert_eq!(rb, rs, "report under {workers} workers");
-        }
     }
 
     #[test]
@@ -1254,81 +1174,5 @@ mod tests {
         assert!(paths.iter().any(|p| p.budget_truncated));
         assert_eq!(report.tail_enclosed_paths, 0);
         assert!(paths.iter().all(|p| p.tail.is_none()));
-    }
-
-    #[test]
-    fn frontier_sharding_preserves_the_path_set() {
-        let models: &[(&str, u32)] = &[
-            (
-                "let start = 3 * sample in
-                 let rec walk x =
-                   if x <= 0 then 0 else
-                     let step = sample in
-                     if sample <= 0.5 then step + walk (x + step)
-                     else step + walk (x - step)
-                 in
-                 let d = walk start in
-                 observe d from normal(1.1, 0.1);
-                 start",
-                4,
-            ),
-            (
-                "let rec geo x = if sample <= 0.5 then x else geo (x + 1) in geo 0",
-                10,
-            ),
-            ("if sample + sample <= 0.75 then sample else 1 - sample", 2),
-        ];
-        for &(src, unfold) in models {
-            let base = paths_with(
-                src,
-                SymExecOptions {
-                    max_fix_unfoldings: unfold,
-                    frontier_workers: 1,
-                    ..Default::default()
-                },
-            );
-            for workers in [2usize, 4, 8] {
-                let sharded = paths_with(
-                    src,
-                    SymExecOptions {
-                        max_fix_unfoldings: unfold,
-                        frontier_workers: workers,
-                        ..Default::default()
-                    },
-                );
-                assert_eq!(
-                    base.len(),
-                    sharded.len(),
-                    "{src}: path count under {workers} workers"
-                );
-                for (i, (a, b)) in base.iter().zip(&sharded).enumerate() {
-                    assert_eq!(a, b, "{src}: path {i} differs under {workers} workers");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_execution_with_tight_budget_is_deterministic() {
-        // Budget splitting must interact with sharding without any
-        // scheduling dependence, even when truncation actually triggers.
-        let src = "
-            let rec flips n =
-              if n <= 0 then 0
-              else if sample <= 0.5 then flips (n - 1)
-              else 1 + flips (n - 1)
-            in flips 8";
-        let opts = |workers| SymExecOptions {
-            max_fix_unfoldings: 10,
-            max_paths: 40,
-            frontier_workers: workers,
-            ..Default::default()
-        };
-        let base = paths_with(src, opts(1));
-        assert!(base.len() <= 40);
-        for workers in [2usize, 4] {
-            let sharded = paths_with(src, opts(workers));
-            assert_eq!(base, sharded, "path set depends on {workers} workers");
-        }
     }
 }

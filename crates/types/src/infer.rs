@@ -11,7 +11,7 @@ use gubpi_interval::{Interval, Lattice};
 use gubpi_lang::{Expr, ExprKind, Name, NodeId, Program, SimpleTy, TypeMap};
 
 use crate::constraints::{Constraint, ConstraintSet, IVar};
-use crate::solve::{solve, SolveOptions};
+use crate::solve::solve;
 use crate::ty::{ITy, WTy};
 
 /// A symbolic weightless type: the typing skeleton with variables.
@@ -114,15 +114,6 @@ impl IntervalTyping {
 /// Runs weight-aware interval type inference (never fails; weak
 /// completeness, Proposition 5.2).
 pub fn infer_interval_types(program: &Program, simple: &TypeMap) -> IntervalTyping {
-    infer_with_options(program, simple, SolveOptions::default())
-}
-
-/// [`infer_interval_types`] with explicit solver options.
-pub fn infer_with_options(
-    program: &Program,
-    simple: &TypeMap,
-    opts: SolveOptions,
-) -> IntervalTyping {
     let mut gen = Generator {
         cs: ConstraintSet::new(),
         simple,
@@ -130,7 +121,7 @@ pub fn infer_with_options(
     };
     let env = Vec::new();
     let _root = gen.walk(&program.root, &env);
-    let assignment = solve(&gen.cs, opts);
+    let assignment = solve(&gen.cs);
     let map = gen
         .node_types
         .iter()

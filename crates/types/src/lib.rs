@@ -50,5 +50,5 @@ mod ty;
 
 pub use constraints::{Constraint, ConstraintSet};
 pub use infer::{infer_interval_types, IntervalTyping};
-pub use solve::{solve, SolveOptions};
+pub use solve::solve;
 pub use ty::{ITy, WTy};

@@ -4,7 +4,7 @@
 //! constraints read as lower bounds, by chaotic iteration: when a
 //! variable's value grows, all constraints reading it are re-evaluated.
 //! The interval domain has infinite ascending chains (e.g. `ν ≡ ν + 1`),
-//! so after [`SolveOptions::exact_rounds`] updates per variable the solver
+//! so after `EXACT_ROUNDS` updates per variable the solver
 //! switches to the widening operator `∇`, which pushes escaping endpoints
 //! to `±∞` and guarantees termination.
 
@@ -14,25 +14,15 @@ use gubpi_interval::{widen, Interval, Lattice};
 
 use crate::constraints::{Constraint, ConstraintSet};
 
-/// Solver knobs.
-#[derive(Copy, Clone, Debug)]
-pub struct SolveOptions {
-    /// Number of exact (non-widening) updates allowed per variable before
-    /// widening kicks in. Finite chains shorter than this lose nothing.
-    pub exact_rounds: u32,
-}
-
-impl Default for SolveOptions {
-    fn default() -> SolveOptions {
-        SolveOptions { exact_rounds: 24 }
-    }
-}
+/// Number of exact (non-widening) updates allowed per variable before
+/// widening kicks in. Finite chains shorter than this lose nothing.
+const EXACT_ROUNDS: u32 = 24;
 
 /// Solves the constraint set, returning one lattice element per variable.
 ///
 /// Variables never bounded from below stay `⊥`; callers map `⊥` to a
 /// context-appropriate default (e.g. `[−∞, ∞]` for value bounds).
-pub fn solve(cs: &ConstraintSet, opts: SolveOptions) -> Vec<Lattice> {
+pub fn solve(cs: &ConstraintSet) -> Vec<Lattice> {
     let n = cs.var_count();
     let mut assignment = vec![Lattice::Bottom; n];
     let mut update_count = vec![0u32; n];
@@ -59,7 +49,7 @@ pub fn solve(cs: &ConstraintSet, opts: SolveOptions) -> Vec<Lattice> {
             continue; // no growth
         }
         update_count[target] += 1;
-        let new = if update_count[target] > opts.exact_rounds {
+        let new = if update_count[target] > EXACT_ROUNDS {
             widen(old, joined)
         } else {
             joined
@@ -120,7 +110,7 @@ mod tests {
         let a = cs.fresh_const(iv(0.0, 1.0));
         let b = cs.fresh();
         cs.push(Constraint::Flow(b, a));
-        let sol = solve(&cs, SolveOptions::default());
+        let sol = solve(&cs);
         assert_eq!(sol[a as usize].interval(), Some(iv(0.0, 1.0)));
         assert_eq!(sol[b as usize].interval(), Some(iv(0.0, 1.0)));
     }
@@ -133,7 +123,7 @@ mod tests {
         let c = cs.fresh();
         cs.push(Constraint::Flow(c, a));
         cs.push(Constraint::Flow(c, b));
-        let sol = solve(&cs, SolveOptions::default());
+        let sol = solve(&cs);
         assert_eq!(sol[c as usize].interval(), Some(iv(0.0, 3.0)));
     }
 
@@ -144,7 +134,7 @@ mod tests {
         let b = cs.fresh_const(iv(10.0, 20.0));
         let s = cs.fresh();
         cs.push(Constraint::Prim(s, PrimOp::Add, vec![a, b]));
-        let sol = solve(&cs, SolveOptions::default());
+        let sol = solve(&cs);
         assert_eq!(sol[s as usize].interval(), Some(iv(11.0, 22.0)));
     }
 
@@ -158,7 +148,7 @@ mod tests {
         let v3 = cs.fresh();
         cs.push(Constraint::Flow(v3, v1));
         cs.push(Constraint::Prim(v3, PrimOp::Add, vec![v3, v2]));
-        let sol = solve(&cs, SolveOptions::default());
+        let sol = solve(&cs);
         let got = sol[v3 as usize].interval().unwrap();
         assert_eq!(got.lo(), 0.0);
         assert_eq!(got.hi(), f64::INFINITY);
@@ -175,7 +165,7 @@ mod tests {
             cs.push(Constraint::Flow(next, prev));
             prev = next;
         }
-        let sol = solve(&cs, SolveOptions::default());
+        let sol = solve(&cs);
         assert_eq!(sol[prev as usize].interval(), Some(iv(3.0, 4.0)));
     }
 
@@ -186,7 +176,7 @@ mod tests {
         let unknown = cs.fresh(); // never bounded
         let p = cs.fresh();
         cs.push(Constraint::Product(p, vec![w1, unknown]));
-        let sol = solve(&cs, SolveOptions::default());
+        let sol = solve(&cs);
         assert!(sol[p as usize].is_bottom());
     }
 
@@ -196,7 +186,7 @@ mod tests {
         let m = cs.fresh_const(iv(-2.0, 3.0));
         let r = cs.fresh();
         cs.push(Constraint::MeetNonNeg(r, m));
-        let sol = solve(&cs, SolveOptions::default());
+        let sol = solve(&cs);
         assert_eq!(sol[r as usize].interval(), Some(iv(0.0, 3.0)));
     }
 }

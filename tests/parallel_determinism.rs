@@ -15,8 +15,7 @@ use proptest::prelude::*;
 
 /// Every `Threads` setting the engine must agree across. `Fixed(2)`
 /// matters: with fewer workers than paths or chunks, the engine mixes
-/// grains (path-level vs region-level) and the frontier sharder leaves
-/// some forks sequential — all of which must stay invisible.
+/// grains (path-level vs region-level), which must stay invisible.
 const SETTINGS: &[Threads] = &[
     Threads::Off,
     Threads::Fixed(1),
@@ -24,6 +23,20 @@ const SETTINGS: &[Threads] = &[
     Threads::Fixed(4),
     Threads::Auto,
 ];
+
+/// The pedestrian model of Fig. 1: a recursive random walk whose
+/// uncertain guards fork at every unfolding.
+const PEDESTRIAN: &str = "
+    let start = 3 * sample in
+    let rec walk x =
+      if x <= 0 then 0 else
+        let step = sample in
+        if sample <= 0.5 then step + walk (x + step)
+        else step + walk (x - step)
+    in
+    let d = walk start in
+    observe d from normal(1.1, 0.1);
+    start";
 
 /// Random SPCF model sources: arithmetic over samples, branching on
 /// sample-dependent guards, and score-reweighted sub-terms — enough to
@@ -184,22 +197,13 @@ fn single_dominant_path_models_bound_identically_across_thread_counts() {
     }
 }
 
-/// The frontier sharder must not change the *path set* either — this is
-/// implied by `check_all_settings`'s path-count assertion, but pin the
-/// stronger structural property on the recursive pedestrian.
+/// The `Threads` setting must not change the *path set* either — this
+/// is implied by `check_all_settings`'s path-count assertion, but pin
+/// the stronger structural property (every path equal, in order) on the
+/// recursive pedestrian, whose symbolic execution forks at every
+/// unfolding.
 #[test]
 fn frontier_sharding_keeps_paths_structurally_identical() {
-    const SRC: &str = "
-        let start = 3 * sample in
-        let rec walk x =
-          if x <= 0 then 0 else
-            let step = sample in
-            if sample <= 0.5 then step + walk (x + step)
-            else step + walk (x - step)
-        in
-        let d = walk start in
-        observe d from normal(1.1, 0.1);
-        start";
     let build = |threads| {
         let opts = AnalysisOptions {
             sym: SymExecOptions {
@@ -209,7 +213,7 @@ fn frontier_sharding_keeps_paths_structurally_identical() {
             threads,
             ..Default::default()
         };
-        Analyzer::from_source(SRC, opts).unwrap()
+        Analyzer::from_source(PEDESTRIAN, opts).unwrap()
     };
     let reference = build(Threads::Off);
     for &threads in SETTINGS {
@@ -508,24 +512,13 @@ fn one_unit_queries_run_inline_on_wide_pools() {
     assert_eq!(pool.spawned_workers(), 0, "no threads for a 1-unit query");
 }
 
-/// Several callers on one pool at once: each thread builds a fork-heavy
-/// analyzer on the shared pool, so frontier forks enlist workers (and
-/// nest forks on them) while other callers' region sweeps run. Every
-/// caller must still see the sequential path set and bits.
+/// Several callers on one pool at once: four threads each build the
+/// pedestrian and sweep it at width 4 on the shared pool, so their
+/// `run_quota` dispatches contend for the same workers and the same
+/// latch. Every caller must still see the sequential path set and bits.
 #[test]
 fn concurrent_callers_on_one_pool_are_bit_identical() {
     use gubpi_core::{SharedQueryCache, WorkerPool};
-    const SRC: &str = "
-        let start = 3 * sample in
-        let rec walk x =
-          if x <= 0 then 0 else
-            let step = sample in
-            if sample <= 0.5 then step + walk (x + step)
-            else step + walk (x - step)
-        in
-        let d = walk start in
-        observe d from normal(1.1, 0.1);
-        start";
     let build = |threads, pool: &WorkerPool| {
         let mut opts = AnalysisOptions {
             sym: SymExecOptions {
@@ -536,7 +529,7 @@ fn concurrent_callers_on_one_pool_are_bit_identical() {
             ..Default::default()
         };
         opts.bounds.splits = 8;
-        Analyzer::from_source_with(SRC, opts, &SharedQueryCache::new(), pool).unwrap()
+        Analyzer::from_source_with(PEDESTRIAN, opts, &SharedQueryCache::new(), pool).unwrap()
     };
     let u = Interval::new(0.0, 1.5);
     let reference = build(Threads::Off, &WorkerPool::new());
@@ -559,13 +552,13 @@ fn concurrent_callers_on_one_pool_are_bit_identical() {
     });
 }
 
-/// A frontier fork may run either side on a pool worker, so a worker
-/// must recurse as deep as the thread that forked. Both sides here are
-/// a 200-deep `let` chain, analysed from a thread with a main-thread
-/// (8 MiB) stack; on 2 MiB workers an unoptimised build overflows and
-/// aborts the process.
+/// Pool workers adopt whole paths and walk their symbolic values
+/// recursively, so a worker must recurse as deep as the thread that
+/// built the paths. Both paths here end in a 200-deep `let` chain,
+/// built from a thread with a main-thread (8 MiB) stack and bounded
+/// inline (`Off`) and on workers (`Fixed(2)`): the bits must agree.
 #[test]
-fn deep_fork_sides_fit_on_worker_stacks() {
+fn deep_programs_bound_identically_inline_and_on_workers() {
     use gubpi_core::{SharedQueryCache, WorkerPool};
     let chain: String = (1..200)
         .map(|i| format!("let x{i} = x{} + 1 in ", i - 1))
@@ -596,5 +589,31 @@ fn deep_fork_sides_fit_on_worker_stacks() {
     let (ref_paths, ref_bounds) = run(Threads::Off);
     let (paths, got) = run(Threads::Fixed(2));
     assert_eq!(paths, ref_paths, "path count");
-    assert_bits_eq(ref_bounds, got, "deep fork");
+    assert_bits_eq(ref_bounds, got, "deep program");
+}
+
+/// Building an analyzer runs symbolic execution on the calling thread:
+/// however wide the `Threads` setting, the pool sees no dispatch and
+/// spawns no worker until a query sweeps, and the path set is the one
+/// an `Off` build produces.
+#[test]
+fn building_an_analyzer_leaves_the_pool_untouched() {
+    use gubpi_core::{SharedQueryCache, WorkerPool};
+    let build = |threads, pool: &WorkerPool| {
+        let opts = AnalysisOptions {
+            sym: SymExecOptions {
+                max_fix_unfoldings: 4,
+                ..Default::default()
+            },
+            threads,
+            ..Default::default()
+        };
+        Analyzer::from_source_with(PEDESTRIAN, opts, &SharedQueryCache::new(), pool).unwrap()
+    };
+    let pool = WorkerPool::new();
+    let wide = build(Threads::Fixed(4), &pool);
+    assert_eq!(pool.stats().dispatches, 0, "building dispatched");
+    assert_eq!(pool.spawned_workers(), 0, "building spawned workers");
+    let reference = build(Threads::Off, &WorkerPool::new());
+    assert_eq!(wide.paths(), reference.paths());
 }
