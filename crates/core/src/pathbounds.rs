@@ -28,9 +28,9 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use gubpi_interval::{next_after_down, next_after_up, pow_up, BoxN, Interval};
+use gubpi_interval::{next_after_down, next_after_up, pow_up, widest_dim, Interval};
 use gubpi_polytope::{HPolytope, LinExpr};
-use gubpi_symbolic::{CellBounds, KernelSeed, SymPath, SymVal, Tape, LANES};
+use gubpi_symbolic::{CellBounds, KernelSeed, SymPath, SymVal, Tape, TapeScratch, LANES};
 
 use gubpi_pool::{run_jobs_cancellable, run_jobs_with, CancelToken, PathJob, Threads, WorkerPool};
 
@@ -507,36 +507,54 @@ fn plan_grid<'a>(
     // 1.0, exactly like `Iterator::product` over `Interval::width`.
     let edge_widths: Vec<f64> = cell_edges.iter().map(Interval::width).collect();
     let process = move |range: Range<usize>, buf: &mut Vec<Region>| {
-        tape.note_cells(range.len() as u64);
-        let mut scratch = tape.scratch();
         let mut odo = Odometer::at(n, range.start, |_| k);
-        let mut vols = [0.0f64; LANES];
-        let mut idx = range.start;
-        while idx < range.end {
-            let lanes = LANES.min(range.end - idx);
-            for (lane, vol_slot) in vols.iter_mut().enumerate().take(lanes) {
-                let mut vol = 1.0;
-                for (d, &e) in odo.digits.iter().enumerate() {
-                    scratch.set_input(d, lane, cell_edges[e]);
-                    vol *= edge_widths[e];
-                }
-                *vol_slot = vol;
-                odo.step(|_| k);
+        let load = |_: usize, lane: usize, scratch: &mut TapeScratch| {
+            let mut vol = 1.0;
+            for (d, &e) in odo.digits.iter().enumerate() {
+                scratch.set_input(d, lane, cell_edges[e]);
+                vol *= edge_widths[e];
             }
-            if tape.eval_block(&mut scratch, lanes) {
-                for (lane, &vol) in vols.iter().enumerate().take(lanes) {
-                    if let Some(cell) = scratch.lane(lane) {
-                        buf.push(cell_mass(vol, cell));
-                    }
-                }
-            }
-            idx += lanes;
-        }
+            odo.step(|_| k);
+            vol
+        };
+        eval_cells(&tape, range, load, |_, region| buf.push(region));
     };
     PathJob::Sweep {
         total,
         cost,
         process: Box::new(process),
+    }
+}
+
+/// Evaluates the cells `range` on `tape` in [`LANES`]-wide blocks: the
+/// one lane loop of the uniform grid sweep and the refiner's rounds.
+/// `load(i, lane, scratch)` writes cell `i`'s inputs into `lane` and
+/// returns the cell's volume; it is called in ascending `i`. Every cell
+/// the constraints do not exclude is emitted in ascending order as
+/// `(i, region)`.
+fn eval_cells(
+    tape: &Tape,
+    range: Range<usize>,
+    mut load: impl FnMut(usize, usize, &mut TapeScratch) -> f64,
+    mut emit: impl FnMut(usize, Region),
+) {
+    tape.note_cells(range.len() as u64);
+    let mut scratch = tape.scratch();
+    let mut vols = [0.0f64; LANES];
+    let mut idx = range.start;
+    while idx < range.end {
+        let lanes = LANES.min(range.end - idx);
+        for (lane, vol) in vols.iter_mut().enumerate().take(lanes) {
+            *vol = load(idx + lane, lane, &mut scratch);
+        }
+        if tape.eval_block(&mut scratch, lanes) {
+            for (lane, &vol) in vols.iter().enumerate().take(lanes) {
+                if let Some(cell) = scratch.lane(lane) {
+                    emit(idx + lane, cell_mass(vol, cell));
+                }
+            }
+        }
+        idx += lanes;
     }
 }
 
@@ -914,12 +932,14 @@ fn gap_score(fold: QueryFold, region: Region) -> f64 {
 /// A refinable cell on the worklist: its gap contribution, the
 /// canonical sequence number that breaks score ties (assigned in
 /// evaluation order, which is itself deterministic), its bisection
-/// depth, the box, and the region triple it currently contributes.
+/// depth, its slot in the refiner's cell arena, and the region triple
+/// it currently contributes. A plain value: moving, sorting and
+/// dropping leaves touches no heap.
 struct Leaf {
     score: f64,
     seq: u64,
     depth: u32,
-    cell: BoxN,
+    slot: usize,
     region: Region,
 }
 
@@ -936,6 +956,17 @@ struct Leaf {
 /// inclusion-monotone, so every round only tightens the path's bounds
 /// — the refined result is always contained in the uniform sweep's.
 ///
+/// # Cell arena
+///
+/// Every live cell (pending or on the worklist) is `n` consecutive
+/// intervals in one flat arena, addressed by slot. A popped cell is
+/// bisected in place along [`widest_dim`]: its slot becomes the lower
+/// child and the upper child is copied into a freed slot (or appended).
+/// Dead and settled cells return their slots to a free list. Each round
+/// evaluates its pending slots straight from the arena in lane blocks,
+/// through the uniform sweep's lane loop, so refinement allocates
+/// nothing per cell.
+///
 /// # Determinism
 ///
 /// All selection, scoring and integration run on the caller's thread;
@@ -944,7 +975,8 @@ struct Leaf {
 /// uniform sweep). The priority order is total — score descending via
 /// `f64::total_cmp`, then canonical sequence number ascending — so the
 /// refinement tree, and therefore every reported bound, is
-/// **bit-identical across thread counts and steal schedules**.
+/// **bit-identical across thread counts and steal schedules**. Slot
+/// numbers never reach the order, the scores or the folds.
 pub struct GridRefiner<'a> {
     path: &'a SymPath,
     tape: Tape,
@@ -954,8 +986,12 @@ pub struct GridRefiner<'a> {
     used: usize,
     settled: (f64, f64),
     settled_gap: f64,
+    /// The cell arena: slot `s` is `cells[s * n..(s + 1) * n]`.
+    cells: Vec<Interval>,
+    /// Arena slots no live cell holds.
+    free: Vec<usize>,
     frontier: Vec<Leaf>,
-    pending: Vec<BoxN>,
+    pending: Vec<usize>,
     pending_depth: Vec<u32>,
     next_seq: u64,
     splits: u64,
@@ -992,10 +1028,10 @@ impl<'a> GridRefiner<'a> {
         let k0 = grid_splits((k / 4).clamp(2, 8), n, (budget / 4).max(1));
         let cell_edges: Vec<Interval> = Interval::UNIT.split(k0);
         let total = k0.pow(n as u32);
-        let mut pending: Vec<BoxN> = Vec::with_capacity(total);
+        let mut cells: Vec<Interval> = Vec::with_capacity(total * n);
         let mut odo = Odometer::at(n, 0, |_| k0);
         for _ in 0..total {
-            pending.push((0..n).map(|d| cell_edges[odo.digits[d]]).collect());
+            cells.extend(odo.digits.iter().map(|&e| cell_edges[e]));
             odo.step(|_| k0);
         }
         Some(GridRefiner {
@@ -1007,9 +1043,11 @@ impl<'a> GridRefiner<'a> {
             used: 0,
             settled: (0.0, 0.0),
             settled_gap: 0.0,
+            cells,
+            free: Vec::new(),
             frontier: Vec::new(),
+            pending: (0..total).collect(),
             pending_depth: vec![0; total],
-            pending,
             next_seq: 0,
             splits: 0,
             done: false,
@@ -1019,11 +1057,11 @@ impl<'a> GridRefiner<'a> {
 
     /// Moves the next batch of cells from the worklist into `pending`,
     /// returning whether this refiner has cells to evaluate this
-    /// round. Pop count scales with the worklist (a quarter of the
-    /// positive-score prefix, at least 8) so the shape of the
-    /// refinement tree is driven by the gap landscape; the remaining
-    /// cell budget only truncates it, which keeps refinement trees at
-    /// different budgets nested prefixes of each other.
+    /// round. Pop count scales with the worklist (a quarter of it, at
+    /// least 8) so the shape of the refinement tree is driven by the
+    /// gap landscape; the remaining cell budget only truncates it,
+    /// which keeps refinement trees at different budgets nested
+    /// prefixes of each other.
     fn select_batch(&mut self) -> bool {
         if !self.pending.is_empty() {
             return true; // round 0: the seed grid is already pending
@@ -1038,25 +1076,37 @@ impl<'a> GridRefiner<'a> {
         }
         self.frontier
             .sort_by(|a, b| b.score.total_cmp(&a.score).then(a.seq.cmp(&b.seq)));
-        let positive = self.frontier.iter().take_while(|l| l.score > 0.0).count();
-        if positive == 0 {
-            self.done = true;
-            return false;
-        }
-        let pops = positive.min(remaining / 2).min((positive / 4).max(8));
+        // `integrate` queues only cells with a positive score.
+        debug_assert!(self.frontier.iter().all(|l| l.score > 0.0));
+        let queued = self.frontier.len();
+        let pops = queued.min(remaining / 2).min((queued / 4).max(8));
+        let n = self.path.n_samples;
         for leaf in self.frontier.drain(..pops) {
-            match leaf.cell.bisect_widest() {
-                Some((a, b)) => {
+            let at = leaf.slot * n;
+            match widest_dim(&self.cells[at..at + n]) {
+                Some(d) => {
                     self.splits += 1;
-                    self.pending.push(a);
-                    self.pending.push(b);
-                    self.pending_depth.push(leaf.depth + 1);
-                    self.pending_depth.push(leaf.depth + 1);
+                    let (lower, upper) = self.cells[at + d].bisect();
+                    self.cells[at + d] = lower;
+                    let twin = match self.free.pop() {
+                        Some(slot) => {
+                            self.cells.copy_within(at..at + n, slot * n);
+                            slot
+                        }
+                        None => {
+                            self.cells.extend_from_within(at..at + n);
+                            self.cells.len() / n - 1
+                        }
+                    };
+                    self.cells[twin * n + d] = upper;
+                    self.pending.extend([leaf.slot, twin]);
+                    self.pending_depth.extend([leaf.depth + 1; 2]);
                 }
                 None => {
                     // Degenerate (point) box: nothing left to split.
                     self.fold.apply(&mut self.settled, leaf.region);
                     self.settled_gap += leaf.score;
+                    self.free.push(leaf.slot);
                 }
             }
         }
@@ -1072,17 +1122,21 @@ impl<'a> GridRefiner<'a> {
         if self.pending.is_empty() {
             return PathJob::Ready(Vec::new());
         }
-        let (boxes, tape) = (&self.pending, &self.tape);
+        let (cells, slots, tape) = (&self.cells, &self.pending, &self.tape);
+        let n = self.path.n_samples;
         PathJob::Sweep {
-            total: boxes.len(),
+            total: slots.len(),
             cost: tape.cost(),
             process: Box::new(move |range: Range<usize>, buf| {
-                tape.note_cells(range.len() as u64);
-                let mut scratch = tape.scratch();
-                let slice = &boxes[range.clone()];
-                tape.eval_boxes(&mut scratch, slice, |i, cell| {
-                    buf.push((range.start + i, cell_mass(slice[i].volume(), cell)));
-                });
+                let load = |i: usize, lane: usize, scratch: &mut TapeScratch| {
+                    let mut vol = 1.0;
+                    for (d, &iv) in cells[slots[i] * n..][..n].iter().enumerate() {
+                        scratch.set_input(d, lane, iv);
+                        vol *= iv.width();
+                    }
+                    vol
+                };
+                eval_cells(tape, range, load, |i, region| buf.push((i, region)));
             }),
         }
     }
@@ -1091,17 +1145,24 @@ impl<'a> GridRefiner<'a> {
     /// after the sweep evaluated the prefix `pending[..done]` (all of
     /// it unless the round was cancelled): refinable cells (positive
     /// score, below max depth) join the worklist, everything else
-    /// settles into the accumulated bounds. An absent index below
-    /// `done` really is a dead cell and contributes nothing. Every
-    /// unevaluated cell settles conservatively as its volume-share of
-    /// the whole-box enclosure, which contains the cell's true
-    /// contribution by inclusion monotonicity — so the final bounds
-    /// stay sound, merely coarser — and marks the refiner interrupted.
+    /// settles into the accumulated bounds and frees its slot. An
+    /// absent index below `done` really is a dead cell and contributes
+    /// nothing. Every unevaluated cell settles conservatively as its
+    /// volume-share of the whole-box enclosure, which contains the
+    /// cell's true contribution by inclusion monotonicity — so the
+    /// final bounds stay sound, merely coarser — and marks the refiner
+    /// interrupted; `integrate(&[], 0)` settles a whole batch that way.
     fn integrate(&mut self, out: &[(usize, Region)], done: usize) {
         let total = self.pending.len();
         let done = done.min(total);
         self.used += done;
+        // The stream is in ascending index order: the pending cells
+        // between two emitted indices are dead.
+        let mut next = 0;
         for &(idx, region) in out {
+            self.free.extend_from_slice(&self.pending[next..idx]);
+            next = idx + 1;
+            let slot = self.pending[idx];
             let score = gap_score(self.fold, region);
             let depth = self.pending_depth[idx];
             if score > 0.0 && depth < self.max_depth {
@@ -1109,25 +1170,32 @@ impl<'a> GridRefiner<'a> {
                     score,
                     seq: self.next_seq + idx as u64,
                     depth,
-                    cell: self.pending[idx].clone(),
+                    slot,
                     region,
                 });
             } else {
                 self.fold.apply(&mut self.settled, region);
                 self.settled_gap += score;
+                self.free.push(slot);
             }
         }
+        self.free.extend_from_slice(&self.pending[next..done]);
         if done < total {
             self.interrupted = true;
             if let Some((v, _, whole_hi)) = coarse_path_enclosure(self.path) {
-                for cell in &self.pending[done..] {
-                    let mass = cell.volume() * whole_hi;
+                let n = self.path.n_samples;
+                for &slot in &self.pending[done..] {
+                    // `BoxN::volume`'s product, in dimension order.
+                    let cell = &self.cells[slot * n..(slot + 1) * n];
+                    let volume: f64 = cell.iter().map(Interval::width).product();
+                    let mass = volume * whole_hi;
                     // 0 · ∞ for a measure-zero cell: its true mass is 0.
                     let region = (v, 0.0, if mass.is_nan() { 0.0 } else { mass });
                     self.fold.apply(&mut self.settled, region);
                     self.settled_gap += gap_score(self.fold, region);
                 }
             }
+            self.free.extend_from_slice(&self.pending[done..]);
         }
         self.next_seq += total as u64;
         self.pending.clear();
@@ -1135,8 +1203,9 @@ impl<'a> GridRefiner<'a> {
     }
 
     /// Whether the refiner still has work it would schedule: a pending
-    /// batch, or remaining budget plus a positive-gap worklist. Used to
-    /// mark refiners degraded when cancellation lands between rounds.
+    /// batch, or remaining budget plus a (positive-gap) worklist. Used
+    /// to mark refiners degraded when cancellation lands between
+    /// rounds.
     fn would_refine(&self) -> bool {
         if !self.pending.is_empty() {
             return true;
@@ -1144,7 +1213,7 @@ impl<'a> GridRefiner<'a> {
         if self.done {
             return false;
         }
-        self.budget.saturating_sub(self.used) >= 2 && self.frontier.iter().any(|l| l.score > 0.0)
+        self.budget.saturating_sub(self.used) >= 2 && !self.frontier.is_empty()
     }
 
     /// Whether cancellation cut this refiner short of the refinement it
@@ -1180,6 +1249,7 @@ impl<'a> GridRefiner<'a> {
     /// Settles the remaining worklist (in canonical sequence order)
     /// and returns the path's final `(lo, hi)` bounds.
     fn finish(&mut self) -> (f64, f64) {
+        debug_assert!(self.pending.is_empty(), "every batch is integrated");
         self.frontier.sort_by_key(|leaf| leaf.seq);
         for leaf in self.frontier.drain(..) {
             self.fold.apply(&mut self.settled, leaf.region);
@@ -1218,6 +1288,7 @@ pub fn run_adaptive_refinement(
 /// `cancel` is polled at every round boundary and inside each round's
 /// sweep (at chunk boundaries). On cancellation the current round's
 /// evaluated prefix integrates normally, every unevaluated pending cell
+/// (the whole seed grid, when the token fired before the first round)
 /// settles as its share of the path's whole-box enclosure, and
 /// still-refinable worklists settle as-is — the returned bounds are
 /// always **sound**, just coarser than the uncancelled run; affected
@@ -1237,6 +1308,10 @@ pub fn run_adaptive_refinement_cancellable(
                 if r.would_refine() {
                     r.interrupted = true;
                 }
+                // A batch no round evaluated (the seed grid, when the
+                // token fired before round 0) settles as its cells'
+                // shares of the whole-box enclosure.
+                r.integrate(&[], 0);
             }
             break;
         }
@@ -1274,6 +1349,7 @@ pub fn run_adaptive_refinement_cancellable(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gubpi_interval::BoxN;
     use gubpi_lang::{infer, parse};
     use gubpi_symbolic::{symbolic_paths, SymExecOptions, TailEnclosure, TailPrefix};
     use gubpi_types::infer_interval_types;
@@ -2065,5 +2141,493 @@ mod tests {
             assert_eq!(walk_cost, gubpi_symbolic::Tape::tree_walk(p).cost());
             assert!(walk_cost > 0);
         }
+    }
+
+    // ----------------------------------------------------------------
+    // The BoxN-per-leaf refiner, kept as the arena refiner's oracle
+    // ----------------------------------------------------------------
+
+    /// A worklist leaf of [`OracleRefiner`]: its own heap box.
+    struct OracleLeaf {
+        score: f64,
+        seq: u64,
+        depth: u32,
+        cell: BoxN,
+        region: Region,
+    }
+
+    /// The adaptive refiner written with one `BoxN` per cell and its own
+    /// widest-dimension rule (the last of equally wide finite
+    /// dimensions), evaluated one cell at a time with `BoxN::volume`.
+    /// [`GridRefiner`] must reproduce it bit for bit.
+    struct OracleRefiner<'a> {
+        path: &'a SymPath,
+        tape: Tape,
+        fold: QueryFold,
+        max_depth: u32,
+        budget: usize,
+        used: usize,
+        settled: (f64, f64),
+        settled_gap: f64,
+        frontier: Vec<OracleLeaf>,
+        pending: Vec<BoxN>,
+        pending_depth: Vec<u32>,
+        next_seq: u64,
+        splits: u64,
+        done: bool,
+        interrupted: bool,
+    }
+
+    fn oracle_bisect_widest(b: &BoxN) -> Option<(BoxN, BoxN)> {
+        let (idx, widest) = b
+            .intervals()
+            .iter()
+            .enumerate()
+            .filter(|(_, i)| i.is_finite())
+            .max_by(|a, b| a.1.width().total_cmp(&b.1.width()))?;
+        if widest.width() == 0.0 {
+            return None;
+        }
+        let (left, right) = widest.bisect();
+        let mut a = b.intervals().to_vec();
+        let mut c = b.intervals().to_vec();
+        a[idx] = left;
+        c[idx] = right;
+        Some((BoxN::new(a), BoxN::new(c)))
+    }
+
+    impl<'a> OracleRefiner<'a> {
+        fn new(
+            path: &'a SymPath,
+            fold: QueryFold,
+            opts: PathBoundOptions,
+            refine: &RefineOptions,
+        ) -> Option<OracleRefiner<'a>> {
+            if !refine.refine || path.n_samples == 0 {
+                return None;
+            }
+            let n = path.n_samples;
+            let k = grid_splits(opts.splits, n, opts.region_budget);
+            if k < 4 {
+                return None;
+            }
+            let budget = k.pow(n as u32);
+            let k0 = grid_splits((k / 4).clamp(2, 8), n, (budget / 4).max(1));
+            let edges = Interval::UNIT.split(k0);
+            let total = k0.pow(n as u32);
+            let pending = (0..total)
+                .map(|i| (0..n).map(|d| edges[i / k0.pow(d as u32) % k0]).collect())
+                .collect();
+            Some(OracleRefiner {
+                path,
+                tape: tape_for(path, opts, None),
+                fold,
+                max_depth: refine.max_refine_depth,
+                budget,
+                used: 0,
+                settled: (0.0, 0.0),
+                settled_gap: 0.0,
+                frontier: Vec::new(),
+                pending,
+                pending_depth: vec![0; total],
+                next_seq: 0,
+                splits: 0,
+                done: false,
+                interrupted: false,
+            })
+        }
+
+        fn select_batch(&mut self) -> bool {
+            if !self.pending.is_empty() {
+                return true;
+            }
+            if self.done {
+                return false;
+            }
+            let remaining = self.budget.saturating_sub(self.used);
+            if remaining < 2 || self.frontier.is_empty() {
+                self.done = true;
+                return false;
+            }
+            self.frontier
+                .sort_by(|a, b| b.score.total_cmp(&a.score).then(a.seq.cmp(&b.seq)));
+            let positive = self.frontier.iter().take_while(|l| l.score > 0.0).count();
+            if positive == 0 {
+                self.done = true;
+                return false;
+            }
+            let pops = positive.min(remaining / 2).min((positive / 4).max(8));
+            for leaf in self.frontier.drain(..pops) {
+                match oracle_bisect_widest(&leaf.cell) {
+                    Some((a, b)) => {
+                        self.splits += 1;
+                        self.pending.push(a);
+                        self.pending.push(b);
+                        self.pending_depth.push(leaf.depth + 1);
+                        self.pending_depth.push(leaf.depth + 1);
+                    }
+                    None => {
+                        self.fold.apply(&mut self.settled, leaf.region);
+                        self.settled_gap += leaf.score;
+                    }
+                }
+            }
+            !self.pending.is_empty()
+        }
+
+        /// The pending batch's region stream, one cell at a time.
+        fn evaluate(&self) -> Vec<(usize, Region)> {
+            let mut scratch = self.tape.scratch();
+            self.pending
+                .iter()
+                .enumerate()
+                .filter_map(|(i, cell)| {
+                    let bounds = self.tape.eval_one(cell.intervals(), &mut scratch)?;
+                    Some((i, cell_mass(cell.volume(), bounds)))
+                })
+                .collect()
+        }
+
+        fn integrate(&mut self, out: &[(usize, Region)], done: usize) {
+            let total = self.pending.len();
+            let done = done.min(total);
+            self.used += done;
+            for &(idx, region) in out {
+                let score = gap_score(self.fold, region);
+                let depth = self.pending_depth[idx];
+                if score > 0.0 && depth < self.max_depth {
+                    self.frontier.push(OracleLeaf {
+                        score,
+                        seq: self.next_seq + idx as u64,
+                        depth,
+                        cell: self.pending[idx].clone(),
+                        region,
+                    });
+                } else {
+                    self.fold.apply(&mut self.settled, region);
+                    self.settled_gap += score;
+                }
+            }
+            if done < total {
+                self.interrupted = true;
+                if let Some((v, _, whole_hi)) = coarse_path_enclosure(self.path) {
+                    for cell in &self.pending[done..] {
+                        let mass = cell.volume() * whole_hi;
+                        let region = (v, 0.0, if mass.is_nan() { 0.0 } else { mass });
+                        self.fold.apply(&mut self.settled, region);
+                        self.settled_gap += gap_score(self.fold, region);
+                    }
+                }
+            }
+            self.next_seq += total as u64;
+            self.pending.clear();
+            self.pending_depth.clear();
+        }
+
+        fn would_refine(&self) -> bool {
+            if !self.pending.is_empty() {
+                return true;
+            }
+            if self.done {
+                return false;
+            }
+            self.budget.saturating_sub(self.used) >= 2
+                && self.frontier.iter().any(|l| l.score > 0.0)
+        }
+
+        fn gap(&self) -> f64 {
+            self.frontier
+                .iter()
+                .fold(self.settled_gap, |gap, leaf| gap + leaf.score)
+        }
+
+        fn finish(&mut self) -> (f64, f64) {
+            self.frontier.sort_by_key(|leaf| leaf.seq);
+            for leaf in self.frontier.drain(..) {
+                self.fold.apply(&mut self.settled, leaf.region);
+                self.settled_gap += leaf.score;
+            }
+            self.settled
+        }
+    }
+
+    /// The oracle's driver: `run_adaptive_refinement_cancellable`'s
+    /// rounds, sequentially, with a token that is either already
+    /// cancelled or never fires. Returns the bounds and the round count.
+    fn oracle_run(
+        refiners: &mut [OracleRefiner<'_>],
+        gap_target: f64,
+        cancelled: bool,
+    ) -> (Vec<(f64, f64)>, u64) {
+        let mut rounds = 0;
+        loop {
+            if cancelled {
+                for r in refiners.iter_mut() {
+                    if r.would_refine() {
+                        r.interrupted = true;
+                    }
+                    r.integrate(&[], 0);
+                }
+                break;
+            }
+            if rounds > 0 && gap_target > 0.0 {
+                let total: f64 = refiners.iter().map(OracleRefiner::gap).sum();
+                if total <= gap_target {
+                    break;
+                }
+            }
+            let mut any = false;
+            for r in refiners.iter_mut() {
+                any |= r.select_batch();
+            }
+            if !any {
+                break;
+            }
+            rounds += 1;
+            for r in refiners.iter_mut() {
+                let out = r.evaluate();
+                let total = r.pending.len();
+                r.integrate(&out, total);
+            }
+        }
+        (
+            refiners.iter_mut().map(OracleRefiner::finish).collect(),
+            rounds,
+        )
+    }
+
+    fn assert_bits(got: f64, want: f64, ctx: &str) {
+        assert_eq!(got.to_bits(), want.to_bits(), "{ctx}: {got} vs {want}");
+    }
+
+    /// The refinable paths the oracle tests run on: grid paths with up to
+    /// four samples, dead cells (a product threshold), and five-sample ⊤
+    /// paths of a budget-truncated recursion, bare and tail-substituted.
+    fn oracle_paths() -> Vec<SymPath> {
+        let mut out = Vec::new();
+        for src in [
+            "if sample <= 0.1 then 0 else
+               let x = sample in let y = sample in let z = sample in
+               score(sigmoid(x * y + z)); x * y * z",
+            "let x = sample in let y = sample in
+             if x * y <= 0.25 then sample else 2",
+        ] {
+            out.extend(paths(src));
+        }
+        let mut opts = crate::AnalysisOptions::default();
+        opts.sym.max_paths = 3;
+        let rec = "let rec go x =
+              if sample <= 0.6 then x else go (x + sample uniform(0, 1))
+            in go 0";
+        let a = crate::Analyzer::from_source(rec, opts).expect("model compiles");
+        let mut tailed = 0;
+        for p in a.paths() {
+            if let Some(t) = tail_substituted(p, &opts.bounds) {
+                out.push(t);
+                tailed += 1;
+            }
+            out.push(p.clone());
+        }
+        assert!(tailed > 0);
+        out
+    }
+
+    /// Runs the arena refiner through `run_adaptive_refinement_cancellable`
+    /// and the oracle through `oracle_run` on every path at once and
+    /// asserts bit-identical bounds, splits, cells used, gaps and rounds.
+    fn assert_refiners_agree(
+        paths: &[SymPath],
+        u: Interval,
+        opts: PathBoundOptions,
+        refine: RefineOptions,
+        threads: Threads,
+        cancelled: bool,
+    ) {
+        let ctx = format!("{u:?} {opts:?} {refine:?} {threads:?} cancelled {cancelled}");
+        let fold = QueryFold::Filter(u);
+        let mut real: Vec<GridRefiner<'_>> = paths
+            .iter()
+            .filter_map(|p| GridRefiner::new(p, fold, opts, &refine, None))
+            .collect();
+        let mut oracle: Vec<OracleRefiner<'_>> = paths
+            .iter()
+            .filter_map(|p| OracleRefiner::new(p, fold, opts, &refine))
+            .collect();
+        assert_eq!(real.len(), oracle.len(), "{ctx}");
+        assert!(!real.is_empty(), "{ctx}");
+        let pool = WorkerPool::new();
+        let token = CancelToken::new();
+        if cancelled {
+            token.cancel();
+        }
+        let width = threads.worker_count(usize::MAX);
+        let got = run_adaptive_refinement_cancellable(
+            &pool,
+            width,
+            &mut real,
+            refine.gap_target,
+            Some(&token),
+        );
+        let (want, rounds) = oracle_run(&mut oracle, refine.gap_target, cancelled);
+        assert_eq!(pool.stats().refine_rounds, rounds, "{ctx}: rounds");
+        for (i, (r, o)) in real.iter().zip(&oracle).enumerate() {
+            let ctx = format!("{ctx}, refiner {i}");
+            assert_bits(got[i].0, want[i].0, &ctx);
+            assert_bits(got[i].1, want[i].1, &ctx);
+            assert_bits(r.gap(), o.gap(), &ctx);
+            assert_eq!(r.splits(), o.splits, "{ctx}: splits");
+            assert_eq!(r.cells_used(), o.used, "{ctx}: cells used");
+            assert_eq!(r.interrupted(), o.interrupted, "{ctx}: interrupted");
+        }
+    }
+
+    /// Drives one arena refiner and its oracle round by round, comparing
+    /// every round's region stream and state bit for bit. Round
+    /// `cut_round` is interrupted after half its batch; after round 0 the
+    /// first worklist cell of both shrinks to a point (a degenerate box
+    /// that must settle instead of splitting).
+    fn assert_lockstep(p: &SymPath, u: Interval, opts: PathBoundOptions, cut_round: usize) {
+        let refine = RefineOptions::default();
+        let fold = QueryFold::Filter(u);
+        let Some(mut real) = GridRefiner::new(p, fold, opts, &refine, None) else {
+            return;
+        };
+        let mut oracle = OracleRefiner::new(p, fold, opts, &refine).expect("same gate");
+        let n = p.n_samples;
+        for round in 0.. {
+            let ctx = format!("{u:?} splits {} round {round}", opts.splits);
+            let busy = real.select_batch();
+            assert_eq!(busy, oracle.select_batch(), "{ctx}");
+            if !busy {
+                break;
+            }
+            let got = region_stream_indexed(real.round_job());
+            let want = oracle.evaluate();
+            assert_eq!(got.len(), want.len(), "{ctx}");
+            for (g, w) in got.iter().zip(&want) {
+                assert_eq!(g.0, w.0, "{ctx}: cell index");
+                assert_same_regions(&[g.1], &[w.1], &ctx);
+            }
+            let total = real.pending.len();
+            let done = if round == cut_round { total / 2 } else { total };
+            let prefix = got.iter().take_while(|(i, _)| *i < done).count();
+            real.integrate(&got[..prefix], done);
+            oracle.integrate(&want[..prefix], done);
+            if round == 0 {
+                if let (Some(r), Some(o)) = (real.frontier.first(), oracle.frontier.first_mut()) {
+                    let point: Vec<Interval> = o
+                        .cell
+                        .intervals()
+                        .iter()
+                        .map(|iv| Interval::point(iv.lo()))
+                        .collect();
+                    real.cells[r.slot * n..(r.slot + 1) * n].copy_from_slice(&point);
+                    o.cell = BoxN::new(point);
+                }
+            }
+            assert_bits(real.gap(), oracle.gap(), &ctx);
+            assert_eq!(real.splits(), oracle.splits, "{ctx}: splits");
+            assert_eq!(real.cells_used(), oracle.used, "{ctx}: cells used");
+            assert_eq!(real.interrupted(), oracle.interrupted, "{ctx}");
+        }
+        let (got, want) = (real.finish(), oracle.finish());
+        assert_bits(got.0, want.0, "final lo");
+        assert_bits(got.1, want.1, "final hi");
+    }
+
+    fn region_stream_indexed(job: PathJob<'_, (usize, Region)>) -> Vec<(usize, Region)> {
+        match job {
+            PathJob::Ready(items) => items,
+            PathJob::Sweep { total, process, .. } => {
+                let mut buf = Vec::new();
+                // Two chunks, so a block boundary falls inside the batch.
+                process(0..total / 3, &mut buf);
+                process(total / 3..total, &mut buf);
+                buf
+            }
+        }
+    }
+
+    /// Runs the arena/oracle comparison over one option grid, with query
+    /// intervals that cut the paths' value ranges and one that contains
+    /// every bounded range.
+    fn refiner_oracle_grid(
+        region_budget: usize,
+        splits: &[usize],
+        depths: &[u32],
+        gap_targets: &[f64],
+        threads: &[Threads],
+    ) {
+        let paths = oracle_paths();
+        // The ⊤ paths get refiners (k ≥ 4) at every split count.
+        let top = paths.iter().find(|p| p.truncated).expect("a ⊤ path");
+        assert!(grid_splits(splits[0], top.n_samples, region_budget) >= 4);
+        // Without the bare ⊤ path (unbounded weight) the summed gap is
+        // finite, so a gap target can stop the rounds early.
+        let finite: Vec<SymPath> = paths
+            .iter()
+            .filter(|p| coarse_path_enclosure(p).is_none_or(|r| r.2.is_finite()))
+            .cloned()
+            .collect();
+        assert!(finite.len() < paths.len());
+        for u in [Interval::new(0.1, 0.4), Interval::new(-1.0, 3.0)] {
+            for &s in splits {
+                let opts = PathBoundOptions {
+                    splits: s,
+                    region_budget,
+                    ..Default::default()
+                };
+                for p in &paths {
+                    assert_lockstep(p, u, opts, 1);
+                    assert_lockstep(p, u, opts, 0);
+                }
+                for &max_refine_depth in depths {
+                    for &gap_target in gap_targets {
+                        let refine = RefineOptions {
+                            refine: true,
+                            gap_target,
+                            max_refine_depth,
+                        };
+                        for set in [&paths, &finite] {
+                            for &t in threads {
+                                assert_refiners_agree(set, u, opts, refine, t, false);
+                            }
+                            assert_refiners_agree(set, u, opts, refine, Threads::Off, true);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The arena refiner reproduces the `BoxN`-per-leaf refiner bit for
+    /// bit: bounds, gaps, splits, cells used and rounds, across splits,
+    /// depths, gap targets, query intervals, thread counts, a
+    /// pre-cancelled token, interrupted rounds and a degenerate cell.
+    #[test]
+    fn arena_refiner_matches_the_boxed_oracle() {
+        // This budget seeds three-sample paths on fifths at splits 24, so
+        // the order of a volume product shows in its bits.
+        refiner_oracle_grid(
+            1 << 13,
+            &[8, 16, 24],
+            &[1, 3, 12],
+            &[0.0, 1.0],
+            &[Threads::Off, Threads::Fixed(2)],
+        );
+    }
+
+    /// Soak copy of [`arena_refiner_matches_the_boxed_oracle`] over a
+    /// larger option grid (CI runs it in release).
+    #[test]
+    #[ignore = "soak: cargo test --release -p gubpi-core -- --ignored"]
+    fn arena_refiner_matches_the_boxed_oracle_soak() {
+        refiner_oracle_grid(
+            1 << 16,
+            &[6, 8, 12, 16, 20, 24, 32],
+            &[0, 1, 2, 3, 5, 8, 12, 20],
+            &[0.0, 0.8, 1.0, 1.5, 2.5],
+            &[Threads::Off, Threads::Fixed(2), Threads::Fixed(4)],
+        );
     }
 }

@@ -91,16 +91,8 @@ impl BoxN {
     ///
     /// Returns `None` for 0-dimensional or degenerate (zero-width) boxes.
     pub fn bisect_widest(&self) -> Option<(BoxN, BoxN)> {
-        let (idx, widest) = self
-            .dims
-            .iter()
-            .enumerate()
-            .filter(|(_, i)| i.is_finite())
-            .max_by(|a, b| a.1.width().total_cmp(&b.1.width()))?;
-        if widest.width() == 0.0 {
-            return None;
-        }
-        let (left, right) = widest.bisect();
+        let idx = widest_dim(&self.dims)?;
+        let (left, right) = self.dims[idx].bisect();
         let mut a = self.dims.clone();
         let mut b = self.dims.clone();
         a[idx] = left;
@@ -172,6 +164,20 @@ impl FromIterator<Interval> for BoxN {
     }
 }
 
+/// The dimension a box with these per-dimension intervals bisects in:
+/// its widest finite one, the **last** of several equally wide, or
+/// `None` when no finite dimension has positive width (0-dimensional,
+/// unbounded or degenerate boxes). [`BoxN::bisect_widest`] and the
+/// adaptive grid refiner both split here, so they agree on ties.
+pub fn widest_dim(dims: &[Interval]) -> Option<usize> {
+    let (idx, widest) = dims
+        .iter()
+        .enumerate()
+        .filter(|(_, i)| i.is_finite())
+        .max_by(|a, b| a.1.width().total_cmp(&b.1.width()))?;
+    (widest.width() != 0.0).then_some(idx)
+}
+
 impl fmt::Debug for BoxN {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "⟨")?;
@@ -236,6 +242,13 @@ mod tests {
         assert_eq!(r[1], Interval::new(2.0, 4.0));
         assert_eq!(l[0], Interval::new(0.0, 1.0));
         assert!((l.volume() + r.volume() - b.volume()).abs() < 1e-12);
+        // Unbounded dimensions are skipped; ties go to the last one.
+        let tie = [
+            Interval::UNIT,
+            Interval::new(0.0, f64::INFINITY),
+            Interval::UNIT,
+        ];
+        assert_eq!(widest_dim(&tie), Some(2));
     }
 
     #[test]

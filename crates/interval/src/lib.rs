@@ -33,7 +33,7 @@ mod interval;
 mod lattice;
 mod round;
 
-pub use boxes::BoxN;
+pub use boxes::{widest_dim, BoxN};
 pub use interval::Interval;
 pub use lattice::{widen, Lattice};
 pub use round::{add_down, add_up, next_after_down, next_after_up, pow_up};

@@ -640,6 +640,10 @@ impl Tape {
     /// failed an ∃-test (nothing to read). Lanes that fail a check stay
     /// in the block (masked) but their downstream values are never
     /// reported, so batching cannot change a bit of any output.
+    /// Re-entrant over a reused scratch: every input register and
+    /// instruction output is rewritten per block and constants are
+    /// preloaded into all lanes, so blocks of any size, round after
+    /// round, cannot leak state into each other.
     pub fn eval_block(&self, s: &mut TapeScratch, lanes: usize) -> bool {
         debug_assert!(lanes <= LANES && lanes > 0);
         for l in 0..LANES {
@@ -820,40 +824,6 @@ impl Tape {
                     s.hi[d + l] = r.hi();
                 }
             }
-        }
-    }
-
-    /// Evaluates an **irregular batch** of boxes — the adaptive
-    /// refiner's child cells, which unlike a uniform sweep share no
-    /// odometer structure — in [`LANES`]-sized blocks, calling
-    /// `emit(index, bounds)` for every box not excluded by a check, in
-    /// ascending index order. Re-entrant over a shared scratch: every
-    /// input register and instruction output is rewritten per block and
-    /// constants are preloaded into all lanes, so interleaving calls on
-    /// one scratch (round after round) cannot leak state between
-    /// batches.
-    pub fn eval_boxes(
-        &self,
-        s: &mut TapeScratch,
-        boxes: &[BoxN],
-        mut emit: impl FnMut(usize, CellBounds),
-    ) {
-        let mut at = 0usize;
-        while at < boxes.len() {
-            let lanes = LANES.min(boxes.len() - at);
-            for (l, cell) in boxes[at..at + lanes].iter().enumerate() {
-                for (dim, &iv) in cell.intervals().iter().enumerate() {
-                    s.set_input(dim, l, iv);
-                }
-            }
-            if self.eval_block(s, lanes) {
-                for l in 0..lanes {
-                    if let Some(cell) = s.lane(l) {
-                        emit(at + l, cell);
-                    }
-                }
-            }
-            at += lanes;
         }
     }
 }
@@ -1162,34 +1132,35 @@ mod tests {
     }
 
     #[test]
-    fn eval_boxes_handles_irregular_batches_reentrantly() {
+    fn eval_block_is_reentrant_across_irregular_batches() {
         let path = demo_path();
         let tape = Tape::for_path(&path);
         let mut scratch = tape.scratch();
         let mut single = tape.scratch();
-        // Batch sizes that are not lane multiples, reusing one scratch
-        // across rounds like the adaptive refiner does.
+        // Batch sizes that are not lane multiples, in partial blocks on
+        // one reused scratch, like the adaptive refiner's rounds.
         for batch in [1usize, 7, LANES, LANES + 3, 2 * LANES + 1] {
-            let boxes: Vec<BoxN> = (0..batch)
+            let cells: Vec<[Interval; 2]> = (0..batch)
                 .map(|i| {
                     let x = i as f64 / batch as f64;
-                    BoxN::new(vec![
+                    [
                         Interval::new(x / 2.0, x / 2.0 + 0.3),
                         Interval::new(0.2, 0.2 + x / 2.0),
-                    ])
+                    ]
                 })
                 .collect();
-            let mut got: Vec<Option<CellBounds>> = vec![None; batch];
-            let mut last = 0usize;
-            tape.eval_boxes(&mut scratch, &boxes, |i, cell| {
-                assert!(got[i].is_none() && i >= last, "ascending index order");
-                last = i;
-                got[i] = Some(cell);
-            });
-            for (i, b) in boxes.iter().enumerate() {
-                let dims: Vec<Interval> = b.intervals().to_vec();
-                let want = tape.eval_one(&dims, &mut single);
-                assert_same(got[i], want, &format!("batch {batch} box {i}"));
+            for (b, block) in cells.chunks(LANES).enumerate() {
+                for (l, dims) in block.iter().enumerate() {
+                    for (d, &iv) in dims.iter().enumerate() {
+                        scratch.set_input(d, l, iv);
+                    }
+                }
+                let any = tape.eval_block(&mut scratch, block.len());
+                for (l, dims) in block.iter().enumerate() {
+                    let got = if any { scratch.lane(l) } else { None };
+                    let want = tape.eval_one(dims, &mut single);
+                    assert_same(got, want, &format!("batch {batch} block {b} lane {l}"));
+                }
             }
         }
     }

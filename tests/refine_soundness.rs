@@ -11,7 +11,7 @@
 //! `tests/parallel_determinism.rs`), so a bound verified once holds on
 //! every run.
 
-use gubpi_core::{bound_path, AnalysisOptions, Analyzer, Method, QueryFold, Threads};
+use gubpi_core::{bound_path, AnalysisOptions, Analyzer, CancelToken, Method, QueryFold, Threads};
 use gubpi_inference::importance::{importance_sample, ImportanceOptions};
 use gubpi_interval::Interval;
 use gubpi_lang::parse;
@@ -227,4 +227,41 @@ fn refine_off_matches_uniform_path_sums() {
             "{name}: refine-off upper bound drifted from the uniform path sum"
         );
     }
+}
+
+#[test]
+fn refinement_cancelled_before_its_first_round_stays_sound() {
+    // A token that has fired before the refiners' first round (a
+    // deadline that expired during symbolic execution or the uniform
+    // sweeps) must still settle the unevaluated seed grid, as each
+    // cell's share of the whole-box enclosure: a degraded, wider result,
+    // never the empty `[0, 0]`. Each query gets a fresh analyzer, since
+    // a cached uncancelled result would hide the cancelled path.
+    let token = CancelToken::new();
+    token.cancel();
+    let fresh = || analyzer(SMOOTH, 8, grid_opts(16, true));
+    let u = Interval::new(0.0, 1.0);
+    let full = fresh().denotation_outcome(u, None);
+    let cut = fresh().denotation_outcome(u, Some(&token));
+    assert!(!full.degraded && cut.degraded);
+    assert!(
+        cut.lo <= full.lo && cut.hi >= full.hi,
+        "cancelled denotation [{}, {}] misses uncancelled [{}, {}]",
+        cut.lo,
+        cut.hi,
+        full.lo,
+        full.hi
+    );
+    let v = Interval::new(0.5, 1.0);
+    let full = fresh().posterior_outcome(v, None);
+    let cut = fresh().posterior_outcome(v, Some(&token));
+    assert!(!full.degraded && cut.degraded);
+    assert!(
+        cut.lo <= full.lo && cut.hi >= full.hi,
+        "cancelled posterior [{}, {}] misses uncancelled [{}, {}]",
+        cut.lo,
+        cut.hi,
+        full.lo,
+        full.hi
+    );
 }
