@@ -135,7 +135,6 @@ pub struct ProgramFacts {
     tail_facts: HashMap<NodeId, TailFact>,
     ranking: HashMap<NodeId, RankVerdict>,
     unused_samples: Vec<UnusedSample>,
-    constant_pool: Vec<Interval>,
     aborted: bool,
 }
 
@@ -167,13 +166,6 @@ impl ProgramFacts {
     /// Joined post-pass: derive the executor-facing facts and the
     /// syntactic lint inputs from the raw evaluation tables.
     fn finish(&mut self, program: &Program, typing: &IntervalTyping) {
-        let mut pool: Vec<Interval> = Vec::new();
-        let mut seen = HashSet::new();
-        let mut push = |pool: &mut Vec<Interval>, i: Interval| {
-            if seen.insert((i.lo().to_bits(), i.hi().to_bits())) {
-                pool.push(i);
-            }
-        };
         program.root.walk(&mut |e| match &e.kind {
             ExprKind::Score(arg)
                 if self.score_args.get(&e.id) == Some(&Interval::ZERO)
@@ -239,22 +231,6 @@ impl ProgramFacts {
             }
         });
         self.dead_branches.extend(dead);
-        // Deterministic constant pool for kernel seeding: program
-        // literals first, then the approxFix intervals, in preorder.
-        program.root.walk(&mut |e| {
-            if let ExprKind::Const(r) = e.kind {
-                push(&mut pool, Interval::point(r));
-            }
-        });
-        program.root.walk(&mut |e| {
-            if let ExprKind::Fix(..) = e.kind {
-                if let Some((_, value, weight)) = typing.fix_apply_chain(e.id) {
-                    push(&mut pool, value);
-                    push(&mut pool, weight.clamp_non_neg());
-                }
-            }
-        });
-        self.constant_pool = pool;
     }
 
     /// Derives the [`TailFact`] for one `μ` node, or `None` when the
@@ -533,13 +509,6 @@ impl ProgramFacts {
     /// Unused `let`-bindings whose definitions draw samples.
     pub fn unused_samples(&self) -> &[UnusedSample] {
         &self.unused_samples
-    }
-
-    /// The deduplicated interval constants the paths over this program
-    /// can mention (literals and approxFix replacements), in a
-    /// deterministic order — the kernel pre-interns these.
-    pub fn constant_pool(&self) -> &[Interval] {
-        &self.constant_pool
     }
 
     /// Number of provably-zero score nodes.
@@ -1126,7 +1095,6 @@ mod tests {
             .ranked
             .expect("pedestrian gets a synthesized certificate");
         assert_eq!(ranked.prefix_bound, 0);
-        assert!(ranked.rate.hi() < 1.0);
         assert_eq!(facts.ranked_tail_count(), 1);
         assert!(matches!(
             facts.ranking_verdict(fix),
@@ -1163,24 +1131,6 @@ mod tests {
         // Internal sequencing binders are exempt.
         let (_, clean) = facts_for("observe sample from normal(0.5, 1); 2");
         assert!(clean.unused_samples().is_empty());
-    }
-
-    #[test]
-    fn constant_pool_is_deterministic_and_deduplicated() {
-        let (_, a) = facts_for("if sample <= 0.5 then 0.5 else 2 + 0.5");
-        let (_, b) = facts_for("if sample <= 0.5 then 0.5 else 2 + 0.5");
-        assert_eq!(a.constant_pool().len(), b.constant_pool().len());
-        assert!(a
-            .constant_pool()
-            .iter()
-            .zip(b.constant_pool())
-            .all(|(x, y)| x == y));
-        let halves = a
-            .constant_pool()
-            .iter()
-            .filter(|i| **i == Interval::point(0.5))
-            .count();
-        assert_eq!(halves, 1, "pool must deduplicate");
     }
 
     #[test]

@@ -11,19 +11,15 @@
 //! facts: for each `μ` node it extracts the per-unfolding argument
 //! transformer as an interval-affine map and certifies — by interval
 //! arithmetic alone — an *eventually*-geometric tail fact
-//! ([`RankedTail`]: bounded prefix `k₀`, post-prefix rate, prefix
-//! weight) for data-guarded recursions the plain contraction estimate
-//! cannot bound below 1.
+//! ([`RankedTail`]: a bounded prefix `k₀`) for data-guarded recursions
+//! the plain contraction estimate cannot bound below 1.
 //!
-//! Four consumers:
+//! Three consumers:
 //!
 //! * the **symbolic executor** skips provably zero-mass branches (every
 //!   `else fail`), dropping paths whose contribution to *both* posterior
 //!   bounds is exactly `0.0` — pruned runs are bit-identical to
 //!   unpruned runs, just with fewer paths;
-//! * the **path-bound kernel** seeds its constant pool and its
-//!   constraint evaluation order from the static intervals instead of
-//!   re-deriving them per query;
 //! * **tail enclosures**: budget-truncated ⊤ paths carry the plain
 //!   contraction and, when synthesized, the ranked prefix — bounding
 //!   substitutes a finite geometric (or two-phase eventually-geometric)

@@ -32,11 +32,11 @@
 //!      fact (one recursive call per execution path, every in-body
 //!      score factor ≤ 1) makes the suffix executions of a cut a
 //!      sub-probability space, so the total weight of *terminating*
-//!      continuations is at most `prefix_weight = 1` even when no
-//!      per-step decay is provable. This is what rescues the
-//!      pedestrian's symmetric random walk, whose survival mass decays
-//!      only polynomially — no honest geometric rate exists, but the
-//!      exit mass is still bounded.
+//!      continuations is at most 1 even when no per-step decay is
+//!      provable. This is what rescues the pedestrian's symmetric
+//!      random walk, whose survival mass decays only polynomially — no
+//!      honest geometric rate exists, but the exit mass is still
+//!      bounded.
 //!
 //! A successful synthesis is recorded as a [`RankedTail`] riding on the
 //! plain fact; `gubpi_core::pathbounds` consumes it through the
@@ -46,10 +46,10 @@
 //! x_hi · (w_prefix + c_eff^{max(0, k₀ − k_explored)} / (1 − c_eff))
 //! ```
 //!
-//! whose `k₀ = 0`, `w_prefix = 0` specialization is exactly the plain
-//! geometric series `x_hi / (1 − c_eff)` (that case keeps its original
-//! code path, bit for bit). Failures keep a human-readable reason,
-//! surfaced by the `no-tail-bound-recursion` lint.
+//! with the post-prefix rate `c_eff = 0` and prefix weight
+//! `w_prefix = 1` that both templates certify. Failures keep a
+//! human-readable reason, surfaced by the `no-tail-bound-recursion`
+//! lint.
 
 use std::fmt;
 
@@ -66,35 +66,25 @@ use crate::facts::{call_of, ProgramFacts};
 const MAX_PREFIX_ITERS: u32 = 4096;
 
 /// An eventually-geometric tail certificate for one `μ` node: after at
-/// most `prefix_bound` unfoldings the recursion's continue mass decays
-/// at `rate`, and executions terminating *before* the decay phase carry
-/// total weight at most `prefix_weight`.
+/// most `prefix_bound` unfoldings the recursion's continue mass is 0,
+/// and executions terminating *before* then carry total weight at most
+/// 1 (the sub-probability exit mass). Both synthesis templates certify
+/// exactly this, so the certificate carries only `k₀`.
 ///
 /// The certified inequality consumed by `gubpi_core::pathbounds` for a
 /// ⊤ path cut after `k` explored unfoldings is
 ///
 /// ```text
-/// E[suffix score] ≤ x_hi · (w_hi + c_hi^{max(0, k₀ − k)} / (1 − c_hi))
+/// E[suffix score] ≤ x_hi · (1 + 0^{max(0, k₀ − k)} / (1 − 0))
 /// ```
 ///
-/// with `x_hi` the plain fact's continuation factor, `w_hi` the high
-/// endpoint of `prefix_weight` and `c_hi < 1` that of `rate`. Both
-/// synthesis templates emit `prefix_weight = [0, 1]` (the sub-probability
-/// exit mass) and `rate = [0, 0]`; the formula's general `c` handling is
-/// exercised by the consumer's unit tests and kept for future templates
-/// that certify a genuine post-prefix coin rate.
+/// with `x_hi` the plain fact's continuation factor.
 #[derive(Copy, Clone, Debug, PartialEq)]
 pub struct RankedTail {
     /// `k₀`: unfoldings after which the decay phase provably starts
     /// (for the bounded-prefix template, the step by which the guard
     /// must have failed).
     pub prefix_bound: u32,
-    /// `c_eff`: upper enclosure of the per-step continue mass once the
-    /// decay phase starts. Usable only when `rate.hi() < 1`.
-    pub rate: Interval,
-    /// `w_prefix`: upper enclosure of the total weight of suffix
-    /// executions that terminate during the prefix phase.
-    pub prefix_weight: Interval,
 }
 
 /// The interval-affine per-unfolding argument transformer `x ↦ a·x + b`,
@@ -123,7 +113,7 @@ pub enum RankingEvidence {
         transformer: AffineMap,
     },
     /// No provable prefix, but the single-call/unit-score structure
-    /// bounds the terminating suffix mass by `prefix_weight`.
+    /// bounds the terminating suffix mass by 1.
     EscapeMass {
         /// The extracted argument transformer (reported as evidence;
         /// the mass argument itself does not depend on it).
@@ -174,14 +164,12 @@ impl RankVerdict {
             RankVerdict::Synthesized { ranked, evidence } => match evidence {
                 RankingEvidence::BoundedPrefix { transformer } => format!(
                     "eventually geometric: guard must fail within {} unfoldings \
-                     (transformer {transformer}, prefix weight ≤ {})",
-                    ranked.prefix_bound,
-                    ranked.prefix_weight.hi()
+                     (transformer {transformer}, prefix weight ≤ 1)",
+                    ranked.prefix_bound
                 ),
                 RankingEvidence::EscapeMass { transformer } => format!(
-                    "eventually geometric: terminating suffix mass ≤ {} by the \
-                     single-call escape-mass argument (transformer {transformer})",
-                    ranked.prefix_weight.hi()
+                    "eventually geometric: terminating suffix mass ≤ 1 by the \
+                     single-call escape-mass argument (transformer {transformer})"
                 ),
             },
             RankVerdict::Failed { reason } => format!("no tail bound: {reason}"),
@@ -253,11 +241,7 @@ pub(crate) fn assess_fix(
         transformer,
     ) {
         return RankVerdict::Synthesized {
-            ranked: RankedTail {
-                prefix_bound,
-                rate: Interval::ZERO,
-                prefix_weight: Interval::UNIT,
-            },
+            ranked: RankedTail { prefix_bound },
             evidence: RankingEvidence::BoundedPrefix { transformer },
         };
     }
@@ -278,11 +262,7 @@ pub(crate) fn assess_fix(
         };
     }
     RankVerdict::Synthesized {
-        ranked: RankedTail {
-            prefix_bound: 0,
-            rate: Interval::ZERO,
-            prefix_weight: Interval::UNIT,
-        },
+        ranked: RankedTail { prefix_bound: 0 },
         evidence: RankingEvidence::EscapeMass { transformer },
     }
 }
@@ -624,8 +604,6 @@ mod tests {
             "k₀ = {}",
             ranked.prefix_bound
         );
-        assert_eq!(ranked.rate, Interval::ZERO);
-        assert_eq!(ranked.prefix_weight, Interval::UNIT);
         // The certificate rides on the tail fact itself.
         assert_eq!(facts.tail_fact(fix_node(&p)).unwrap().ranked, Some(*ranked));
     }
@@ -676,8 +654,6 @@ mod tests {
         assert_eq!(transformer.a, Interval::ONE);
         assert_eq!(transformer.b, Interval::new(-1.0, 1.0));
         assert_eq!(ranked.prefix_bound, 0);
-        assert_eq!(ranked.rate, Interval::ZERO);
-        assert_eq!(ranked.prefix_weight, Interval::UNIT);
         assert!(facts.tail_fact(fix_node(&p)).unwrap().ranked.is_some());
     }
 

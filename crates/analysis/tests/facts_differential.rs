@@ -2,8 +2,8 @@
 //! on randomly generated fix-free programs, the static value interval of
 //! the root must contain the concrete value of every terminating run of
 //! the trace semantics (`run_on_trace`). This is the property the
-//! symbolic executor and the kernel seed rely on — a violation here
-//! would make dead-branch pruning and constant seeding unsound.
+//! symbolic executor relies on — a violation here would make
+//! dead-branch pruning unsound.
 //!
 //! Programs are generated as *source strings* from a seeded xorshift so
 //! the whole front end (parser, simple types, interval types) is in the

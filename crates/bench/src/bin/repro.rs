@@ -254,11 +254,9 @@ fn analyze(filter: Option<&str>, deny_warnings: bool) {
         let facts = ProgramFacts::compute(&program, &typing);
         let lints = lint_program(&program, &typing, &facts);
         println!(
-            "-- {label}: {} dead branches, {} zero-weight scores, {} pooled constants, \
-             {} findings",
+            "-- {label}: {} dead branches, {} zero-weight scores, {} findings",
             facts.dead_branch_count(),
             facts.zero_score_count(),
-            facts.constant_pool().len(),
             lints.len()
         );
         for l in &lints {
@@ -369,11 +367,6 @@ fn stats(run: &Run, elapsed_s: f64) {
             pct,
             k.cells,
             k.cells as f64 / elapsed_s.max(1e-9),
-        );
-        println!(
-            "seed:  {} of {} tapes compiled from a static constant pool, \
-             {} constant slots preloaded",
-            k.seeded_tapes, k.tapes, k.seed_const_hits
         );
     }
 }

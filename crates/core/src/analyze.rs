@@ -9,9 +9,7 @@ use gubpi_analysis::{lint_program, Lint, ProgramFacts};
 use gubpi_interval::Interval;
 use gubpi_lang::{infer, parse, LangError, Program};
 use gubpi_pool::{run_jobs_cancellable, run_jobs_with, CancelToken, PathJob, Threads, WorkerPool};
-use gubpi_symbolic::{
-    symbolic_paths_report_cancellable, ExecReport, KernelSeed, SymExecOptions, SymPath,
-};
+use gubpi_symbolic::{symbolic_paths_report_cancellable, ExecReport, SymExecOptions, SymPath};
 use gubpi_types::{infer_interval_types, IntervalTyping};
 
 use crate::histogram::{normalize, usable_domain, HistogramBounds};
@@ -444,8 +442,6 @@ pub struct Analyzer {
     /// the path set is then a sound ⊤-truncated coarsening and every
     /// query on this analyzer reports `degraded`.
     exec_cancelled: bool,
-    /// Per-program kernel compilation seed derived from the facts.
-    seed: KernelSeed,
     paths: Vec<SymPath>,
     /// `paths[i].fingerprint()`, precomputed once for the memo cache.
     fingerprints: Vec<u64>,
@@ -535,10 +531,6 @@ impl Analyzer {
             cancel,
         );
         let exec_cancelled = cancel.is_some_and(CancelToken::is_cancelled);
-        // The kernel seed is threaded regardless of `prune`: seeding
-        // only renumbers constant slots and reorders ∃-tests, both
-        // value-transparent (see `gubpi_symbolic::KernelSeed`).
-        let seed = KernelSeed::from_facts(&facts);
         let fingerprints = paths.iter().map(SymPath::fingerprint).collect();
         Ok(Analyzer {
             program,
@@ -546,7 +538,6 @@ impl Analyzer {
             facts,
             exec_report,
             exec_cancelled,
-            seed,
             paths,
             fingerprints,
             cache: cache.clone(),
@@ -747,18 +738,16 @@ impl Analyzer {
         for (mi, (&(i, p), t)) in misses.iter().zip(&tailed).enumerate() {
             let p = t.as_ref().unwrap_or(p);
             if refinable[i] {
-                if let Some(r) =
-                    GridRefiner::new(p, QueryFold::Filter(u), bounds, &refine, Some(&self.seed))
-                {
+                if let Some(r) = GridRefiner::new(p, QueryFold::Filter(u), bounds, &refine, None) {
                     refiners.push(r);
                     refiner_at.push(mi);
                     continue;
                 }
             }
             let (job, fold) = match method {
-                Method::Auto => plan_path_query_seeded(p, u, bounds, Some(&self.seed)),
+                Method::Auto => plan_path_query_seeded(p, u, bounds, None),
                 Method::Grid => (
-                    plan_path_grid_only_seeded(p, bounds, Some(&self.seed)),
+                    plan_path_grid_only_seeded(p, bounds, None),
                     QueryFold::Filter(u),
                 ),
             };
@@ -966,8 +955,8 @@ impl Analyzer {
             .map(|(p, t)| {
                 let p = t.as_ref().unwrap_or(p);
                 match method {
-                    Method::Auto => plan_path_seeded(p, bounds, Some(&self.seed)),
-                    Method::Grid => plan_path_grid_only_seeded(p, bounds, Some(&self.seed)),
+                    Method::Auto => plan_path_seeded(p, bounds, None),
+                    Method::Grid => plan_path_grid_only_seeded(p, bounds, None),
                 }
             })
             .collect();

@@ -173,23 +173,21 @@ impl Default for PathBoundOptions {
 /// At the `c = 1` boundary — score-free and data-guarded loops — the
 /// series diverges, and the plain enclosure is unusable. When the
 /// ranking pass attached an eventually-geometric prefix
-/// ([`gubpi_symbolic::TailPrefix`]: decay starts by unfolding `k₀` at
-/// rate `c_eff`, prefix terminations carry weight ≤ `w_prefix`), the
+/// ([`gubpi_symbolic::TailPrefix`]: the continue mass is 0 from
+/// unfolding `k₀` on, and prefix terminations carry weight ≤ 1), the
 /// placeholder instead tightens to the **two-phase** closed form
 ///
 /// ```text
-/// x_hi · (w_hi + c_eff^{max(0, k₀ − k_explored)} / (1 − c_eff))
+/// x_hi · (w + c_eff^{max(0, k₀ − k_explored)} / (1 − c_eff)),  c_eff = 0, w = 1
 /// ```
 ///
 /// computed with outward rounding throughout (power up via
-/// [`pow_up`], denominator down, products and sums up). The plain
-/// geometric case is mathematically its `k₀ = 0`, `w = 0`
-/// specialization, but keeps its own literal code path so plain-fact
-/// bounds stay bit-identical to the pre-ranking formula.
+/// [`pow_up`], denominator down, products and sums up): about `x_hi`
+/// for a cut inside the prefix, `2·x_hi` at or past `k₀`.
 ///
 /// Returns `None` when tails are disabled (`opts.use_tail`), the path
 /// is not budget-truncated, no enclosure was attached, or `c_hi ≥ 1`
-/// with no (usable) prefix component — such paths keep the bare ⊤
+/// with no prefix component — such paths keep the bare ⊤
 /// rather than divide by zero.
 pub fn tail_substituted(path: &SymPath, opts: &PathBoundOptions) -> Option<SymPath> {
     if !opts.use_tail || !path.budget_truncated {
@@ -211,18 +209,12 @@ pub fn tail_substituted(path: &SymPath, opts: &PathBoundOptions) -> Option<SymPa
         next_after_up(x_hi / denom)
     } else {
         // Eventually geometric: the certificate splits the suffix into
-        // a prefix phase (mass ≤ w_hi) and a decay phase discounted by
-        // the prefix steps the cut has not yet explored.
+        // a prefix phase (mass ≤ w_hi) and a decay phase at rate r_hi,
+        // discounted by the prefix steps the cut has not yet explored.
+        // Every certificate has r_hi = 0 and w_hi = 1.
         let p = t.prefix?;
-        let r_hi = p.rate.hi();
-        let w_hi = p.prefix_weight.hi();
-        if !(0.0..1.0).contains(&r_hi) || !w_hi.is_finite() || w_hi < 0.0 {
-            return None;
-        }
+        let (r_hi, w_hi) = (0.0, 1.0);
         let denom = next_after_down(1.0 - r_hi);
-        if denom <= 0.0 {
-            return None;
-        }
         let remaining = p.prefix_bound.saturating_sub(t.unfoldings_explored);
         let decay = next_after_up(pow_up(r_hi, remaining) / denom);
         next_after_up(x_hi * next_after_up(w_hi + decay))
@@ -252,25 +244,22 @@ pub fn tail_substituted(path: &SymPath, opts: &PathBoundOptions) -> Option<SymPa
 /// membership test becomes part of the volume computation (hence
 /// [`QueryFold::Direct`]).
 ///
-/// With a per-program [`KernelSeed`] the grid tapes compile from the
-/// pre-interned static constant pool and the static constraint order
-/// instead of re-deriving both per query. Bounds are bit-identical with
-/// and without a seed.
+/// `_seed` is ignored (see [`KernelSeed`]).
 pub fn plan_path_query_seeded<'a>(
     path: &'a SymPath,
     u: Interval,
     opts: PathBoundOptions,
-    seed: Option<&KernelSeed>,
+    _seed: Option<&KernelSeed>,
 ) -> (PathJob<'a, Region>, QueryFold) {
     if path.n_samples == 0 {
-        (plan_sampleless(path, opts, seed), QueryFold::Filter(u))
+        (plan_sampleless(path, opts), QueryFold::Filter(u))
     } else if linear_applicable(path) {
         (
             plan_linear(path, opts, ResultMode::Query(u)),
             QueryFold::Direct,
         )
     } else {
-        (plan_grid(path, opts, seed), QueryFold::Filter(u))
+        (plan_grid(path, opts), QueryFold::Filter(u))
     }
 }
 
@@ -278,32 +267,33 @@ pub fn plan_path_query_seeded<'a>(
 ///
 /// Dispatches to the linear semantics when the path's constraints and
 /// result are interval-linear (§6.4), otherwise to the standard grid
-/// semantics (§6.3). The seed is as in [`plan_path_query_seeded`].
+/// semantics (§6.3). `_seed` is ignored (see [`KernelSeed`]).
 pub fn plan_path_seeded<'a>(
     path: &'a SymPath,
     opts: PathBoundOptions,
-    seed: Option<&KernelSeed>,
+    _seed: Option<&KernelSeed>,
 ) -> PathJob<'a, Region> {
     if path.n_samples == 0 {
-        plan_sampleless(path, opts, seed)
+        plan_sampleless(path, opts)
     } else if linear_applicable(path) {
         plan_linear(path, opts, ResultMode::Boxed)
     } else {
-        plan_grid(path, opts, seed)
+        plan_grid(path, opts)
     }
 }
 
 /// Like [`plan_path_seeded`] but always uses the grid semantics — the
-/// §6.3 vs §6.4 ablation baseline.
+/// §6.3 vs §6.4 ablation baseline. `_seed` is ignored (see
+/// [`KernelSeed`]).
 pub fn plan_path_grid_only_seeded<'a>(
     path: &'a SymPath,
     opts: PathBoundOptions,
-    seed: Option<&KernelSeed>,
+    _seed: Option<&KernelSeed>,
 ) -> PathJob<'a, Region> {
     if path.n_samples == 0 {
-        plan_sampleless(path, opts, seed)
+        plan_sampleless(path, opts)
     } else {
-        plan_grid(path, opts, seed)
+        plan_grid(path, opts)
     }
 }
 
@@ -373,9 +363,9 @@ pub fn linear_applicable(path: &SymPath) -> bool {
 /// `opts.use_kernel`: the compiled kernel, or the tree-walk form the
 /// differential tests compare it with. Both give the same bounds, bit
 /// for bit, through the same sweep code.
-fn tape_for(path: &SymPath, opts: PathBoundOptions, seed: Option<&KernelSeed>) -> Tape {
+fn tape_for(path: &SymPath, opts: PathBoundOptions) -> Tape {
     if opts.use_kernel {
-        Tape::for_path_seeded(path, seed)
+        Tape::for_path(path)
     } else {
         Tape::tree_walk(path)
     }
@@ -384,12 +374,8 @@ fn tape_for(path: &SymPath, opts: PathBoundOptions, seed: Option<&KernelSeed>) -
 /// Paths without samples: a single region of measure 1, precomputed at
 /// plan time (nothing to schedule) by one tape evaluation over the
 /// empty box.
-fn plan_sampleless(
-    path: &SymPath,
-    opts: PathBoundOptions,
-    seed: Option<&KernelSeed>,
-) -> PathJob<'static, Region> {
-    let tape = tape_for(path, opts, seed);
+fn plan_sampleless(path: &SymPath, opts: PathBoundOptions) -> PathJob<'static, Region> {
+    let tape = tape_for(path, opts);
     tape.note_cells(1);
     // The empty box has volume 1.0, and `1.0 * x == x` bit for bit.
     let region = tape
@@ -488,11 +474,7 @@ pub fn grid_splits(splits: usize, n: usize, budget: usize) -> usize {
 /// for a compiled tape; cells are decoded by an incremental odometer
 /// instead of per-dimension `div`/`mod`. The emitted region stream is
 /// the same, bit for bit, for either tape form.
-fn plan_grid<'a>(
-    path: &'a SymPath,
-    opts: PathBoundOptions,
-    seed: Option<&KernelSeed>,
-) -> PathJob<'a, Region> {
+fn plan_grid(path: &SymPath, opts: PathBoundOptions) -> PathJob<'_, Region> {
     let n = path.n_samples;
     let k = grid_splits(opts.splits, n, opts.region_budget);
     // Every dimension splits the same [0, 1], so one edge vector serves
@@ -500,7 +482,7 @@ fn plan_grid<'a>(
     let cell_edges: Vec<Interval> = Interval::UNIT.split(k);
     // k^n ≤ region_budget ≤ usize::MAX whenever k > 1, and 1 otherwise.
     let total = k.pow(n as u32);
-    let tape = tape_for(path, opts, seed);
+    let tape = tape_for(path, opts);
     let cost = tape.cost();
     // Cell widths mirror `BoxN::volume`'s per-dimension factors; the
     // product below multiplies them in dimension order starting from
@@ -789,7 +771,7 @@ fn plan_linear_with(
         .iter()
         .map(|d| {
             let skeleton = SymPath::of_value(d.parts.len(), d.skeleton.clone());
-            tape_for(&skeleton, opts, None)
+            tape_for(&skeleton, opts)
         })
         .collect();
 
@@ -1005,13 +987,14 @@ impl<'a> GridRefiner<'a> {
     /// is too coarse to subdivide (`k < 4`) — callers fall back to the
     /// uniform sweep in that case. The cell budget is exactly the
     /// uniform sweep's `k^n`, so adaptive and uniform runs at default
-    /// options spend the same number of cell evaluations.
+    /// options spend the same number of cell evaluations. `_seed` is
+    /// ignored (see [`KernelSeed`]).
     pub fn new(
         path: &'a SymPath,
         fold: QueryFold,
         opts: PathBoundOptions,
         refine: &RefineOptions,
-        seed: Option<&KernelSeed>,
+        _seed: Option<&KernelSeed>,
     ) -> Option<GridRefiner<'a>> {
         if !refine.refine || path.n_samples == 0 {
             return None;
@@ -1036,7 +1019,7 @@ impl<'a> GridRefiner<'a> {
         }
         Some(GridRefiner {
             path,
-            tape: tape_for(path, opts, seed),
+            tape: tape_for(path, opts),
             fold,
             max_depth: refine.max_refine_depth,
             budget,
@@ -1964,20 +1947,16 @@ mod tests {
 
     #[test]
     fn ranked_prefixes_rescue_the_c_equal_one_boundary() {
-        // An eventually-geometric certificate with rate 0 (the escape-
-        // mass / bounded-prefix shape the ranking pass emits): before
-        // k₀ the decay term vanishes, at or past k₀ it contributes one
-        // full unit — both finite where plain geometric bails.
+        // The eventually-geometric certificate the ranking pass emits
+        // (rate 0, prefix weight 1): before k₀ the decay term vanishes,
+        // at or past k₀ it contributes one full unit — both finite
+        // where plain geometric bails.
         let opts = PathBoundOptions::default();
         let ranked = |explored: u32| TailEnclosure {
             unfoldings_explored: explored,
             per_step_weight: Interval::new(0.0, 1.0),
             continuation_weight: Interval::new(0.0, 2.0),
-            prefix: Some(TailPrefix {
-                prefix_bound: 4,
-                rate: Interval::ZERO,
-                prefix_weight: Interval::new(0.0, 1.0),
-            }),
+            prefix: Some(TailPrefix { prefix_bound: 4 }),
         };
         let hi_of = |t: TailEnclosure| {
             let sub = tail_substituted(&top_path_with(Some(t)), &opts)
@@ -1996,44 +1975,66 @@ mod tests {
         // x_hi · (w_hi + 1) = 4.
         let late = hi_of(ranked(5));
         assert!((4.0..4.0 + 1e-9).contains(&late), "late={late}");
-        // A genuine post-prefix rate: c_eff = 0.5, two prefix steps
-        // left → 0.5² / (1 − 0.5) = 0.5; with w = 0 and x = 1 the
-        // bound is ≈ 0.5, far below the plain series' 2.
-        let mut coin = ranked(1);
-        coin.continuation_weight = Interval::new(0.0, 1.0);
-        coin.prefix = Some(TailPrefix {
-            prefix_bound: 3,
-            rate: Interval::new(0.0, 0.5),
-            prefix_weight: Interval::ZERO,
-        });
-        let discounted = hi_of(coin);
-        assert!((0.5..0.5 + 1e-9).contains(&discounted), "{discounted}");
+    }
+
+    /// The eventually-geometric bound for a general decay rate `r_hi` and
+    /// prefix weight `w_hi`: the oracle `tail_substituted`'s
+    /// `r_hi = 0`, `w_hi = 1` form must match bit for bit.
+    fn general_rate_tail_bound(x_hi: f64, r_hi: f64, w_hi: f64, k0: u32, k: u32) -> Option<f64> {
+        if !(0.0..1.0).contains(&r_hi) || !w_hi.is_finite() || w_hi < 0.0 {
+            return None;
+        }
+        let denom = next_after_down(1.0 - r_hi);
+        if denom <= 0.0 {
+            return None;
+        }
+        let remaining = k0.saturating_sub(k);
+        let decay = next_after_up(pow_up(r_hi, remaining) / denom);
+        Some(next_after_up(x_hi * next_after_up(w_hi + decay)))
+    }
+
+    #[test]
+    fn ranked_tail_bounds_match_the_general_rate_formula_bit_for_bit() {
+        let opts = PathBoundOptions::default();
+        for c_hi in [1.0, 1.5] {
+            for x_hi in [0.0, 0.3, 1.0, 2.0, 7.25, 1e300] {
+                for k0 in [0, 1, 4, 4096] {
+                    for k in [0, 1, 3, 4, 5, 5000] {
+                        let tail = TailEnclosure {
+                            unfoldings_explored: k,
+                            per_step_weight: Interval::new(0.0, c_hi),
+                            continuation_weight: Interval::new(0.0, x_hi),
+                            prefix: Some(TailPrefix { prefix_bound: k0 }),
+                        };
+                        let sub = tail_substituted(&top_path_with(Some(tail)), &opts)
+                            .expect("a ranked prefix substitutes");
+                        let SymVal::Interval(iv) = **sub.scores.last().unwrap() else {
+                            panic!("interval literal");
+                        };
+                        let want = general_rate_tail_bound(x_hi, 0.0, 1.0, k0, k).unwrap();
+                        assert_eq!(
+                            iv.hi().to_bits(),
+                            want.to_bits(),
+                            "x_hi={x_hi} c_hi={c_hi} k0={k0} k={k}"
+                        );
+                        assert_eq!(iv.lo().to_bits(), 0.0f64.to_bits());
+                    }
+                }
+            }
+        }
     }
 
     #[test]
     fn unusable_prefixes_and_plain_facts_keep_their_old_behavior() {
         let opts = PathBoundOptions::default();
-        let base = TailEnclosure {
+        let good = TailEnclosure {
             unfoldings_explored: 3,
             per_step_weight: Interval::new(0.0, 1.0),
             continuation_weight: Interval::new(0.0, 1.0),
-            prefix: Some(TailPrefix {
-                prefix_bound: 2,
-                rate: Interval::new(0.0, 1.0), // rate at the boundary
-                prefix_weight: Interval::new(0.0, 1.0),
-            }),
+            prefix: Some(TailPrefix { prefix_bound: 0 }),
         };
-        // A prefix whose own rate fails to contract cannot rescue ⊤.
-        assert!(tail_substituted(&top_path_with(Some(base)), &opts).is_none());
-        // `--no-tail` wins over any certificate.
-        let good = TailEnclosure {
-            prefix: Some(TailPrefix {
-                prefix_bound: 0,
-                rate: Interval::ZERO,
-                prefix_weight: Interval::new(0.0, 1.0),
-            }),
-            ..base
-        };
+        // Every certificate has rate 0, so a prefix is unusable only
+        // when tails are off: `--no-tail` wins over any certificate.
         let off = PathBoundOptions {
             use_tail: false,
             ..opts
@@ -2045,7 +2046,7 @@ mod tests {
         let plain = TailEnclosure {
             per_step_weight: Interval::new(0.0, 0.5),
             prefix: None,
-            ..base
+            ..good
         };
         let both = TailEnclosure {
             per_step_weight: Interval::new(0.0, 0.5),
@@ -2220,7 +2221,7 @@ mod tests {
                 .collect();
             Some(OracleRefiner {
                 path,
-                tape: tape_for(path, opts, None),
+                tape: tape_for(path, opts),
                 fold,
                 max_depth: refine.max_refine_depth,
                 budget,

@@ -26,7 +26,7 @@ pub use cancel::CancelToken;
 pub use fault::{
     arm_fault_from_env, fault_point, faults_injected, set_fault_plan, FaultKind, FaultPlan,
 };
-pub use pool::{PoolStats, WorkerPool, WORKER_STACK_BYTES};
+pub use pool::{PoolStats, WorkerPool};
 pub use sched::{
     chunk_width, run_jobs_cancellable, run_jobs_with, PathJob, RegionFn, SweepProgress, Task,
     LANE_GRAIN,

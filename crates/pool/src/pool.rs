@@ -41,16 +41,6 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock};
 /// count.
 const MAX_POOL_THREADS: usize = 256;
 
-/// Stack of every pool worker: the 8 MiB of a process's main thread,
-/// not the 2 MiB default of spawned threads. Workers only run sweep
-/// closures (compiled tapes, per-depth volume buffers), which fit the
-/// default even for the deepest program the parser accepts in an
-/// unoptimised build. The constant is kept for the threads that run the
-/// recursive phases (parsing through planning) off the main thread:
-/// `gubpi-serve`'s connection threads use it and overflow 2 MiB on
-/// such programs.
-pub const WORKER_STACK_BYTES: usize = 8 << 20;
-
 /// A borrowed task closure smuggled to long-lived workers; see the
 /// module-level safety contract.
 #[derive(Copy, Clone)]
@@ -352,7 +342,6 @@ impl WorkerPool {
             .fetch_add(1, Ordering::Relaxed);
         std::thread::Builder::new()
             .name("gubpi-pool-worker".to_owned())
-            .stack_size(WORKER_STACK_BYTES)
             .spawn(move || worker_loop(&inner))
             .expect("worker thread spawns");
     }

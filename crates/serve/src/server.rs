@@ -188,13 +188,16 @@ pub fn start_with_cache(config: ServeConfig, cache: SharedQueryCache) -> io::Res
     })
 }
 
-/// Stack of a connection thread, which runs every phase of its queries
-/// except the sweeps, symbolic execution included. The parser caps
-/// nesting at `gubpi_lang::parser::MAX_NESTING`; the recursive phases
-/// after it need more than the 2 MiB default of spawned threads to
-/// reach that depth in unoptimised builds, so connections get the
-/// 8 MiB of a process's main thread.
-const CONN_STACK_BYTES: usize = gubpi_pool::WORKER_STACK_BYTES;
+/// Stack of a connection thread: the 8 MiB of a process's main thread,
+/// not the 2 MiB default of spawned threads. A connection thread runs
+/// every phase of its queries except the sweeps, symbolic execution
+/// included. The parser caps nesting at
+/// `gubpi_lang::parser::MAX_NESTING`; the recursive phases after it
+/// need more than 2 MiB to reach that depth in unoptimised builds. Pool
+/// workers run only sweep closures (compiled tapes, per-depth volume
+/// buffers), which fit the default stack even for the deepest program
+/// the parser accepts, so they keep it.
+const CONN_STACK_BYTES: usize = 8 << 20;
 
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     for conn in listener.incoming() {

@@ -62,46 +62,17 @@ use gubpi_lang::PrimOp;
 use crate::path::{CmpDir, SymPath};
 use crate::symval::SymVal;
 
-/// Static compilation seed derived once per program from the
-/// pre-execution [`ProgramFacts`], shared by every tape compiled for
-/// that program's paths ([`Tape::for_path_seeded`]).
-///
-/// Seeding is **value-transparent** by construction: the pre-interned
-/// constant pool only renumbers constant slots (every constant still
-/// holds the identical bit pattern and is preloaded into its register
-/// the same way). No reported bound can differ from an unseeded
-/// compile, no matter how imprecise the facts are.
+/// Ignored: a tape is a function of its path alone. The type (and the
+/// `_seed` parameters that take it) remains only because the benchmark
+/// harness under `perfbench/` still names it; it goes when that harness
+/// calls the analyzer directly.
 #[derive(Clone, Debug, Default)]
-pub struct KernelSeed {
-    consts: Vec<Interval>,
-    const_ids: HashMap<(u64, u64), u32>,
-}
+pub struct KernelSeed;
 
 impl KernelSeed {
-    /// Interns the program's static constant pool (every literal plus
-    /// the fixpoint summary intervals) so per-path compiles start from a
-    /// warm constant table instead of re-interning per query.
-    pub fn from_facts(facts: &ProgramFacts) -> KernelSeed {
-        let mut seed = KernelSeed::default();
-        for &iv in facts.constant_pool() {
-            let key = (iv.lo().to_bits(), iv.hi().to_bits());
-            let next = seed.consts.len() as u32;
-            if let std::collections::hash_map::Entry::Vacant(e) = seed.const_ids.entry(key) {
-                e.insert(next);
-                seed.consts.push(iv);
-            }
-        }
-        seed
-    }
-
-    /// Number of pre-interned constant slots.
-    pub fn len(&self) -> usize {
-        self.consts.len()
-    }
-
-    /// Is the seed empty (no static constants)?
-    pub fn is_empty(&self) -> bool {
-        self.consts.is_empty()
+    /// The (empty) seed of a program; `facts` is not read.
+    pub fn from_facts(_facts: &ProgramFacts) -> KernelSeed {
+        KernelSeed
     }
 }
 
@@ -228,10 +199,6 @@ struct Builder {
     n_inputs: usize,
     consts: Vec<Interval>,
     const_ids: HashMap<(u64, u64), u32>,
-    /// Constant slots `[0, seed_len)` were pre-interned from a
-    /// [`KernelSeed`]; hits against them are counted as seed hits.
-    seed_len: usize,
-    seed_hits: u64,
     nodes: Vec<Node>,
     node_ids: HashMap<Node, u32>,
     /// `Arc` pointer memo: shared subterms (the values are DAGs) intern
@@ -245,28 +212,15 @@ impl Builder {
             n_inputs,
             consts: Vec::new(),
             const_ids: HashMap::new(),
-            seed_len: 0,
-            seed_hits: 0,
             nodes: Vec::new(),
             node_ids: HashMap::new(),
             ptr_memo: HashMap::new(),
         }
     }
 
-    fn seeded(n_inputs: usize, seed: &KernelSeed) -> Builder {
-        let mut b = Builder::new(n_inputs);
-        b.consts = seed.consts.clone();
-        b.const_ids = seed.const_ids.clone();
-        b.seed_len = seed.consts.len();
-        b
-    }
-
     fn const_slot(&mut self, iv: Interval) -> Slot {
         let key = (iv.lo().to_bits(), iv.hi().to_bits());
         if let Some(&j) = self.const_ids.get(&key) {
-            if (j as usize) < self.seed_len {
-                self.seed_hits += 1;
-            }
             return Slot::Const(j);
         }
         let j = self.consts.len() as u32;
@@ -358,7 +312,7 @@ fn walk_ops(path: &SymPath) -> (u64, u64) {
     (constraints, scores + path.result.prim_op_count())
 }
 
-/// Compiles a path into a tape (shared by [`Tape::for_path_seeded`] and,
+/// Compiles a path into a tape (shared by [`Tape::for_path`] and,
 /// through [`SymPath::of_value`], [`Tape::for_value`]).
 ///
 /// The ∃-tests run narrowest constraint first, by the width of the
@@ -367,7 +321,8 @@ fn walk_ops(path: &SymPath) -> (u64, u64) {
 /// (unbounded guards) sort last via `total_cmp`; the stable sort keeps
 /// the path's order as the deterministic tiebreak. The order changes
 /// which work is *skipped* for excluded cells, never a reported value.
-fn compile(mut b: Builder, path: &SymPath) -> Tape {
+fn compile(path: &SymPath) -> Tape {
+    let mut b = Builder::new(path.n_samples);
     // Pre-CSE baseline: the op applications a per-cell tree walk
     // performs.
     let (constraint_ops, other_ops) = walk_ops(path);
@@ -452,7 +407,6 @@ fn compile(mut b: Builder, path: &SymPath) -> Tape {
             }
         })
         .collect();
-    let (seed_len, seed_hits) = (b.seed_len, b.seed_hits);
     let tape = Tape {
         n_inputs,
         n_regs: n_inputs + n_consts + instrs.len(),
@@ -471,12 +425,6 @@ fn compile(mut b: Builder, path: &SymPath) -> Tape {
     STATS
         .tree_nodes
         .fetch_add(tape.tree_nodes as u64, Ordering::Relaxed);
-    if seed_len > 0 {
-        STATS.seeded_tapes.fetch_add(1, Ordering::Relaxed);
-        STATS
-            .seed_const_hits
-            .fetch_add(seed_hits, Ordering::Relaxed);
-    }
     tape
 }
 
@@ -484,19 +432,12 @@ impl Tape {
     /// Lowers a whole path: constraints (with checkpoints), scores and
     /// result share one hash-consed register file.
     pub fn for_path(path: &SymPath) -> Tape {
-        Tape::for_path_seeded(path, None)
+        compile(path)
     }
 
-    /// [`Tape::for_path`] starting from a per-program [`KernelSeed`]:
-    /// the constant table is pre-interned from the static facts instead
-    /// of per query. Produces bit-identical cell bounds to an unseeded
-    /// compile (see [`KernelSeed`]).
-    pub fn for_path_seeded(path: &SymPath, seed: Option<&KernelSeed>) -> Tape {
-        let builder = match seed {
-            Some(seed) => Builder::seeded(path.n_samples, seed),
-            None => Builder::new(path.n_samples),
-        };
-        compile(builder, path)
+    /// [`Tape::for_path`]; `_seed` is ignored (see [`KernelSeed`]).
+    pub fn for_path_seeded(path: &SymPath, _seed: Option<&KernelSeed>) -> Tape {
+        Tape::for_path(path)
     }
 
     /// Lowers a single value over an `n_inputs`-dimensional input space
@@ -837,8 +778,6 @@ struct StatCells {
     instrs: AtomicU64,
     tree_nodes: AtomicU64,
     cells: AtomicU64,
-    seeded_tapes: AtomicU64,
-    seed_const_hits: AtomicU64,
 }
 
 static STATS: StatCells = StatCells {
@@ -846,8 +785,6 @@ static STATS: StatCells = StatCells {
     instrs: AtomicU64::new(0),
     tree_nodes: AtomicU64::new(0),
     cells: AtomicU64::new(0),
-    seeded_tapes: AtomicU64::new(0),
-    seed_const_hits: AtomicU64::new(0),
 };
 
 /// Monotone process-wide kernel counters (`repro --stats` reports them).
@@ -863,11 +800,6 @@ pub struct KernelStats {
     pub tree_nodes: u64,
     /// Region cells evaluated through compiled tapes.
     pub cells: u64,
-    /// Tapes compiled from a per-program [`KernelSeed`].
-    pub seeded_tapes: u64,
-    /// Constant-slot interns served by a pre-seeded pool entry instead
-    /// of a fresh per-query insertion.
-    pub seed_const_hits: u64,
 }
 
 /// Snapshot of the process-wide kernel counters.
@@ -877,8 +809,6 @@ pub fn kernel_stats() -> KernelStats {
         tape_instrs: STATS.instrs.load(Ordering::Relaxed),
         tree_nodes: STATS.tree_nodes.load(Ordering::Relaxed),
         cells: STATS.cells.load(Ordering::Relaxed),
-        seeded_tapes: STATS.seeded_tapes.load(Ordering::Relaxed),
-        seed_const_hits: STATS.seed_const_hits.load(Ordering::Relaxed),
     }
 }
 
@@ -1011,7 +941,7 @@ mod tests {
     fn narrowest_constraint_is_checked_first() {
         // Constraint 0 is one subtract whose range over [0, 1] is 1 wide;
         // constraint 1 is a pdf minus 0.3, dearer but only ≈ 0.16 wide.
-        // Seeded or not, the schedule tests the narrow one first.
+        // The schedule tests the narrow one first, through either entry.
         let path = SymPath {
             result: s(0),
             n_samples: 1,
@@ -1189,19 +1119,27 @@ mod tests {
 
     /// The kernel seed of the program `src`.
     fn seed_of(src: &str) -> KernelSeed {
+        let (_, _, facts) = compiled(src);
+        KernelSeed::from_facts(&facts)
+    }
+
+    fn compiled(
+        src: &str,
+    ) -> (
+        gubpi_lang::Program,
+        gubpi_types::IntervalTyping,
+        ProgramFacts,
+    ) {
         let p = gubpi_lang::parse(src).unwrap();
         let simple = gubpi_lang::infer(&p).unwrap();
         let typing = gubpi_types::infer_interval_types(&p, &simple);
-        KernelSeed::from_facts(&ProgramFacts::compute(&p, &typing))
+        let facts = ProgramFacts::compute(&p, &typing);
+        (p, typing, facts)
     }
 
     #[test]
     fn seeded_compile_is_bit_identical_to_unseeded() {
-        // A program whose constants (0.5, 1.1, 0.1) also appear in the
-        // demo path's trees, so the seeded pool actually gets hits.
         let seed = seed_of("observe (sample + sample) from normal(1.1, 0.1); 0.5");
-        assert!(!seed.is_empty());
-
         let path = demo_path();
         let plain = Tape::for_path(&path);
         let seeded = Tape::for_path_seeded(&path, Some(&seed));
@@ -1224,30 +1162,36 @@ mod tests {
     }
 
     #[test]
-    fn seed_hits_are_counted() {
-        let seed = seed_of("3 * sample + 0.5");
-        let before = kernel_stats();
-        // 3·α₀ + 0.5 re-uses both seeded constants.
-        let v = SymVal::prim(
-            PrimOp::Add,
-            vec![SymVal::prim(PrimOp::Mul, vec![c(3.0), s(0)]), c(0.5)],
-        );
-        let path = SymPath {
-            result: v,
-            n_samples: 1,
-            constraints: vec![],
-            scores: vec![],
-            truncated: false,
-            budget_truncated: false,
-            tail: None,
-        };
-        let _ = Tape::for_path_seeded(&path, Some(&seed));
-        let after = kernel_stats();
-        assert!(after.seeded_tapes > before.seeded_tapes);
-        assert!(
-            after.seed_const_hits >= before.seed_const_hits + 2,
-            "3 and 0.5 must hit the seeded pool"
-        );
+    fn a_tape_holds_only_its_own_constants() {
+        // Eleven distinct literals, most of them on the else-side only.
+        let src = "let a = 1.5 * sample + 2.25 in \
+                   observe a from normal(3.5, 0.75); \
+                   if sample <= 0.125 then a + 4 \
+                   else (a - 6.5) * 0.375 + 7.125 * (a / 9.25)";
+        let (p, typing, facts) = compiled(src);
+        let paths = crate::symbolic_paths(&p, &typing, crate::SymExecOptions::default());
+        assert_eq!(paths.len(), 2, "one path per side of the `if`");
+        let seed = KernelSeed::from_facts(&facts);
+        for path in &paths {
+            let plain = Tape::for_path(path);
+            let seeded = Tape::for_path_seeded(path, Some(&seed));
+            let bits = |t: &Tape| -> Vec<(u64, u64)> {
+                t.consts
+                    .iter()
+                    .map(|c| (c.lo().to_bits(), c.hi().to_bits()))
+                    .collect()
+            };
+            assert_eq!(bits(&seeded), bits(&plain), "constant tables differ");
+            assert_eq!(seeded.n_regs, plain.n_regs);
+        }
+        // The then-side mentions none of the else-side's four literals.
+        let then_side = Tape::for_path(&paths[0]);
+        for x in [6.5, 0.375, 7.125, 9.25] {
+            assert!(
+                !then_side.consts.contains(&Interval::point(x)),
+                "{x} is not on the then-side path"
+            );
+        }
     }
 
     #[test]

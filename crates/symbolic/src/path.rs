@@ -85,17 +85,13 @@ pub struct TailEnclosure {
 }
 
 /// The eventually-geometric component of a [`TailEnclosure`]: after at
-/// most `prefix_bound` unfoldings the continue mass decays at `rate`,
-/// and suffix executions terminating before that carry total weight at
-/// most `prefix_weight` (see `gubpi_analysis::ranking`).
+/// most `prefix_bound` unfoldings the continue mass is 0, and suffix
+/// executions terminating before that carry total weight at most 1
+/// (see `gubpi_analysis::RankedTail`).
 #[derive(Copy, Clone, Debug, PartialEq)]
 pub struct TailPrefix {
     /// `k₀`: unfoldings until the decay phase provably starts.
     pub prefix_bound: u32,
-    /// `c_eff`: the post-prefix per-step continue mass (hi < 1 usable).
-    pub rate: Interval,
-    /// `w_prefix`: total weight of prefix-phase terminations.
-    pub prefix_weight: Interval,
 }
 
 /// A finished symbolic (interval) path `Ψ = (V, n, Δ, Ξ)`.
@@ -204,10 +200,6 @@ impl SymPath {
                     Some(p) => {
                         1u8.hash(&mut h);
                         p.prefix_bound.hash(&mut h);
-                        p.rate.lo().to_bits().hash(&mut h);
-                        p.rate.hi().to_bits().hash(&mut h);
-                        p.prefix_weight.lo().to_bits().hash(&mut h);
-                        p.prefix_weight.hi().to_bits().hash(&mut h);
                     }
                 }
             }
@@ -412,11 +404,7 @@ mod tests {
         // The eventually-geometric component must separate too — the
         // memo cache keys bound substitutions on it.
         let mut ranked = tailed.clone();
-        ranked.tail.as_mut().unwrap().prefix = Some(TailPrefix {
-            prefix_bound: 0,
-            rate: Interval::ZERO,
-            prefix_weight: Interval::new(0.0, 1.0),
-        });
+        ranked.tail.as_mut().unwrap().prefix = Some(TailPrefix { prefix_bound: 0 });
         assert_ne!(tailed.fingerprint(), ranked.fingerprint());
         let mut longer = ranked.clone();
         longer
