@@ -49,10 +49,9 @@
 //! evaluation cost.
 
 use std::collections::{HashMap, HashSet};
-use std::rc::Rc;
 
 use gubpi_interval::Interval;
-use gubpi_lang::{Expr, ExprKind, Name, NodeId, PrimOp, Program, Span};
+use gubpi_lang::{Env, Expr, ExprKind, Name, NodeId, PrimOp, Program, Span};
 use gubpi_types::{ITy, IntervalTyping};
 
 use crate::ranking::{self, RankVerdict, RankedTail};
@@ -148,7 +147,7 @@ impl ProgramFacts {
             fuel: FUEL,
             aborted: false,
         };
-        interp.eval(&program.root, &AEnv::empty(), MAX_FIX_UNFOLDINGS, 0);
+        interp.eval(&program.root, &Env::empty(), MAX_FIX_UNFOLDINGS, 0);
         let mut facts = interp.facts;
         if interp.aborted {
             // Partial joins under-approximate; keep nothing the
@@ -611,14 +610,14 @@ enum AbsVal<'a> {
     Closure {
         param: &'a Name,
         body: &'a Expr,
-        env: AEnv<'a>,
+        env: Env<&'a str, AbsVal<'a>>,
     },
     Fix {
         node: NodeId,
         fname: &'a Name,
         param: &'a Name,
         body: &'a Expr,
-        env: AEnv<'a>,
+        env: Env<&'a str, AbsVal<'a>>,
     },
     /// A curried `approxFix` stub still absorbing arguments.
     ApproxFun {
@@ -632,39 +631,6 @@ enum AbsVal<'a> {
     },
     /// No information (also: any non-representable join).
     Top,
-}
-
-/// Persistent environment, `Rc`-linked like the executor's.
-#[derive(Clone, Default)]
-struct AEnv<'a>(Option<Rc<ANode<'a>>>);
-
-struct ANode<'a> {
-    name: &'a str,
-    value: AbsVal<'a>,
-    rest: AEnv<'a>,
-}
-
-impl<'a> AEnv<'a> {
-    fn empty() -> AEnv<'a> {
-        AEnv(None)
-    }
-    fn bind(&self, name: &'a str, value: AbsVal<'a>) -> AEnv<'a> {
-        AEnv(Some(Rc::new(ANode {
-            name,
-            value,
-            rest: self.clone(),
-        })))
-    }
-    fn lookup(&self, name: &str) -> Option<&AbsVal<'a>> {
-        let mut cur = self;
-        while let Some(node) = &cur.0 {
-            if node.name == name {
-                return Some(&node.value);
-            }
-            cur = &node.rest;
-        }
-        None
-    }
 }
 
 /// Join in the abstract domain; anything without a representable join
@@ -732,16 +698,19 @@ fn join<'a>(a: AbsVal<'a>, b: AbsVal<'a>) -> AbsVal<'a> {
 }
 
 /// Pointwise join of two environments of identical shape (same names in
-/// the same order — true for joins of the same closure body).
-fn join_env<'a>(a: &AEnv<'a>, b: &AEnv<'a>) -> Option<AEnv<'a>> {
-    match (&a.0, &b.0) {
-        (None, None) => Some(AEnv::empty()),
-        (Some(x), Some(y)) if x.name == y.name => {
-            if Rc::ptr_eq(x, y) {
-                return Some(a.clone());
-            }
-            let rest = join_env(&x.rest, &y.rest)?;
-            Some(rest.bind(x.name, join(x.value.clone(), y.value.clone())))
+/// the same order — true for joins of the same closure body); a shared
+/// tail is reused as is.
+fn join_env<'a>(
+    a: &Env<&'a str, AbsVal<'a>>,
+    b: &Env<&'a str, AbsVal<'a>>,
+) -> Option<Env<&'a str, AbsVal<'a>>> {
+    if a.ptr_eq(b) {
+        return Some(a.clone());
+    }
+    match (a.head(), b.head()) {
+        (Some((x, xv, xs)), Some((y, yv, ys))) if x == y => {
+            let rest = join_env(xs, ys)?;
+            Some(rest.bind(*x, join(xv.clone(), yv.clone())))
         }
         _ => None,
     }
@@ -757,7 +726,13 @@ struct Interp<'a> {
 }
 
 impl<'a> Interp<'a> {
-    fn eval(&mut self, e: &'a Expr, env: &AEnv<'a>, unfold: u32, depth: u32) -> AbsVal<'a> {
+    fn eval(
+        &mut self,
+        e: &'a Expr,
+        env: &Env<&'a str, AbsVal<'a>>,
+        unfold: u32,
+        depth: u32,
+    ) -> AbsVal<'a> {
         if self.aborted {
             return AbsVal::Top;
         }
@@ -1137,5 +1112,39 @@ mod tests {
     fn higher_order_programs_do_not_confuse_the_interpreter() {
         let (p, facts) = facts_for("let app f x = f x in app (fn y -> y + sample) 1");
         assert_eq!(facts.value(p.root.id), Some(Interval::new(1.0, 2.0)));
+    }
+
+    #[test]
+    fn join_env_is_pointwise_on_one_shape_and_reuses_a_shared_tail() {
+        let num = |lo, hi| AbsVal::Num(Interval::new(lo, hi));
+        let tail = Env::empty().bind("a", num(0.0, 1.0));
+        let x = tail.bind("b", num(1.0, 1.0));
+        let y = tail.bind("b", num(3.0, 4.0));
+        let joined = join_env(&x, &y).expect("one shape joins");
+        let (name, v, rest) = joined.head().unwrap();
+        assert_eq!(*name, "b");
+        assert!(matches!(v, AbsVal::Num(i) if *i == Interval::new(1.0, 4.0)));
+        assert!(rest.ptr_eq(&tail), "the shared tail is reused, not rebuilt");
+
+        // Equal shapes on distinct lists join binding by binding.
+        let other_tail = Env::empty().bind("a", num(2.0, 5.0));
+        let joined = join_env(&x, &other_tail.bind("b", num(1.0, 1.0))).unwrap();
+        let (_, _, rest) = joined.head().unwrap();
+        assert!(matches!(rest.lookup("a"), Some(AbsVal::Num(i)) if *i == Interval::new(0.0, 5.0)));
+
+        // Different shapes have no pointwise join, so closures over them
+        // join to Top.
+        assert!(join_env(&x, &tail).is_none());
+        assert!(join_env(&x, &tail.bind("c", num(1.0, 1.0))).is_none());
+        let p = parse("fn z -> z").unwrap();
+        let ExprKind::Lam(param, body) = &p.root.kind else {
+            unreachable!("a lambda parses to Lam")
+        };
+        let closure = |env| AbsVal::Closure { param, body, env };
+        assert!(matches!(
+            join(closure(x.clone()), closure(y)),
+            AbsVal::Closure { .. }
+        ));
+        assert!(matches!(join(closure(x), closure(tail)), AbsVal::Top));
     }
 }

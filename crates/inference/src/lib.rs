@@ -15,8 +15,7 @@
 //!   reproducing the *wrong* histogram of Fig. 1 that GuBPI's bounds then
 //!   refute;
 //! * [`sbc`] — simulation-based calibration (rank-statistic uniformity,
-//!   §7.4 / Appendix F.3) with a χ² uniformity score;
-//! * [`diagnostics`] — effective sample size and autocorrelation.
+//!   §7.4 / Appendix F.3) with a χ² uniformity score.
 //!
 //! # Example
 //!
@@ -33,7 +32,6 @@
 //! assert!((mean - 2.0 / 3.0).abs() < 0.05); // E[x | density 2x] = 2/3
 //! ```
 
-pub mod diagnostics;
 pub mod hmc;
 pub mod importance;
 pub mod mh;

@@ -3,7 +3,8 @@
 //! This crate is the front end of the reproduction: a lexer and parser for
 //! an ML-flavoured surface syntax, desugaring into the paper's core
 //! calculus (§2.2), simple-type inference with unification, a primitive
-//! operation table with exact interval liftings, and a pretty printer.
+//! operation table with exact interval liftings, a pretty printer, and the
+//! persistent binding [`Env`] every downstream interpreter evaluates under.
 //!
 //! ```text
 //! V ::= x | r | λx.M | μφ x. M
@@ -25,6 +26,7 @@
 //! ```
 
 pub mod ast;
+pub mod env;
 pub mod error;
 pub mod lexer;
 pub mod parser;
@@ -34,6 +36,7 @@ pub mod token;
 pub mod types;
 
 pub use ast::{AstBuilder, Expr, ExprKind, Name, NodeId, Program, Span};
+pub use env::Env;
 pub use error::{line_col, LangError, Phase};
 pub use parser::parse;
 pub use pretty::pretty;

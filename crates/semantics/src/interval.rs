@@ -14,7 +14,7 @@
 use std::rc::Rc;
 
 use gubpi_interval::{BoxN, Interval};
-use gubpi_lang::{Expr, ExprKind, Name, Program};
+use gubpi_lang::{Env, Expr, ExprKind, Name, Program};
 
 /// An interval runtime value.
 #[derive(Clone)]
@@ -28,7 +28,7 @@ pub enum IValue {
         /// Body (shared).
         body: Rc<Expr>,
         /// Captured environment.
-        env: IEnv,
+        env: Env<Name, IValue>,
     },
     /// A recursive closure.
     FixClosure {
@@ -39,7 +39,7 @@ pub enum IValue {
         /// Body (shared).
         body: Rc<Expr>,
         /// Captured environment.
-        env: IEnv,
+        env: Env<Name, IValue>,
     },
 }
 
@@ -50,44 +50,6 @@ impl std::fmt::Debug for IValue {
             IValue::Closure { param, .. } => write!(f, "<closure λ{param}>"),
             IValue::FixClosure { fname, param, .. } => write!(f, "<fix μ{fname} {param}>"),
         }
-    }
-}
-
-/// Persistent environment of interval values.
-#[derive(Clone, Default)]
-pub struct IEnv(Option<Rc<INode>>);
-
-struct INode {
-    name: Name,
-    value: IValue,
-    rest: IEnv,
-}
-
-impl IEnv {
-    /// The empty environment.
-    pub fn empty() -> IEnv {
-        IEnv(None)
-    }
-
-    /// Extends with one binding.
-    pub fn bind(&self, name: Name, value: IValue) -> IEnv {
-        IEnv(Some(Rc::new(INode {
-            name,
-            value,
-            rest: self.clone(),
-        })))
-    }
-
-    /// Innermost-first lookup.
-    pub fn lookup(&self, name: &str) -> Option<&IValue> {
-        let mut cur = self;
-        while let Some(node) = &cur.0 {
-            if &*node.name == name {
-                return Some(&node.value);
-            }
-            cur = &node.rest;
-        }
-        None
     }
 }
 
@@ -147,7 +109,7 @@ pub fn eval_on_interval_trace(program: &Program, t: &BoxN, opts: IntervalOptions
         weight: Interval::ONE,
         fuel: opts.fuel,
     };
-    let results = machine.eval(&program.root, &IEnv::empty(), state);
+    let results = machine.eval(&program.root, &Env::empty(), state);
     for (v, st) in results {
         if machine.leaves.len() >= opts.max_leaves {
             machine.leaves.push(Leaf::diverged());
@@ -184,7 +146,7 @@ struct Machine<'a> {
 type Branches = Vec<(Option<IValue>, IState)>;
 
 impl Machine<'_> {
-    fn eval(&mut self, e: &Expr, env: &IEnv, st: IState) -> Branches {
+    fn eval(&mut self, e: &Expr, env: &Env<Name, IValue>, st: IState) -> Branches {
         self.depth += 1;
         let r = if self.depth > self.opts.max_depth {
             vec![(None, st)]
@@ -195,7 +157,7 @@ impl Machine<'_> {
         r
     }
 
-    fn eval_inner(&mut self, e: &Expr, env: &IEnv, mut st: IState) -> Branches {
+    fn eval_inner(&mut self, e: &Expr, env: &Env<Name, IValue>, mut st: IState) -> Branches {
         if st.fuel == 0 {
             return vec![(None, st)];
         }

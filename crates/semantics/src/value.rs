@@ -52,110 +52,6 @@ impl fmt::Debug for Value {
     }
 }
 
-/// A persistent environment: a linked list of bindings with `O(1)` clone.
-#[derive(Clone, Default)]
-pub struct Env(Option<Rc<Node>>);
-
-struct Node {
-    name: Name,
-    value: Value,
-    rest: Env,
-}
-
-impl Env {
-    /// The empty environment.
-    pub fn empty() -> Env {
-        Env(None)
-    }
-
-    /// Extends the environment with one binding (persistent).
-    pub fn bind(&self, name: Name, value: Value) -> Env {
-        Env(Some(Rc::new(Node {
-            name,
-            value,
-            rest: self.clone(),
-        })))
-    }
-
-    /// Looks a name up, innermost binding first.
-    pub fn lookup(&self, name: &str) -> Option<&Value> {
-        let mut cur = self;
-        while let Some(node) = &cur.0 {
-            if &*node.name == name {
-                return Some(&node.value);
-            }
-            cur = &node.rest;
-        }
-        None
-    }
-
-    /// Number of bindings (for diagnostics).
-    pub fn len(&self) -> usize {
-        let mut n = 0;
-        let mut cur = self;
-        while let Some(node) = &cur.0 {
-            n += 1;
-            cur = &node.rest;
-        }
-        n
-    }
-
-    /// True when no bindings exist.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_none()
-    }
-
-    /// Iterates over `(name, value)` pairs, innermost first.
-    pub fn iter(&self) -> impl Iterator<Item = (&Name, &Value)> {
-        struct Iter<'a>(&'a Env);
-        impl<'a> Iterator for Iter<'a> {
-            type Item = (&'a Name, &'a Value);
-            fn next(&mut self) -> Option<Self::Item> {
-                let node = self.0 .0.as_deref()?;
-                self.0 = &node.rest;
-                Some((&node.name, &node.value))
-            }
-        }
-        Iter(self)
-    }
-}
-
-impl fmt::Debug for Env {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Env[")?;
-        for (i, (n, v)) in self.iter().enumerate() {
-            if i > 0 {
-                write!(f, ", ")?;
-            }
-            write!(f, "{n}={v:?}")?;
-        }
-        write!(f, "]")
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn lookup_finds_innermost() {
-        let x: Name = Name::from("x");
-        let env = Env::empty()
-            .bind(x.clone(), Value::Real(1.0))
-            .bind(x.clone(), Value::Real(2.0));
-        assert_eq!(env.lookup("x").and_then(Value::as_real), Some(2.0));
-        assert_eq!(env.len(), 2);
-        assert!(!env.is_empty());
-        assert!(env.lookup("y").is_none());
-    }
-
-    #[test]
-    fn bind_is_persistent() {
-        let x: Name = Name::from("x");
-        let base = Env::empty().bind(x.clone(), Value::Real(1.0));
-        let extended = base.bind(Name::from("y"), Value::Real(2.0));
-        assert_eq!(base.len(), 1);
-        assert_eq!(extended.len(), 2);
-        assert_eq!(base.lookup("x").and_then(Value::as_real), Some(1.0));
-    }
-}
+/// The big-step evaluators' environment: the shared persistent
+/// [`gubpi_lang::Env`] binding names to runtime values.
+pub type Env = gubpi_lang::Env<Name, Value>;

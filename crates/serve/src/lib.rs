@@ -18,6 +18,10 @@
 //! - **Admission control.** A bounded inflight counter rejects excess
 //!   load with `overloaded` before any work is scheduled; per-request
 //!   region budgets are clamped server-side.
+//! - **Bounded memory.** The query cache shared across requests holds
+//!   at most [`CACHE_CAPACITY`] per-path results and evicts the least
+//!   recently used ones, so clients sending many distinct intervals
+//!   cannot grow the daemon without limit.
 //! - **Deterministic fault injection.** `GUBPI_FAULT=panic@N|delay@N|
 //!   cancel@N` fires exactly at task boundary `N`
 //!   (see `gubpi_pool::fault_point`), driving the chaos test suite.
@@ -53,4 +57,4 @@ pub use proto::{
     error_code, parse_reply, read_frame, write_frame, QueryKind, QueryRequest, RemoteError,
     Request, MAX_FRAME,
 };
-pub use server::{start, start_with_cache, ServeConfig, ServerHandle, ServerStats};
+pub use server::{start, start_with_cache, ServeConfig, ServerHandle, ServerStats, CACHE_CAPACITY};

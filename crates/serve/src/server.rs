@@ -152,13 +152,30 @@ impl ServerHandle {
     }
 }
 
-/// Starts the server on `config.addr`.
+/// Entry cap of the query cache a server from [`start`] shares across
+/// its requests.
+///
+/// The cache key includes the bits of the query interval, so an
+/// unbounded cache would grow by one entry per path for every distinct
+/// interval a client sends. An entry holds its key and bounds (about
+/// 270 bytes with the map's overhead) and a copy of its symbolic path,
+/// whose values are not shared with entries inserted by other requests.
+/// Over the benchmark catalog the largest path, measured with its shared
+/// subterms counted once, is about 9 KiB, so a full cache holds at most
+/// about 160 MiB for such programs. The cap holds more than three times
+/// the 4,786 paths of the pedestrian (Fig. 1) at the default options, so
+/// a few large programs stay warm together. Eviction never changes a
+/// result (see [`SharedQueryCache::with_capacity`]).
+pub const CACHE_CAPACITY: usize = 16_384;
+
+/// Starts the server on `config.addr`, sharing one query cache of
+/// [`CACHE_CAPACITY`] entries across its requests.
 ///
 /// # Errors
 ///
 /// Propagates the bind failure.
 pub fn start(config: ServeConfig) -> io::Result<ServerHandle> {
-    start_with_cache(config, SharedQueryCache::new())
+    start_with_cache(config, SharedQueryCache::with_capacity(CACHE_CAPACITY))
 }
 
 /// [`start`] on an explicit shared cache (lets tests pre-warm or

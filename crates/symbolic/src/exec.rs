@@ -29,7 +29,7 @@ use std::sync::Arc;
 
 use gubpi_analysis::ProgramFacts;
 use gubpi_interval::Interval;
-use gubpi_lang::{Expr, ExprKind, Name, NodeId, Program};
+use gubpi_lang::{Env, Expr, ExprKind, Name, NodeId, Program};
 use gubpi_pool::{CancelToken, WorkerPool};
 use gubpi_types::IntervalTyping;
 
@@ -215,7 +215,7 @@ pub fn symbolic_paths_report_cancellable(
         path_budget: opts.max_paths.max(1),
         active_fix: None,
     };
-    let leaves = ex.eval(&program.root, &SEnv::empty(), st, 0);
+    let leaves = ex.eval(&program.root, &Env::empty(), st, 0);
     let paths: Vec<SymPath> = leaves
         .into_iter()
         .map(|(v, st)| match v {
@@ -292,14 +292,14 @@ enum SValue {
     Closure {
         param: Name,
         body: Rc<Expr>,
-        env: SEnv,
+        env: Env<Name, SValue>,
     },
     Fix {
         node: NodeId,
         fname: Name,
         param: Name,
         body: Rc<Expr>,
-        env: SEnv,
+        env: Env<Name, SValue>,
     },
     /// A higher-order `approxFix` stub: behaves as
     /// `λ_…λ_. score([e,f]); [c,d]` with `remaining` parameters left.
@@ -308,40 +308,6 @@ enum SValue {
         value: Interval,
         weight: Interval,
     },
-}
-
-/// Persistent environment (`Rc`-linked: the two sides of a fork share
-/// the bindings made before it).
-#[derive(Clone, Default)]
-struct SEnv(Option<Rc<SNode>>);
-
-struct SNode {
-    name: Name,
-    value: SValue,
-    rest: SEnv,
-}
-
-impl SEnv {
-    fn empty() -> SEnv {
-        SEnv(None)
-    }
-    fn bind(&self, name: Name, value: SValue) -> SEnv {
-        SEnv(Some(Rc::new(SNode {
-            name,
-            value,
-            rest: self.clone(),
-        })))
-    }
-    fn lookup(&self, name: &str) -> Option<&SValue> {
-        let mut cur = self;
-        while let Some(node) = &cur.0 {
-            if &*node.name == name {
-                return Some(&node.value);
-            }
-            cur = &node.rest;
-        }
-        None
-    }
 }
 
 /// Per-path execution state.
@@ -417,14 +383,20 @@ impl Executor<'_> {
         }
     }
 
-    fn eval(&self, e: &Expr, env: &SEnv, st: PState, depth: u32) -> Branches {
+    fn eval(&self, e: &Expr, env: &Env<Name, SValue>, st: PState, depth: u32) -> Branches {
         if depth >= self.opts.max_depth {
             return vec![(None, st)];
         }
         self.eval_inner(e, env, st, depth + 1)
     }
 
-    fn eval_inner(&self, e: &Expr, env: &SEnv, mut st: PState, depth: u32) -> Branches {
+    fn eval_inner(
+        &self,
+        e: &Expr,
+        env: &Env<Name, SValue>,
+        mut st: PState,
+        depth: u32,
+    ) -> Branches {
         if st.fuel == 0 {
             return vec![(None, st)];
         }

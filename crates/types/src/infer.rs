@@ -8,7 +8,7 @@
 use std::collections::HashMap;
 
 use gubpi_interval::{Interval, Lattice};
-use gubpi_lang::{Expr, ExprKind, Name, NodeId, Program, SimpleTy, TypeMap};
+use gubpi_lang::{Env, Expr, ExprKind, Name, NodeId, Program, SimpleTy, TypeMap};
 
 use crate::constraints::{Constraint, ConstraintSet, IVar};
 use crate::solve::solve;
@@ -119,8 +119,7 @@ pub fn infer_interval_types(program: &Program, simple: &TypeMap) -> IntervalTypi
         simple,
         node_types: HashMap::new(),
     };
-    let env = Vec::new();
-    let _root = gen.walk(&program.root, &env);
+    let _root = gen.walk(&program.root, &Env::empty());
     let assignment = solve(&gen.cs);
     let map = gen
         .node_types
@@ -171,14 +170,12 @@ impl Generator<'_> {
         self.cs.fresh_const(Interval::ONE)
     }
 
-    fn walk(&mut self, e: &Expr, env: &[(Name, SymTy)]) -> SymWTy {
+    fn walk(&mut self, e: &Expr, env: &Env<Name, SymTy>) -> SymWTy {
         let result = match &e.kind {
             ExprKind::Var(x) => {
                 let ty = env
-                    .iter()
-                    .rev()
-                    .find(|(n, _)| n == x)
-                    .map(|(_, t)| t.clone())
+                    .lookup(x)
+                    .cloned()
                     .expect("type inference ran after scope checking");
                 let w = self.one();
                 SymWTy { ty, weight: w }
@@ -204,9 +201,7 @@ impl Generator<'_> {
                     SimpleTy::Fun(a, _) => self.fresh_symty(a),
                     SimpleTy::Real => unreachable!("lambda has function type"),
                 };
-                let mut env2 = env.to_vec();
-                env2.push((x.clone(), param_ty.clone()));
-                let body_wty = self.walk(body, &env2);
+                let body_wty = self.walk(body, &env.bind(x.clone(), param_ty.clone()));
                 let w = self.one();
                 SymWTy {
                     ty: SymTy::Fun(Box::new(param_ty), Box::new(body_wty)),
@@ -227,9 +222,9 @@ impl Generator<'_> {
                     Box::new(param_ty.clone()),
                     Box::new(declared_result.clone()),
                 );
-                let mut env2 = env.to_vec();
-                env2.push((f.clone(), fun_ty.clone()));
-                env2.push((x.clone(), param_ty));
+                let env2 = env
+                    .bind(f.clone(), fun_ty.clone())
+                    .bind(x.clone(), param_ty);
                 let body_wty = self.walk(body, &env2);
                 // Body result must refine the declared invariant.
                 self.sub_wty(&body_wty, &declared_result);

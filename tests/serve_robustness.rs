@@ -23,7 +23,9 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 use gubpi_core::{AnalysisOptions, Analyzer, SharedQueryCache};
 use gubpi_inference::{importance_sample, ImportanceOptions};
 use gubpi_pool::{set_fault_plan, FaultKind, FaultPlan};
-use gubpi_serve::{start, start_with_cache, Client, QueryKind, QueryRequest, ServeConfig};
+use gubpi_serve::{
+    start, start_with_cache, Client, QueryKind, QueryRequest, ServeConfig, CACHE_CAPACITY,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -387,5 +389,15 @@ fn admission_control_rejects_while_the_only_slot_is_held() {
         .expect("transport")
         .expect("the daemon must serve once the slot is released");
     assert!(o.lo <= o.hi && !o.degraded);
+    server.shutdown();
+}
+
+/// A daemon lives as long as its clients keep sending distinct
+/// intervals, each of which keys fresh cache entries, so the cache that
+/// [`start`] installs must be bounded.
+#[test]
+fn started_server_bounds_its_cache() {
+    let server = start(ServeConfig::default()).unwrap();
+    assert_eq!(server.cache().capacity(), Some(CACHE_CAPACITY));
     server.shutdown();
 }
