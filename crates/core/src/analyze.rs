@@ -390,37 +390,6 @@ fn valid_interval(lo: f64, hi: f64) -> Result<Interval, QueryError> {
     Interval::try_new(lo, hi).ok_or(QueryError::InvalidInterval { lo, hi })
 }
 
-/// Structural path equality with an `Arc` pointer fast path.
-///
-/// Cache entries cloned from an analyzer's own path share every inner
-/// `Arc` with it, so a same-analyzer re-lookup short-circuits on
-/// pointer identity (O(#constraints + #scores) pointer compares) —
-/// important because the comparison runs under the cache mutex. Only
-/// genuinely cross-analyzer hits fall through to the derived
-/// `SymPath::eq`, which stays the single source of truth: a field
-/// added to `SymPath` later is automatically part of the verification,
-/// never silently ignored.
-fn same_path(a: &SymPath, b: &SymPath) -> bool {
-    let arc_identical =
-        |x: &Arc<gubpi_symbolic::SymVal>, y: &Arc<gubpi_symbolic::SymVal>| Arc::ptr_eq(x, y);
-    let identical = a.n_samples == b.n_samples
-        && a.truncated == b.truncated
-        && a.budget_truncated == b.budget_truncated
-        && a.tail == b.tail
-        && a.constraints.len() == b.constraints.len()
-        && a.scores.len() == b.scores.len()
-        && arc_identical(&a.result, &b.result)
-        && a.constraints
-            .iter()
-            .zip(&b.constraints)
-            .all(|(x, y)| x.dir == y.dir && arc_identical(&x.value, &y.value))
-        && a.scores
-            .iter()
-            .zip(&b.scores)
-            .all(|(x, y)| arc_identical(x, y));
-    identical || a == b
-}
-
 /// A prepared analysis: program parsed, typed, symbolically executed.
 ///
 /// Queries and histograms reuse the path set, so asking many questions of
@@ -678,7 +647,11 @@ impl Analyzer {
         // out before dispatch, so workers never contend on the cache.
         // Fingerprint hits are verified by structural path equality
         // before reuse (the cache may be shared across analyzers), and
-        // every hit refreshes the entry's coarse-LRU stamp.
+        // every hit refreshes the entry's coarse-LRU stamp. `SymVal`'s
+        // equality compares shared nodes once and identical ones by
+        // address, so the check under the lock costs a pointer compare
+        // per value for this analyzer's own entries and the DAG's node
+        // count for another analyzer's.
         let cached: Vec<Option<(f64, f64)>> = {
             let mut map = self.cache.inner.map.lock().expect("cache poisoned");
             (0..self.paths.len())
@@ -690,7 +663,7 @@ impl Analyzer {
                     map.buckets.get_mut(&key(i)).and_then(|bucket| {
                         bucket
                             .iter_mut()
-                            .find(|e| same_path(&e.path, &self.paths[i]))
+                            .find(|e| e.path == self.paths[i])
                             .map(|e| {
                                 e.stamp = stamp;
                                 e.bounds
@@ -821,7 +794,7 @@ impl Analyzer {
                 // A racing analyzer may have inserted the same path
                 // meanwhile; bounding is pure, so skipping the duplicate
                 // loses nothing.
-                if !bucket.iter().any(|e| same_path(&e.path, &self.paths[i])) {
+                if !bucket.iter().any(|e| e.path == self.paths[i]) {
                     bucket.push(CacheEntry {
                         path: self.paths[i].clone(),
                         bounds: v,

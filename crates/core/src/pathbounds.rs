@@ -29,7 +29,7 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use gubpi_interval::{next_after_down, next_after_up, pow_up, widest_dim, Interval};
-use gubpi_polytope::{HPolytope, LinExpr};
+use gubpi_polytope::{HPolytope, LinExpr, VolumeScratch};
 use gubpi_symbolic::{CellBounds, KernelSeed, SymPath, SymVal, Tape, TapeScratch, LANES};
 
 use gubpi_pool::{run_jobs_cancellable, run_jobs_with, CancelToken, PathJob, Threads, WorkerPool};
@@ -585,9 +585,9 @@ enum ResultMode {
 }
 
 /// Volumes of one chunk combination: the lower end of `vol(q_lb)` and
-/// the upper end of `vol(q_ub)`, given the exact-dimension cap and the
-/// certified-volume budget.
-type ComboVolumes = fn(&HPolytope, &HPolytope, usize, usize) -> (f64, f64);
+/// the upper end of `vol(q_ub)`, given the exact-dimension cap, the
+/// certified-volume budget and the chunk's volume scratch.
+type ComboVolumes = fn(&HPolytope, &HPolytope, usize, usize, &mut VolumeScratch) -> (f64, f64);
 
 /// [`ComboVolumes`] computing each distinct polytope once: when 𝔓_lb
 /// and 𝔓_ub are the same row system bit for bit (every path whose
@@ -597,12 +597,13 @@ fn combo_volumes(
     q_ub: &HPolytope,
     exact_cap: usize,
     budget: usize,
+    scratch: &mut VolumeScratch,
 ) -> (f64, f64) {
     if q_lb.bit_eq(q_ub) {
-        return q_lb.volume_range(exact_cap, budget);
+        return q_lb.volume_range_with(exact_cap, budget, scratch);
     }
-    let (lo, _) = q_lb.volume_range(exact_cap, budget);
-    let (_, hi) = q_ub.volume_range(exact_cap, budget);
+    let (lo, _) = q_lb.volume_range_with(exact_cap, budget, scratch);
+    let (_, hi) = q_ub.volume_range_with(exact_cap, budget, scratch);
     (lo, hi)
 }
 
@@ -797,6 +798,9 @@ fn plan_linear_with(
         let mut chunks = vec![Interval::ZERO; chunkings.len()];
         let mut part_ranges: Vec<Interval> = Vec::new();
         let mut scratches: Vec<_> = skel_tapes.iter().map(Tape::scratch).collect();
+        // Neighbouring combinations clip the same path polytope, so they
+        // share faces: one volume scratch serves the whole chunk.
+        let mut vol_scratch = VolumeScratch::default();
         for _ in range {
             for (ch, (chunking, &digit)) in chunks.iter_mut().zip(chunkings.iter().zip(&odo.digits))
             {
@@ -820,10 +824,16 @@ fn plan_linear_with(
             // One LP feasibility check prunes most chunk combinations
             // (the boxed expressions co-vary, so the Cartesian grid is
             // sparse); q_lb ⊆ q_ub, so an empty q_ub kills both volumes.
-            if q_ub.is_empty() {
+            if q_ub.is_empty_with(&mut vol_scratch) {
                 continue;
             }
-            let (vol_lb, vol_ub) = volumes(&q_lb, &q_ub, exact_cap, opts.volume_budget);
+            let (vol_lb, vol_ub) = volumes(
+                &q_lb,
+                &q_ub,
+                exact_cap,
+                opts.volume_budget,
+                &mut vol_scratch,
+            );
 
             if vol_ub > 0.0 || vol_lb > 0.0 {
                 // Weight interval: product over scores of the skeleton
@@ -1606,11 +1616,13 @@ mod tests {
         }
     }
 
+    /// Two one-shot volume calls, each on a fresh scratch.
     fn two_volume_calls(
         q_lb: &HPolytope,
         q_ub: &HPolytope,
         cap: usize,
         budget: usize,
+        _: &mut VolumeScratch,
     ) -> (f64, f64) {
         (
             q_lb.volume_range(cap, budget).0,
@@ -1623,9 +1635,10 @@ mod tests {
         q_ub: &HPolytope,
         cap: usize,
         budget: usize,
+        scratch: &mut VolumeScratch,
     ) -> (f64, f64) {
         assert!(q_lb.bit_eq(q_ub), "point constants give one polytope");
-        two_volume_calls(q_lb, q_ub, cap, budget)
+        two_volume_calls(q_lb, q_ub, cap, budget, scratch)
     }
 
     fn two_calls_on_distinct(
@@ -1633,12 +1646,13 @@ mod tests {
         q_ub: &HPolytope,
         cap: usize,
         budget: usize,
+        scratch: &mut VolumeScratch,
     ) -> (f64, f64) {
         assert!(
             !q_lb.bit_eq(q_ub),
             "interval constants split 𝔓_lb from 𝔓_ub"
         );
-        two_volume_calls(q_lb, q_ub, cap, budget)
+        two_volume_calls(q_lb, q_ub, cap, budget, scratch)
     }
 
     /// The region stream [`bound_path`] emits for one path.
@@ -1670,8 +1684,9 @@ mod tests {
         }
     }
 
-    /// One volume call per combination when 𝔓_lb and 𝔓_ub coincide
-    /// emits exactly the region stream of two separate calls, in both
+    /// One volume call per combination when 𝔓_lb and 𝔓_ub coincide, on
+    /// the volume scratch the whole sweep shares, emits exactly the
+    /// region stream of two separate calls on fresh scratches, in both
     /// result modes, for point constants (deduplicated) and interval
     /// constants (two calls either way).
     #[test]

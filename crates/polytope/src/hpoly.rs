@@ -3,7 +3,7 @@
 use gubpi_interval::{BoxN, Interval};
 
 use crate::simplex::{solve_lp, LpOutcome, LpScratch, LpValue};
-use crate::LinExpr;
+use crate::{LinExpr, VolumeScratch};
 
 /// A convex polytope `{ x ≥ 0 | aᵢ·x ≤ bᵢ }` in H-representation.
 ///
@@ -107,9 +107,16 @@ impl HPolytope {
 
     /// Is the polytope empty (within LP tolerance)?
     pub fn is_empty(&self) -> bool {
+        self.is_empty_with(&mut VolumeScratch::default())
+    }
+
+    /// [`HPolytope::is_empty`] on the caller's scratch.
+    pub fn is_empty_with(&self, scratch: &mut VolumeScratch) -> bool {
         let zero = vec![0.0; self.dim];
         let m = self.rows.len();
-        LpScratch::default().solve(&zero, false, false, self.dim, m, |i| self.row(i))
+        scratch
+            .lp()
+            .solve(&zero, false, false, self.dim, m, |i| self.row(i))
             == LpValue::Infeasible
     }
 

@@ -39,3 +39,4 @@ mod volume;
 pub use hpoly::HPolytope;
 pub use linexpr::LinExpr;
 pub use simplex::{solve_lp, solve_lp_free, LpOutcome};
+pub use volume::VolumeScratch;

@@ -440,6 +440,7 @@ fn interval_length_1d(rows: &[Row]) -> f64 {
 mod tests {
     use super::*;
     use crate::simplex::{self, LpScratch};
+    use crate::volume::{VolumeScratch, FACE_MEMO_BYTES};
     use proptest::collection::vec;
     use proptest::prelude::*;
 
@@ -581,6 +582,84 @@ mod tests {
         assert!(pruned.bit_eq(&oracle));
     }
 
+    /// `(dim, extra, splits, coefs, rhs)` for [`check_shared_scratch`].
+    type SweepMaterial = (usize, usize, (usize, usize), Vec<f64>, Vec<f64>);
+
+    /// A path polytope of coupled dimension 2–5 with 0–3 extra cuts,
+    /// and two boxed expressions split into 1–4 chunks each.
+    fn sweep_material() -> impl Strategy<Value = SweepMaterial> {
+        (
+            2usize..6,
+            0usize..4,
+            (1usize..5, 1usize..5),
+            vec(-0.8f64..0.8, 36),
+            vec(-0.5f64..1.5, 7),
+        )
+    }
+
+    /// The §6.4 sweep's sequence of related polytopes: the path
+    /// polytope of [`build_polytope`] clipped by every chunk combination
+    /// of two boxed linear expressions, expression 0 fastest. Each chunk
+    /// is a slice of the expression's range over the unit cube.
+    fn chunk_combinations(material: &SweepMaterial) -> Vec<HPolytope> {
+        let (dim, extra, (k0, k1), coefs, rhs) = material;
+        let p = build_polytope(*dim, *extra, coefs, rhs);
+        let boxed = [&coefs[24..24 + dim], &coefs[30..30 + dim]];
+        let chunks = |lin: &[f64], k: usize| -> Vec<(f64, f64)> {
+            let lo: f64 = lin.iter().map(|x| x.min(0.0)).sum();
+            let hi: f64 = lin.iter().map(|x| x.max(0.0)).sum();
+            let w = (hi - lo) / k as f64;
+            (0..k)
+                .map(|i| (lo + w * i as f64, lo + w * (i + 1) as f64))
+                .collect()
+        };
+        let (c0, c1) = (chunks(boxed[0], *k0), chunks(boxed[1], *k1));
+        let mut out = Vec::new();
+        for &(lo1, hi1) in &c1 {
+            for &(lo0, hi0) in &c0 {
+                let mut q = p.clone();
+                for (lin, lo, hi) in [(boxed[0], lo0, hi0), (boxed[1], lo1, hi1)] {
+                    q.add_constraint(lin.to_vec(), hi);
+                    q.add_constraint(lin.iter().map(|x| -x).collect(), -lo);
+                }
+                out.push(q);
+            }
+        }
+        out
+    }
+
+    /// One scratch carried through the chunk combinations of a sweep,
+    /// with a memo of `cap` bytes, measures every polytope exactly like
+    /// a fresh scratch and the memo-free oracle, and decides emptiness
+    /// exactly like a fresh scratch and the nested simplex.
+    fn check_shared_scratch(material: SweepMaterial, cap: usize) {
+        let mut shared = VolumeScratch::with_memo_cap(cap);
+        for q in chunk_combinations(&material) {
+            let zero = vec![0.0; q.dim()];
+            let empty = solve_lp(&zero, false, q.rows(), q.dim()) == LpOutcome::Infeasible;
+            assert_eq!(q.is_empty_with(&mut shared), empty, "{q:?}");
+            assert_eq!(q.is_empty(), empty, "{q:?}");
+            let v = volume_lasserre(&q).to_bits();
+            let (lo, hi) = q.volume_range_with(8, 100, &mut shared);
+            assert_eq!((lo.to_bits(), hi.to_bits()), (v, v), "{q:?}");
+            let (lo, hi) = q.volume_range(8, 100);
+            assert_eq!((lo.to_bits(), hi.to_bits()), (v, v), "{q:?}");
+        }
+    }
+
+    /// A memo cap that holds only a few faces of the polytopes above, so
+    /// the shared memo clears itself every few inserts.
+    const TINY_MEMO_BYTES: usize = 2 << 10;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+        #[test]
+        fn a_shared_volume_scratch_measures_like_a_fresh_one(material in sweep_material()) {
+            check_shared_scratch(material.clone(), FACE_MEMO_BYTES);
+            check_shared_scratch(material, TINY_MEMO_BYTES);
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(200))]
         #[test]
@@ -600,7 +679,7 @@ mod tests {
         }
     }
 
-    // Soak copies of the two bit-identity properties: 2,000 cases each on
+    // Soak copies of the three bit-identity properties: 2,000 cases each on
     // their own random streams, too slow for a debug `cargo test`. CI
     // runs them in release with `--ignored`.
     proptest! {
@@ -615,6 +694,13 @@ mod tests {
         #[ignore = "soak: cargo test --release -p gubpi-polytope -- --ignored"]
         fn memoized_recursion_soak(material in polytope_material()) {
             check_polytope(material);
+        }
+
+        #[test]
+        #[ignore = "soak: cargo test --release -p gubpi-polytope -- --ignored"]
+        fn shared_volume_scratch_soak(material in sweep_material()) {
+            check_shared_scratch(material.clone(), FACE_MEMO_BYTES);
+            check_shared_scratch(material, TINY_MEMO_BYTES);
         }
     }
 

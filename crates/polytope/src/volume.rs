@@ -19,24 +19,31 @@
 //! # Doing each piece of work once
 //!
 //! The recursion reaches the same lower-dimensional face along many
-//! pivot orders (`F₁ ∩ F₂` via `F₁` and via `F₂`). Like Vinci's
-//! Lasserre variant with face storage (Büeler, Enge & Fukuda, "Exact
-//! volume computation for polytopes: a practical study", 2000), each
-//! top-level volume call keeps a memo of the faces it has measured. It
-//! is keyed on the exact bits of a face's reduced row system and
-//! recursion level, which fully determine the face's value, so a hit
-//! returns the very bits a recomputation would. The memo lives for one
-//! call and is passed down by `&mut`; nothing is shared between calls.
+//! pivot orders (`F₁ ∩ F₂` via `F₁` and via `F₂`), and the polytopes of
+//! one §6.4 sweep are one path polytope clipped by neighbouring chunk
+//! combinations, so they share faces too. Like Vinci's Lasserre variant
+//! with face storage (Büeler, Enge & Fukuda, "Exact volume computation
+//! for polytopes: a practical study", 2000), a [`VolumeScratch`] keeps a
+//! memo of the faces it has measured. It is keyed on the exact bits of a
+//! face's reduced row system and recursion level, which fully determine
+//! the face's value, so a hit returns the very bits a recomputation
+//! would, however long the memo has lived. The caller owns the scratch
+//! and passes it by `&mut` (the sweep keeps one per claimed chunk of
+//! combinations); the one-shot [`HPolytope::volume_range`],
+//! [`HPolytope::volume_lasserre`] and [`HPolytope::is_empty`] run on a
+//! fresh one. The memo is capped at `FACE_MEMO_BYTES` (128 KiB) of keys
+//! and table slots and clears itself when an insert would pass the cap.
 //!
-//! The recursion allocates per call, not per node: a row system is one
-//! flat row-major buffer, every recursion depth owns one set of reused
-//! buffers, and the LP-based redundancy removal addresses its rows by
-//! index and runs every LP on one reused simplex scratch (see
+//! The recursion allocates per scratch, not per node: a row system is
+//! one flat row-major buffer, every recursion depth owns one set of
+//! reused buffers, and the LP-based redundancy removal addresses its
+//! rows by index and runs every LP on one reused simplex scratch (see
 //! [`crate::simplex`]). The floating-point operations and their order
 //! are those of the plain recursion over row lists.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
+use std::mem::{size_of, size_of_val};
 
 use gubpi_interval::BoxN;
 
@@ -56,13 +63,8 @@ impl HPolytope {
     /// intended for coupled dimension `≲ 8`). Degenerate (empty or
     /// lower-dimensional) polytopes yield 0.
     pub fn volume_lasserre(&self) -> f64 {
-        let Some(red) = self.reduce_axis_aligned() else {
-            return 0.0;
-        };
-        if red.rows.is_empty() {
-            return red.factor;
-        }
-        red.factor * lasserre(&red.rows, red.dim)
+        self.volume_range_with(usize::MAX, 0, &mut VolumeScratch::default())
+            .0
     }
 
     /// The number of variables involved in non-axis-aligned constraints —
@@ -75,6 +77,18 @@ impl HPolytope {
     /// dimension is at most `exact_dim_cap`, certified box-subdivision
     /// bounds with the given budget otherwise.
     pub fn volume_range(&self, exact_dim_cap: usize, budget: usize) -> (f64, f64) {
+        self.volume_range_with(exact_dim_cap, budget, &mut VolumeScratch::default())
+    }
+
+    /// [`HPolytope::volume_range`] on the caller's scratch: the same
+    /// bits, with the faces the scratch measured before served from its
+    /// memo.
+    pub fn volume_range_with(
+        &self,
+        exact_dim_cap: usize,
+        budget: usize,
+        scratch: &mut VolumeScratch,
+    ) -> (f64, f64) {
         let Some(red) = self.reduce_axis_aligned() else {
             return (0.0, 0.0);
         };
@@ -82,7 +96,7 @@ impl HPolytope {
             return (red.factor, red.factor);
         }
         if red.dim <= exact_dim_cap {
-            let v = red.factor * lasserre(&red.rows, red.dim);
+            let v = red.factor * scratch.lasserre(&red.rows, red.dim);
             (v, v)
         } else {
             // Rebuild the reduced polytope for box subdivision. The rows
@@ -294,18 +308,104 @@ impl Ord for VolBox {
     }
 }
 
-/// Faces measured so far in one top-level volume call: the exact bits
-/// of `(lp_levels, dim, rows)` after axis reduction, mapped to the
-/// face's volume before its axis factor (`None`: no bounding rows).
-type FaceMemo = HashMap<Vec<u64>, Option<f64>>;
+/// The byte cap of a [`VolumeScratch`]'s face memo, counting each
+/// entry's key and its table slot. Chosen by measurement on
+/// pedestrian's §6.4 sweep, one scratch per chunk of combinations:
+/// 32 KiB and 512 KiB were both slower end to end, and larger caps
+/// raise peak memory (see ROADMAP.md).
+pub(crate) const FACE_MEMO_BYTES: usize = 128 << 10;
 
-/// What one top-level volume call shares across every recursion depth:
-/// the face memo and the scratch of the redundancy LPs (which never
-/// nest).
-#[derive(Default)]
-struct CallState {
+/// Faces measured so far: the exact bits of `(lp_levels, dim, rows)`
+/// after axis reduction, mapped to the face's volume before its axis
+/// factor (`None`: no bounding rows). Holds at most `cap` bytes of keys
+/// and table slots, and clears itself when an insert would pass that.
+struct FaceMemo {
+    map: HashMap<Vec<u64>, Option<f64>>,
+    bytes: usize,
+    cap: usize,
+}
+
+impl FaceMemo {
+    fn get(&self, key: &[u64]) -> Option<Option<f64>> {
+        self.map.get(key).copied()
+    }
+
+    fn insert(&mut self, key: &[u64], face: Option<f64>) {
+        let bytes = size_of_val(key) + size_of::<(Vec<u64>, Option<f64>)>() + 1;
+        if self.bytes + bytes > self.cap {
+            self.map.clear();
+            self.bytes = 0;
+        }
+        if bytes <= self.cap {
+            self.map.insert(key.to_vec(), face);
+            self.bytes += bytes;
+        }
+    }
+}
+
+/// What a sequence of volume calls shares: the face memo, the scratch
+/// of the redundancy LPs (which never nest) and one `Level` of
+/// buffers per recursion depth.
+///
+/// A face's value is a pure function of its memo key, so every result
+/// is bit-identical to a fresh scratch's, whatever the scratch measured
+/// before. The memo holds at most 128 KiB of keys and table slots, and
+/// clears itself when an insert would pass that.
+pub struct VolumeScratch {
     memo: FaceMemo,
     lp: LpScratch,
+    levels: Vec<Level>,
+    /// The flattened input rows of the top-level recursion.
+    src: Vec<f64>,
+}
+
+impl Default for VolumeScratch {
+    fn default() -> VolumeScratch {
+        VolumeScratch::with_memo_cap(FACE_MEMO_BYTES)
+    }
+}
+
+impl VolumeScratch {
+    /// A fresh scratch whose memo holds at most `cap` bytes.
+    pub(crate) fn with_memo_cap(cap: usize) -> VolumeScratch {
+        VolumeScratch {
+            memo: FaceMemo {
+                map: HashMap::new(),
+                bytes: 0,
+                cap,
+            },
+            lp: LpScratch::default(),
+            levels: Vec::new(),
+            src: Vec::new(),
+        }
+    }
+
+    /// The simplex scratch.
+    pub(crate) fn lp(&mut self) -> &mut LpScratch {
+        &mut self.lp
+    }
+
+    /// Exact volume of `{x | rows}` over free variables, for an
+    /// axis-reduced row system over `dim` variables: one [`Level`] per
+    /// recursion depth (the dimension drops by at least one per depth).
+    fn lasserre(&mut self, rows: &[Row], dim: usize) -> f64 {
+        if self.levels.len() < dim.max(1) {
+            self.levels.resize_with(dim.max(1), Level::default);
+        }
+        self.src.clear();
+        for (a, b) in rows {
+            self.src.extend_from_slice(a);
+            self.src.push(*b);
+        }
+        vol_rec(
+            &self.src,
+            dim,
+            2,
+            &mut self.levels,
+            &mut self.memo,
+            &mut self.lp,
+        )
+    }
 }
 
 /// The buffers of one recursion depth, reused by every node at that
@@ -334,19 +434,6 @@ struct Level {
     key: Vec<u64>,
 }
 
-/// Exact volume of `{x | rows}` over free variables, for an axis-reduced
-/// row system over `dim` variables: one [`Level`] per recursion depth
-/// (the dimension drops by at least one per depth), a fresh face memo.
-fn lasserre(rows: &[Row], dim: usize) -> f64 {
-    let mut src = Vec::with_capacity(rows.len() * (dim + 1));
-    for (a, b) in rows {
-        src.extend_from_slice(a);
-        src.push(*b);
-    }
-    let mut levels: Vec<Level> = (0..dim.max(1)).map(|_| Level::default()).collect();
-    vol_rec(&src, dim, 2, &mut levels, &mut CallState::default())
-}
-
 /// Recursive volume of the flat row system `src` over `n` free variables
 /// (all bounds must be explicit rows). `lp_levels` controls how many
 /// recursion levels still run LP-based redundancy removal; below that,
@@ -358,7 +445,8 @@ fn vol_rec(
     n: usize,
     lp_levels: u32,
     levels: &mut [Level],
-    call: &mut CallState,
+    memo: &mut FaceMemo,
+    lp: &mut LpScratch,
 ) -> f64 {
     let (lvl, deeper) = levels
         .split_first_mut()
@@ -381,11 +469,11 @@ fn vol_rec(
     lvl.key.push(u64::from(lp_levels));
     lvl.key.push(dim as u64);
     lvl.key.extend(lvl.rows.iter().map(|x| x.to_bits()));
-    let face = match call.memo.get(lvl.key.as_slice()) {
-        Some(&v) => v,
+    let face = match memo.get(&lvl.key) {
+        Some(v) => v,
         None => {
-            let v = facet_sum(lvl, dim, lp_levels, deeper, call);
-            call.memo.insert(lvl.key.clone(), v);
+            let v = facet_sum(lvl, dim, lp_levels, deeper, memo, lp);
+            memo.insert(&lvl.key, v);
             v
         }
     };
@@ -403,12 +491,13 @@ fn facet_sum(
     dim: usize,
     lp_levels: u32,
     deeper: &mut [Level],
-    call: &mut CallState,
+    memo: &mut FaceMemo,
+    lp: &mut LpScratch,
 ) -> Option<f64> {
     let w = dim + 1;
     dedup_rows(&lvl.rows, dim, &mut lvl.kept);
     if lp_levels > 0 {
-        drop_redundant_rows(lvl, dim, &mut call.lp);
+        drop_redundant_rows(lvl, dim, lp);
     }
     if lvl.kept.is_empty() {
         return None;
@@ -449,7 +538,8 @@ fn facet_sum(
             dim - 1,
             lp_levels.saturating_sub(1),
             deeper,
-            call,
+            memo,
+            lp,
         );
         if facet_proj_vol.is_finite() && facet_proj_vol > 0.0 {
             total += (b / ak.abs()) * facet_proj_vol;
@@ -766,6 +856,31 @@ mod tests {
         p.add_constraint(vec![-1.0, 0.0], -1.5); // x ≥ 1.5 vs x ≤ 1
         assert_eq!(p.volume_lasserre(), 0.0);
         assert_eq!(p.volume_range(8, 100), (0.0, 0.0));
+    }
+
+    #[test]
+    fn face_memo_stays_under_its_cap() {
+        let mut p = HPolytope::unit_cube(5);
+        p.add_constraint(vec![1.0, 0.5, -0.3, 0.7, 0.2], 1.2);
+        p.add_constraint(vec![-0.4, 1.0, 0.6, -0.2, 0.9], 0.8);
+        let mut roomy = VolumeScratch::default();
+        let mut tiny = VolumeScratch::with_memo_cap(2 << 10);
+        let (v, _) = p.volume_range_with(8, 0, &mut roomy);
+        let (w, _) = p.volume_range_with(8, 0, &mut tiny);
+        assert_eq!(v.to_bits(), w.to_bits());
+        assert!(roomy.memo.bytes <= FACE_MEMO_BYTES);
+        assert!(tiny.memo.bytes <= 2 << 10);
+        assert!(
+            tiny.memo.map.len() < roomy.memo.map.len(),
+            "the tiny memo cleared itself"
+        );
+        // A second run is served from the roomy memo alone.
+        let faces = roomy.memo.map.len();
+        assert_eq!(
+            p.volume_range_with(8, 0, &mut roomy).0.to_bits(),
+            v.to_bits()
+        );
+        assert_eq!(roomy.memo.map.len(), faces);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Symbolic paths `Ψ = (V, n, Δ, Ξ)` (Appendix B).
 
 use std::collections::hash_map::DefaultHasher;
+use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -181,7 +182,13 @@ impl SymPath {
     /// float literals hashed by bit pattern. Structurally identical paths
     /// fingerprint identically across runs (the hasher is keyed with
     /// fixed constants), so the analyzer can use it as a memo-cache key.
+    ///
+    /// Each `SymVal` node is hashed once per call: a primitive
+    /// application's digest hashes its operator and its arguments'
+    /// structure and is remembered by address, so the cost is the node
+    /// count of the path's DAG, not the size of its expanded tree.
     pub fn fingerprint(&self) -> u64 {
+        let mut digests = HashMap::new();
         let mut h = DefaultHasher::new();
         self.n_samples.hash(&mut h);
         self.truncated.hash(&mut h);
@@ -204,22 +211,27 @@ impl SymPath {
                 }
             }
         }
-        hash_symval(&self.result, &mut h);
+        hash_node(&self.result, &mut h, &mut digests);
         self.constraints.len().hash(&mut h);
         for c in &self.constraints {
             matches!(c.dir, CmpDir::LeZero).hash(&mut h);
-            hash_symval(&c.value, &mut h);
+            hash_node(&c.value, &mut h, &mut digests);
         }
         self.scores.len().hash(&mut h);
         for w in &self.scores {
-            hash_symval(w, &mut h);
+            hash_node(w, &mut h, &mut digests);
         }
         h.finish()
     }
 }
 
-fn hash_symval(v: &SymVal, h: &mut impl Hasher) {
-    match v {
+/// Feeds the structure of `v` into `h`: a leaf's tag and payload, or a
+/// primitive application's tag and digest, which hashes its operator
+/// and feeds its arguments into a hasher of its own. `digests`
+/// remembers every application's digest by address for one fingerprint
+/// call, while the nodes are borrowed.
+fn hash_node(v: &Arc<SymVal>, h: &mut DefaultHasher, digests: &mut HashMap<*const SymVal, u64>) {
+    match &**v {
         SymVal::Const(c) => {
             0u8.hash(h);
             c.to_bits().hash(h);
@@ -235,11 +247,21 @@ fn hash_symval(v: &SymVal, h: &mut impl Hasher) {
         }
         SymVal::Prim(op, args) => {
             3u8.hash(h);
-            op.hash(h);
-            args.len().hash(h);
-            for a in args {
-                hash_symval(a, h);
-            }
+            let digest = match digests.get(&Arc::as_ptr(v)) {
+                Some(&d) => d,
+                None => {
+                    let mut ph = DefaultHasher::new();
+                    op.hash(&mut ph);
+                    args.len().hash(&mut ph);
+                    for a in args {
+                        hash_node(a, &mut ph, digests);
+                    }
+                    let d = ph.finish();
+                    digests.insert(Arc::as_ptr(v), d);
+                    d
+                }
+            };
+            digest.hash(h);
         }
     }
 }
@@ -360,6 +382,79 @@ mod tests {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<SymPath>();
         assert_send_sync::<SymVal>();
+    }
+
+    /// `x₀ = α₀`, `xₖ₊₁ = xₖ + xₖ` up to `x₆₄`, then `x₆₄ + leaf`: 67
+    /// nodes whose expanded tree has more than 2⁶⁵, so a walk that does
+    /// not share subterms never finishes.
+    fn doubling_dag(leaf: f64) -> Arc<SymVal> {
+        let mut x = s(0);
+        for _ in 0..64 {
+            x = Arc::new(SymVal::Prim(PrimOp::Add, vec![x.clone(), x]));
+        }
+        Arc::new(SymVal::Prim(PrimOp::Add, vec![x, c(leaf)]))
+    }
+
+    /// A path whose result, constraint and score are each a separately
+    /// built doubling DAG.
+    fn doubling_path(leaf: f64) -> SymPath {
+        SymPath {
+            result: doubling_dag(leaf),
+            n_samples: 1,
+            constraints: vec![SymConstraint {
+                value: doubling_dag(leaf),
+                dir: CmpDir::LeZero,
+            }],
+            scores: vec![doubling_dag(leaf)],
+            truncated: false,
+            budget_truncated: false,
+            tail: None,
+        }
+    }
+
+    /// The leaf `0.5` with its lowest mantissa bit flipped.
+    fn flipped_leaf() -> f64 {
+        f64::from_bits(0.5f64.to_bits() ^ 1)
+    }
+
+    #[test]
+    fn shared_subterms_fingerprint_once() {
+        let a = doubling_path(0.5);
+        assert_eq!(a.fingerprint(), doubling_path(0.5).fingerprint());
+        assert_ne!(a.fingerprint(), doubling_path(flipped_leaf()).fingerprint());
+    }
+
+    /// Sharing is not structure: `x₄` of the doubling DAG built as a
+    /// tree, with no node shared, fingerprints like the DAG.
+    #[test]
+    fn fingerprints_ignore_sharing() {
+        fn tree(depth: usize) -> Arc<SymVal> {
+            match depth {
+                0 => s(0),
+                _ => Arc::new(SymVal::Prim(
+                    PrimOp::Add,
+                    vec![tree(depth - 1), tree(depth - 1)],
+                )),
+            }
+        }
+        let mut dag = s(0);
+        for _ in 0..4 {
+            dag = Arc::new(SymVal::Prim(PrimOp::Add, vec![dag.clone(), dag]));
+        }
+        assert_eq!(
+            SymPath::of_value(1, tree(4)).fingerprint(),
+            SymPath::of_value(1, dag).fingerprint()
+        );
+    }
+
+    /// `assert!`, not `assert_eq!`: a failure must not print the trees.
+    #[test]
+    fn shared_subterms_compare_once() {
+        assert!(*doubling_dag(0.5) == *doubling_dag(0.5));
+        assert!(*doubling_dag(0.5) != *doubling_dag(flipped_leaf()));
+        let a = doubling_path(0.5);
+        assert!(a == doubling_path(0.5));
+        assert!(a != doubling_path(flipped_leaf()));
     }
 
     #[test]

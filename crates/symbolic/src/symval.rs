@@ -1,5 +1,6 @@
 //! Symbolic values over sample variables (Appendix B).
 
+use std::collections::HashSet;
 use std::fmt;
 use std::sync::Arc;
 
@@ -10,7 +11,13 @@ use gubpi_polytope::LinExpr;
 /// A symbolic value: a term over sample variables `α_i`, constants,
 /// interval literals (from `approxFix`) and delayed primitive
 /// applications.
-#[derive(Clone, Debug, PartialEq)]
+///
+/// `PartialEq` is structural, with float literals compared by value. A
+/// node compared with itself is equal by address. Past a few hundred
+/// primitive applications the comparison walks the value as the DAG it
+/// is: a pair of nodes once proven equal is not compared again,
+/// so it costs the node count, not the size of the expanded tree.
+#[derive(Clone, Debug)]
 pub enum SymVal {
     /// A real constant.
     Const(f64),
@@ -20,6 +27,56 @@ pub enum SymVal {
     Sample(usize),
     /// A delayed primitive application.
     Prim(PrimOp, Vec<Arc<SymVal>>),
+}
+
+impl PartialEq for SymVal {
+    fn eq(&self, other: &SymVal) -> bool {
+        let mut budget = TREE_EQ_BUDGET;
+        dag_eq(self, other, &mut budget, &mut HashSet::new())
+    }
+}
+
+/// Pairs of primitive applications a comparison walks as a tree before
+/// it starts remembering pairs proven equal. The catalog's values have
+/// at most a few dozen as trees, and a plain walk of those beats the
+/// bookkeeping.
+const TREE_EQ_BUDGET: usize = 256;
+
+/// Structural equality of `a` and `b`. The first `budget` pairs of
+/// primitive applications are compared as a tree; after that, `proven`
+/// remembers the address pairs proven equal, so shared subterms are
+/// compared once.
+fn dag_eq(
+    a: &SymVal,
+    b: &SymVal,
+    budget: &mut usize,
+    proven: &mut HashSet<(*const SymVal, *const SymVal)>,
+) -> bool {
+    if std::ptr::eq(a, b) {
+        return true;
+    }
+    let (SymVal::Prim(op, xs), SymVal::Prim(oq, ys)) = (a, b) else {
+        return match (a, b) {
+            (SymVal::Const(x), SymVal::Const(y)) => x == y,
+            (SymVal::Interval(x), SymVal::Interval(y)) => x == y,
+            (SymVal::Sample(i), SymVal::Sample(j)) => i == j,
+            _ => false,
+        };
+    };
+    if op != oq || xs.len() != ys.len() {
+        return false;
+    }
+    let pair = (a as *const SymVal, b as *const SymVal);
+    let remember = *budget == 0;
+    if remember && proven.contains(&pair) {
+        return true;
+    }
+    *budget = budget.saturating_sub(1);
+    let eq = xs.iter().zip(ys).all(|(x, y)| dag_eq(x, y, budget, proven));
+    if eq && remember {
+        proven.insert(pair);
+    }
+    eq
 }
 
 impl SymVal {
