@@ -31,8 +31,9 @@
 //! and passes it by `&mut` (the sweep keeps one per claimed chunk of
 //! combinations); the one-shot [`HPolytope::volume_range`],
 //! [`HPolytope::volume_lasserre`] and [`HPolytope::is_empty`] run on a
-//! fresh one. The memo is capped at `FACE_MEMO_BYTES` (128 KiB) of keys
-//! and table slots and clears itself when an insert would pass the cap.
+//! fresh one. The memo clears itself when an insert would pass
+//! `FACE_MEMO_BYTES` (128 KiB), counted as each key's bytes plus one
+//! nominal table slot per entry.
 //!
 //! The recursion allocates per scratch, not per node: a row system is
 //! one flat row-major buffer, every recursion depth owns one set of
@@ -309,7 +310,7 @@ impl Ord for VolBox {
 }
 
 /// The byte cap of a [`VolumeScratch`]'s face memo, counting each
-/// entry's key and its table slot. Chosen by measurement on
+/// entry's key and one nominal table slot. Chosen by measurement on
 /// pedestrian's §6.4 sweep, one scratch per chunk of combinations:
 /// 32 KiB and 512 KiB were both slower end to end, and larger caps
 /// raise peak memory (see ROADMAP.md).
@@ -317,8 +318,12 @@ pub(crate) const FACE_MEMO_BYTES: usize = 128 << 10;
 
 /// Faces measured so far: the exact bits of `(lp_levels, dim, rows)`
 /// after axis reduction, mapped to the face's volume before its axis
-/// factor (`None`: no bounding rows). Holds at most `cap` bytes of keys
-/// and table slots, and clears itself when an insert would pass that.
+/// factor (`None`: no bounding rows). Clears itself when an insert would
+/// pass `cap` bytes, counted as each key's bytes plus one nominal slot
+/// per entry. The count is approximate: it leaves out the table's spare
+/// buckets (a power-of-two bucket count, kept at its peak by `clear`)
+/// and the allocator's overhead per key, so the real footprint can be
+/// up to about twice `cap`.
 struct FaceMemo {
     map: HashMap<Vec<u64>, Option<f64>>,
     bytes: usize,
@@ -349,8 +354,9 @@ impl FaceMemo {
 ///
 /// A face's value is a pure function of its memo key, so every result
 /// is bit-identical to a fresh scratch's, whatever the scratch measured
-/// before. The memo holds at most 128 KiB of keys and table slots, and
-/// clears itself when an insert would pass that.
+/// before. The memo clears itself when an insert would pass about
+/// 128 KiB (an approximate count: keys plus one nominal slot per entry,
+/// see `FaceMemo`).
 pub struct VolumeScratch {
     memo: FaceMemo,
     lp: LpScratch,
