@@ -412,7 +412,8 @@ pub struct Analyzer {
     /// query on this analyzer reports `degraded`.
     exec_cancelled: bool,
     paths: Vec<SymPath>,
-    /// `paths[i].fingerprint()`, precomputed once for the memo cache.
+    /// `paths[i].fingerprint()`, precomputed once for the memo cache
+    /// (as one batch, see [`SymPath::fingerprints`]).
     fingerprints: Vec<u64>,
     cache: SharedQueryCache,
     pool: WorkerPool,
@@ -500,7 +501,7 @@ impl Analyzer {
             cancel,
         );
         let exec_cancelled = cancel.is_some_and(CancelToken::is_cancelled);
-        let fingerprints = paths.iter().map(SymPath::fingerprint).collect();
+        let fingerprints = SymPath::fingerprints(&paths);
         Ok(Analyzer {
             program,
             typing,

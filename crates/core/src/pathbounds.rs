@@ -32,7 +32,9 @@ use gubpi_interval::{next_after_down, next_after_up, pow_up, widest_dim, Interva
 use gubpi_polytope::{HPolytope, LinExpr, VolumeScratch};
 use gubpi_symbolic::{CellBounds, KernelSeed, SymPath, SymVal, Tape, TapeScratch, LANES};
 
-use gubpi_pool::{run_jobs_cancellable, run_jobs_with, CancelToken, PathJob, Threads, WorkerPool};
+use gubpi_pool::{
+    run_each, run_jobs_cancellable, run_jobs_with, CancelToken, PathJob, Threads, WorkerPool,
+};
 
 use crate::analyze::Method;
 
@@ -923,16 +925,24 @@ fn gap_score(fold: QueryFold, region: Region) -> f64 {
 
 /// A refinable cell on the worklist: its gap contribution, the
 /// canonical sequence number that breaks score ties (assigned in
-/// evaluation order, which is itself deterministic), its bisection
-/// depth, its slot in the refiner's cell arena, and the region triple
-/// it currently contributes. A plain value: moving, sorting and
-/// dropping leaves touches no heap.
+/// evaluation order, which is itself deterministic), its slot in the
+/// refiner's cell arena and its bisection depth. The region triple the
+/// cell contributes lives in the arena beside its box, so a leaf is a
+/// 24-byte plain value: moving, selecting and sorting leaves touches no
+/// heap and little memory.
 struct Leaf {
     score: f64,
     seq: u64,
+    slot: u32,
     depth: u32,
-    slot: usize,
-    region: Region,
+}
+
+impl Leaf {
+    /// The worklist's total priority order: score descending (via
+    /// `f64::total_cmp`), then sequence number ascending.
+    fn priority(a: &Leaf, b: &Leaf) -> std::cmp::Ordering {
+        b.score.total_cmp(&a.score).then(a.seq.cmp(&b.seq))
+    }
 }
 
 /// Gap-driven adaptive refinement of one grid-destined path (§6.3
@@ -951,24 +961,53 @@ struct Leaf {
 /// # Cell arena
 ///
 /// Every live cell (pending or on the worklist) is `n` consecutive
-/// intervals in one flat arena, addressed by slot. A popped cell is
-/// bisected in place along [`widest_dim`]: its slot becomes the lower
-/// child and the upper child is copied into a freed slot (or appended).
-/// Dead and settled cells return their slots to a free list. Each round
-/// evaluates its pending slots straight from the arena in lane blocks,
-/// through the uniform sweep's lane loop, so refinement allocates
-/// nothing per cell.
+/// intervals in one flat arena, addressed by slot; beside it, a
+/// per-slot table holds the region triple a worklist cell contributes.
+/// The worklist itself holds 24-byte keys (score, sequence number,
+/// slot, depth), so selecting from it moves little memory. A popped
+/// cell is bisected in place along [`widest_dim`]: its slot becomes the
+/// lower child and the upper child is copied into a freed slot (or
+/// appended). Dead and settled cells return their slots to a free
+/// list. Each round evaluates its pending slots straight from the arena
+/// in lane blocks, through the uniform sweep's lane loop, so refinement
+/// allocates nothing per cell.
+///
+/// # Who runs what
+///
+/// The caller's thread drives lockstep rounds (`step`). In a round each
+/// refiner integrates its last evaluated batch (scores, worklist
+/// pushes, settling, free slots), selects its next batch (partial
+/// selection of the pops, bisection, arena writes) and evaluates it in
+/// lane blocks. When the round's refiners hold at least
+/// `STEP_SPREAD_CELLS` worklist and pending cells, each refiner is one
+/// pool task (`run_each`), largest first: the participant that claims
+/// it does all three, so a refiner's cells stay in one core's cache
+/// from bookkeeping to evaluation, and one refiner's bookkeeping
+/// overlaps another's evaluation. Each task evaluates its own batch,
+/// except that the largest refiner's batch is a sweep that participants
+/// done with the other refiners join. A smaller round keeps the
+/// bookkeeping on the caller and evaluates every batch as one sweep. A
+/// refiner is touched by one participant at a time, and its state
+/// depends only on its own inputs, so it is the same whichever
+/// participant ran it; region streams are replayed in canonical index
+/// order (the same `(path, region)` replay as the uniform sweep). With
+/// a gap target, a round integrates first, the caller checks the
+/// target, and selection and evaluation follow.
 ///
 /// # Determinism
 ///
-/// All selection, scoring and integration run on the caller's thread;
-/// workers only evaluate batches of cells whose results are replayed
-/// in canonical index order (the same `(path, region)` replay as the
-/// uniform sweep). The priority order is total — score descending via
+/// The priority order is total — score descending via
 /// `f64::total_cmp`, then canonical sequence number ascending — so the
-/// refinement tree, and therefore every reported bound, is
-/// **bit-identical across thread counts and steal schedules**. Slot
-/// numbers never reach the order, the scores or the folds.
+/// cells a selection pops, and the order it pops them in, are those of
+/// a full sort, and the refinement tree, and therefore every reported
+/// bound, is **bit-identical across thread counts and steal
+/// schedules**. Slot numbers never reach the order, the scores or the
+/// folds. A selection orders only its pops and leaves the rest of the
+/// worklist in no particular order, but sums never depend on that:
+/// [`GridRefiner::gap`] adds the worklist in the order a full sort at
+/// each selection leaves it in (the remainder in priority order, then
+/// the cells queued since in sequence order), and `finish` settles the
+/// worklist in sequence order.
 pub struct GridRefiner<'a> {
     path: &'a SymPath,
     tape: Tape,
@@ -980,9 +1019,16 @@ pub struct GridRefiner<'a> {
     settled_gap: f64,
     /// The cell arena: slot `s` is `cells[s * n..(s + 1) * n]`.
     cells: Vec<Interval>,
+    /// The region triple slot `s` contributes while its cell is on the
+    /// worklist (stale otherwise).
+    regions: Vec<Region>,
     /// Arena slots no live cell holds.
     free: Vec<usize>,
+    /// The worklist. `frontier[..remainder]` is what the last selection
+    /// left, in no particular order; the rest was queued since, in
+    /// sequence order.
     frontier: Vec<Leaf>,
+    remainder: usize,
     pending: Vec<usize>,
     pending_depth: Vec<u32>,
     next_seq: u64,
@@ -1037,8 +1083,10 @@ impl<'a> GridRefiner<'a> {
             settled: (0.0, 0.0),
             settled_gap: 0.0,
             cells,
+            regions: vec![(Interval::UNIT, 0.0, 0.0); total],
             free: Vec::new(),
             frontier: Vec::new(),
+            remainder: 0,
             pending: (0..total).collect(),
             pending_depth: vec![0; total],
             next_seq: 0,
@@ -1067,39 +1115,47 @@ impl<'a> GridRefiner<'a> {
             self.done = true;
             return false;
         }
-        self.frontier
-            .sort_by(|a, b| b.score.total_cmp(&a.score).then(a.seq.cmp(&b.seq)));
         // `integrate` queues only cells with a positive score.
         debug_assert!(self.frontier.iter().all(|l| l.score > 0.0));
         let queued = self.frontier.len();
         let pops = queued.min(remaining / 2).min((queued / 4).max(8));
+        // Only the popped prefix needs its order: partition the `pops`
+        // first cells of the priority order to the front and sort them.
+        // The order is total, so the pops are those of a full sort.
+        if pops < queued {
+            self.frontier.select_nth_unstable_by(pops, Leaf::priority);
+        }
+        self.frontier[..pops].sort_unstable_by(Leaf::priority);
+        self.remainder = queued - pops;
         let n = self.path.n_samples;
         for leaf in self.frontier.drain(..pops) {
-            let at = leaf.slot * n;
+            let slot = leaf.slot as usize;
+            let at = slot * n;
             match widest_dim(&self.cells[at..at + n]) {
                 Some(d) => {
                     self.splits += 1;
                     let (lower, upper) = self.cells[at + d].bisect();
                     self.cells[at + d] = lower;
                     let twin = match self.free.pop() {
-                        Some(slot) => {
-                            self.cells.copy_within(at..at + n, slot * n);
-                            slot
+                        Some(twin) => {
+                            self.cells.copy_within(at..at + n, twin * n);
+                            twin
                         }
                         None => {
                             self.cells.extend_from_within(at..at + n);
-                            self.cells.len() / n - 1
+                            self.regions.push(self.regions[slot]);
+                            self.regions.len() - 1
                         }
                     };
                     self.cells[twin * n + d] = upper;
-                    self.pending.extend([leaf.slot, twin]);
+                    self.pending.extend([slot, twin]);
                     self.pending_depth.extend([leaf.depth + 1; 2]);
                 }
                 None => {
                     // Degenerate (point) box: nothing left to split.
-                    self.fold.apply(&mut self.settled, leaf.region);
+                    self.fold.apply(&mut self.settled, self.regions[slot]);
                     self.settled_gap += leaf.score;
-                    self.free.push(leaf.slot);
+                    self.free.push(slot);
                 }
             }
         }
@@ -1159,12 +1215,12 @@ impl<'a> GridRefiner<'a> {
             let score = gap_score(self.fold, region);
             let depth = self.pending_depth[idx];
             if score > 0.0 && depth < self.max_depth {
+                self.regions[slot] = region;
                 self.frontier.push(Leaf {
                     score,
                     seq: self.next_seq + idx as u64,
+                    slot: u32::try_from(slot).expect("arena slots fit in u32"),
                     depth,
-                    slot,
-                    region,
                 });
             } else {
                 self.fold.apply(&mut self.settled, region);
@@ -1222,10 +1278,18 @@ impl<'a> GridRefiner<'a> {
     }
 
     /// The path's current (upper − lower) gap: settled cells plus the
-    /// still-refinable worklist.
+    /// still-refinable worklist, summed in the order a full sort at each
+    /// selection would have left the worklist in — the last selection's
+    /// remainder in priority order, then the cells queued since in
+    /// sequence order — so the sum's bits do not depend on how
+    /// `select_batch` orders what it does not pop.
     pub fn gap(&self) -> f64 {
-        self.frontier
-            .iter()
+        let (remainder, queued) = self.frontier.split_at(self.remainder);
+        let mut sorted: Vec<&Leaf> = remainder.iter().collect();
+        sorted.sort_unstable_by(|a, b| Leaf::priority(a, b));
+        sorted
+            .into_iter()
+            .chain(queued)
             .fold(self.settled_gap, |gap, leaf| gap + leaf.score)
     }
 
@@ -1243,11 +1307,13 @@ impl<'a> GridRefiner<'a> {
     /// and returns the path's final `(lo, hi)` bounds.
     fn finish(&mut self) -> (f64, f64) {
         debug_assert!(self.pending.is_empty(), "every batch is integrated");
-        self.frontier.sort_by_key(|leaf| leaf.seq);
+        self.frontier.sort_unstable_by_key(|leaf| leaf.seq);
         for leaf in self.frontier.drain(..) {
-            self.fold.apply(&mut self.settled, leaf.region);
+            self.fold
+                .apply(&mut self.settled, self.regions[leaf.slot as usize]);
             self.settled_gap += leaf.score;
         }
+        self.remainder = 0;
         self.settled
     }
 }
@@ -1269,17 +1335,17 @@ pub fn run_adaptive_refinement(
 /// worker pool and returns each path's final `(lo, hi)` bounds (in
 /// refiner order).
 ///
-/// Each round dispatches every refiner's pending batch as one
-/// [`run_jobs_cancellable`] call, so workers adopt whole paths **and
-/// steal child-cell chunks from still-running dominant paths**, exactly
-/// like a uniform sweep; all scoring and worklist surgery happens on the
-/// caller's thread between rounds. `gap_target > 0` stops refinement
-/// early once the summed gap across all refiners drops below it (the
-/// budget and depth limits always apply). Rounds, splits and the final
+/// Each round evaluates every refiner's pending batch through
+/// [`run_jobs_cancellable`], so workers **steal child-cell chunks from
+/// still-running dominant paths**, like a uniform sweep; in a large
+/// round the scoring and worklist surgery run on the pool too, one task
+/// per refiner (see [`GridRefiner`], "Who runs what"). `gap_target > 0`
+/// stops refinement early once the summed gap across all refiners drops
+/// below it (the budget and depth limits always apply). Rounds, splits and the final
 /// gap are recorded on the pool ([`gubpi_pool::PoolStats`]).
 ///
 /// `cancel` is polled at every round boundary and inside each round's
-/// sweep (at chunk boundaries). On cancellation the current round's
+/// sweeps (at chunk boundaries). On cancellation the current round's
 /// evaluated prefix integrates normally, every unevaluated pending cell
 /// (the whole seed grid, when the token fired before the first round)
 /// settles as its share of the path's whole-box enclosure, and
@@ -1295,8 +1361,24 @@ pub fn run_adaptive_refinement_cancellable(
     cancel: Option<&CancelToken>,
 ) -> Vec<(f64, f64)> {
     let mut rounds: u64 = 0;
+    // Each refiner's last evaluated batch and its evaluated prefix,
+    // until its next step integrates it.
+    let mut evaluated: Vec<Option<Evaluated>> = refiners.iter().map(|_| None).collect();
     loop {
-        if cancel.is_some_and(CancelToken::is_cancelled) {
+        let cancelled = cancel.is_some_and(CancelToken::is_cancelled);
+        // The gap target is checked after each round (before round 0
+        // nothing has been scored yet), between integration and the
+        // next selection.
+        let check_gap = rounds > 0 && gap_target > 0.0;
+        let mut busy = step(
+            pool,
+            width,
+            refiners,
+            &mut evaluated,
+            !cancelled && !check_gap,
+            cancel,
+        );
+        if cancelled {
             for r in refiners.iter_mut() {
                 if r.would_refine() {
                     r.interrupted = true;
@@ -1308,35 +1390,105 @@ pub fn run_adaptive_refinement_cancellable(
             }
             break;
         }
-        // The gap target is checked after each round (before round 0
-        // nothing has been scored yet).
-        if rounds > 0 && gap_target > 0.0 {
+        if check_gap {
             let total: f64 = refiners.iter().map(GridRefiner::gap).sum();
             if total <= gap_target {
                 break;
             }
+            busy = step(pool, width, refiners, &mut evaluated, true, cancel);
         }
-        let mut any = false;
-        for r in refiners.iter_mut() {
-            any |= r.select_batch();
-        }
-        if !any {
+        if !busy {
             break;
         }
-        let mut outs: Vec<Vec<(usize, Region)>> = refiners.iter().map(|_| Vec::new()).collect();
-        let progress = {
-            let jobs: Vec<PathJob<'_, (usize, Region)>> =
-                refiners.iter().map(GridRefiner::round_job).collect();
-            run_jobs_cancellable(pool, width, jobs, cancel, |j, item| outs[j].push(item))
-        };
         rounds += 1;
-        for ((r, out), prog) in refiners.iter_mut().zip(&outs).zip(&progress) {
-            r.integrate(out, prog.done);
-        }
     }
     let splits: u64 = refiners.iter().map(GridRefiner::splits).sum();
     pool.note_refinement(rounds, splits);
     refiners.iter_mut().map(GridRefiner::finish).collect()
+}
+
+/// One refiner's evaluated batch: the replayed region stream and how
+/// much of the batch the round evaluated.
+type Evaluated = (Vec<(usize, Region)>, usize);
+
+/// The fewest worklist plus pending cells over a step's refiners at
+/// which `step` gives each refiner a task of its own: below it, the
+/// step's bookkeeping costs less than waking the pool for it.
+const STEP_SPREAD_CELLS: usize = 1024;
+
+/// One step of every refiner: refiner `j` integrates `evaluated[j]`
+/// (when it holds a batch) and then, with `select`, selects its next
+/// batch and evaluates it into `evaluated[j]`. Returns whether any
+/// refiner evaluated a batch.
+///
+/// In a large step each refiner is one `run_each` task: the participant
+/// that claims it integrates, selects and evaluates the batch. A small
+/// step runs the bookkeeping on the caller and evaluates every batch as
+/// one sweep. Either way each refiner's state changes exactly as in a
+/// sequential loop, whichever participant runs it.
+fn step(
+    pool: &WorkerPool,
+    width: usize,
+    refiners: &mut [GridRefiner<'_>],
+    evaluated: &mut [Option<Evaluated>],
+    select: bool,
+    cancel: Option<&CancelToken>,
+) -> bool {
+    let mut tasks: Vec<(&mut GridRefiner<'_>, &mut Option<Evaluated>, bool, usize)> = refiners
+        .iter_mut()
+        .zip(evaluated)
+        .map(|(r, batch)| (r, batch, false, 1))
+        // Without a batch, integration is a no-op, and a finished
+        // refiner selects nothing.
+        .filter(|(r, ..)| !r.pending.is_empty() || (select && !r.done))
+        .collect();
+    let size = |r: &GridRefiner<'_>| r.frontier.len() + r.pending.len();
+    if tasks.iter().map(|(r, ..)| size(r)).sum::<usize>() < STEP_SPREAD_CELLS {
+        for (r, batch, busy, _) in &mut tasks {
+            if let Some((out, done)) = batch.take() {
+                r.integrate(&out, done);
+            }
+            *busy = select && r.select_batch();
+        }
+        let mut chosen: Vec<_> = tasks.iter_mut().filter(|t| t.2).collect();
+        let batches = evaluate(pool, width, chosen.iter().map(|t| &*t.0), cancel);
+        for (t, batch) in chosen.iter_mut().zip(batches) {
+            *t.1 = Some(batch);
+        }
+    } else {
+        // Largest worklists first, so that the last claims are short.
+        // Each refiner evaluates its own batch, but the largest one's is
+        // a sweep that participants done with the rest can join.
+        tasks.sort_by_key(|(r, ..)| std::cmp::Reverse(size(r)));
+        tasks[0].3 = width;
+        run_each(pool, width, &mut tasks, |(r, batch, busy, sweep_width)| {
+            if let Some((out, done)) = batch.take() {
+                r.integrate(&out, done);
+            }
+            *busy = select && r.select_batch();
+            if *busy {
+                **batch = evaluate(pool, *sweep_width, [&**r], cancel).pop();
+            }
+        });
+    }
+    tasks.iter().any(|t| t.2)
+}
+
+/// Evaluates the pending batches of `refiners` as one sweep.
+fn evaluate<'r, 'a: 'r>(
+    pool: &WorkerPool,
+    width: usize,
+    refiners: impl IntoIterator<Item = &'r GridRefiner<'a>>,
+    cancel: Option<&CancelToken>,
+) -> Vec<Evaluated> {
+    let jobs: Vec<PathJob<'_, (usize, Region)>> =
+        refiners.into_iter().map(GridRefiner::round_job).collect();
+    let mut outs: Vec<Vec<(usize, Region)>> = jobs.iter().map(|_| Vec::new()).collect();
+    let progress = run_jobs_cancellable(pool, width, jobs, cancel, |j, item| outs[j].push(item));
+    outs.into_iter()
+        .zip(progress)
+        .map(|(out, p)| (out, p.done))
+        .collect()
 }
 
 #[cfg(test)]
@@ -2369,13 +2521,15 @@ mod tests {
 
     /// The oracle's driver: `run_adaptive_refinement_cancellable`'s
     /// rounds, sequentially, with a token that is either already
-    /// cancelled or never fires. Returns the bounds and the round count.
+    /// cancelled or never fires. Returns the bounds, the round count and
+    /// the summed gap after each round.
     fn oracle_run(
         refiners: &mut [OracleRefiner<'_>],
         gap_target: f64,
         cancelled: bool,
-    ) -> (Vec<(f64, f64)>, u64) {
+    ) -> (Vec<(f64, f64)>, u64, Vec<f64>) {
         let mut rounds = 0;
+        let mut gaps = Vec::new();
         loop {
             if cancelled {
                 for r in refiners.iter_mut() {
@@ -2386,9 +2540,10 @@ mod tests {
                 }
                 break;
             }
-            if rounds > 0 && gap_target > 0.0 {
+            if rounds > 0 {
                 let total: f64 = refiners.iter().map(OracleRefiner::gap).sum();
-                if total <= gap_target {
+                gaps.push(total);
+                if gap_target > 0.0 && total <= gap_target {
                     break;
                 }
             }
@@ -2409,6 +2564,7 @@ mod tests {
         (
             refiners.iter_mut().map(OracleRefiner::finish).collect(),
             rounds,
+            gaps,
         )
     }
 
@@ -2484,7 +2640,7 @@ mod tests {
             refine.gap_target,
             Some(&token),
         );
-        let (want, rounds) = oracle_run(&mut oracle, refine.gap_target, cancelled);
+        let (want, rounds, _) = oracle_run(&mut oracle, refine.gap_target, cancelled);
         assert_eq!(pool.stats().refine_rounds, rounds, "{ctx}: rounds");
         for (i, (r, o)) in real.iter().zip(&oracle).enumerate() {
             let ctx = format!("{ctx}, refiner {i}");
@@ -2537,7 +2693,8 @@ mod tests {
                         .iter()
                         .map(|iv| Interval::point(iv.lo()))
                         .collect();
-                    real.cells[r.slot * n..(r.slot + 1) * n].copy_from_slice(&point);
+                    let at = r.slot as usize * n;
+                    real.cells[at..at + n].copy_from_slice(&point);
                     o.cell = BoxN::new(point);
                 }
             }
@@ -2616,6 +2773,58 @@ mod tests {
         }
     }
 
+    /// Many refiners with finite gaps on four participants, stopped by
+    /// gap targets: every round's bookkeeping is spread over the pool,
+    /// and `gap()` is read after every round, so its rebuilt summation
+    /// order meets the oracle's sorted worklist.
+    fn many_refiners_case(region_budget: usize, splits: usize) {
+        let mut set: Vec<SymPath> = oracle_paths()
+            .into_iter()
+            .filter(|p| coarse_path_enclosure(p).is_none_or(|r| r.2.is_finite()))
+            .collect();
+        for src in [
+            "let x = sample in let y = sample in score(x + y); x - y",
+            "if sample * sample <= 0.5 then sample else 2 * sample",
+            "let x = sample in if x <= 0.3 then x * sample else sample + x",
+        ] {
+            set.extend(paths(src));
+        }
+        let opts = PathBoundOptions {
+            splits,
+            region_budget,
+            ..Default::default()
+        };
+        let refine = RefineOptions {
+            refine: true,
+            gap_target: 1.0,
+            max_refine_depth: 12,
+        };
+        let fold = QueryFold::Filter(Interval::new(0.1, 0.4));
+        let refiners = set
+            .iter()
+            .filter(|p| GridRefiner::new(p, fold, opts, &refine, None).is_some())
+            .count();
+        assert!(refiners >= 8, "only {refiners} refiners");
+        for u in [Interval::new(0.1, 0.4), Interval::new(-1.0, 3.0)] {
+            assert_refiners_agree(&set, u, opts, refine, Threads::Fixed(4), false);
+            // A target equal to the oracle's summed gap after some round
+            // stops the arena run at that round only if its own sum has
+            // the same bits, worklist order included.
+            let mut oracle: Vec<OracleRefiner<'_>> = set
+                .iter()
+                .filter_map(|p| OracleRefiner::new(p, QueryFold::Filter(u), opts, &refine))
+                .collect();
+            let (_, _, gaps) = oracle_run(&mut oracle, 0.0, false);
+            for &gap_target in gaps.iter().skip(2).step_by(gaps.len() / 6 + 1) {
+                let refine = RefineOptions {
+                    gap_target,
+                    ..refine
+                };
+                assert_refiners_agree(&set, u, opts, refine, Threads::Fixed(4), false);
+            }
+        }
+    }
+
     /// The arena refiner reproduces the `BoxN`-per-leaf refiner bit for
     /// bit: bounds, gaps, splits, cells used and rounds, across splits,
     /// depths, gap targets, query intervals, thread counts, a
@@ -2631,6 +2840,14 @@ mod tests {
             &[0.0, 1.0],
             &[Threads::Off, Threads::Fixed(2)],
         );
+        many_refiners_case(1 << 13, 16);
+    }
+
+    /// A worklist leaf is a 24-byte key (its region lives in the arena),
+    /// which keeps selecting and sorting the worklist cheap.
+    #[test]
+    fn worklist_leaves_are_24_bytes() {
+        assert!(std::mem::size_of::<Leaf>() <= 24);
     }
 
     /// Soak copy of [`arena_refiner_matches_the_boxed_oracle`] over a
@@ -2643,7 +2860,15 @@ mod tests {
             &[6, 8, 12, 16, 20, 24, 32],
             &[0, 1, 2, 3, 5, 8, 12, 20],
             &[0.0, 0.8, 1.0, 1.5, 2.5],
-            &[Threads::Off, Threads::Fixed(2), Threads::Fixed(4)],
+            &[
+                Threads::Off,
+                Threads::Fixed(2),
+                Threads::Fixed(4),
+                Threads::Fixed(8),
+            ],
         );
+        for splits in [8, 16, 24] {
+            many_refiners_case(1 << 16, splits);
+        }
     }
 }

@@ -28,7 +28,7 @@ pub use fault::{
 };
 pub use pool::{PoolStats, WorkerPool};
 pub use sched::{
-    chunk_width, run_jobs_cancellable, run_jobs_with, PathJob, RegionFn, SweepProgress, Task,
-    LANE_GRAIN,
+    chunk_width, run_each, run_jobs_cancellable, run_jobs_with, PathJob, RegionFn, SweepProgress,
+    Task, LANE_GRAIN,
 };
 pub use threads::Threads;

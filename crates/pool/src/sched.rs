@@ -302,6 +302,33 @@ pub fn run_jobs_cancellable<T: Send + Sync>(
     progress
 }
 
+/// Runs `f` once on every element of `items` on up to `width`
+/// participants (the caller plus pool workers), which claim elements in
+/// index order. Unlike a sweep this task set has no chunks, no fault
+/// points and no cancellation: every call runs, so a caller can rely on
+/// a step having happened to every element. `f` must make each
+/// element's result independent of which participant runs it.
+pub fn run_each<T: Send>(
+    pool: &WorkerPool,
+    width: usize,
+    items: &mut [T],
+    f: impl Fn(&mut T) + Sync,
+) {
+    let width = width.min(items.len());
+    if width <= 1 {
+        pool.note_inline_run();
+        items.iter_mut().for_each(f);
+        return;
+    }
+    let owned: Vec<Mutex<&mut T>> = items.iter_mut().map(Mutex::new).collect();
+    let next = AtomicUsize::new(0);
+    pool.run_quota(width - 1, &|| {
+        while let Some(item) = owned.get(next.fetch_add(1, Ordering::Relaxed)) {
+            f(&mut item.lock().expect("item poisoned"));
+        }
+    });
+}
+
 /// The width-1 fast path: stream every job straight into the fold, in
 /// order, with a single reused buffer — no partials, no pool. Sweeps
 /// stream chunk by chunk (same width-1 chunking as the parallel
@@ -749,6 +776,36 @@ mod tests {
         }];
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             run_jobs_with(&pool, 4, jobs, |_, _: usize| {});
+        }));
+        assert!(r.is_err());
+    }
+
+    #[test]
+    fn run_each_runs_every_item_once() {
+        let pool = WorkerPool::new();
+        for width in [1usize, 2, 4, 8] {
+            let mut items: Vec<(usize, u32)> = (0..37).map(|i| (i * i, 0)).collect();
+            run_each(&pool, width, &mut items, |(x, hits)| {
+                *x += 1;
+                *hits += 1;
+            });
+            for (i, &(x, hits)) in items.iter().enumerate() {
+                assert_eq!((x, hits), (i * i + 1, 1), "width {width}, item {i}");
+            }
+        }
+        let before = pool.stats();
+        run_each(&pool, 4, &mut [0u8], |x| *x += 1);
+        let after = pool.stats();
+        assert_eq!(after.dispatches, before.dispatches, "one item runs inline");
+        assert_eq!(after.inline_runs, before.inline_runs + 1);
+    }
+
+    #[test]
+    fn panics_inside_run_each_propagate() {
+        let pool = WorkerPool::new();
+        let mut items: Vec<usize> = (0..16).collect();
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_each(&pool, 4, &mut items, |i| assert_ne!(*i, 11, "boom"));
         }));
         assert!(r.is_err());
     }

@@ -188,7 +188,24 @@ impl SymPath {
     /// structure and is remembered by address, so the cost is the node
     /// count of the path's DAG, not the size of its expanded tree.
     pub fn fingerprint(&self) -> u64 {
+        self.fingerprint_with(&mut HashMap::new())
+    }
+
+    /// [`SymPath::fingerprint`] of every path, in order, with one digest
+    /// map for the whole batch: a subterm that several paths share is
+    /// hashed once, not once per path.
+    pub fn fingerprints(paths: &[SymPath]) -> Vec<u64> {
         let mut digests = HashMap::new();
+        paths
+            .iter()
+            .map(|p| p.fingerprint_with(&mut digests))
+            .collect()
+    }
+
+    /// The fingerprint, with application digests remembered in
+    /// `digests` (keyed by address, so only while the nodes are
+    /// borrowed).
+    fn fingerprint_with(&self, digests: &mut HashMap<*const SymVal, u64>) -> u64 {
         let mut h = DefaultHasher::new();
         self.n_samples.hash(&mut h);
         self.truncated.hash(&mut h);
@@ -211,15 +228,15 @@ impl SymPath {
                 }
             }
         }
-        hash_node(&self.result, &mut h, &mut digests);
+        hash_node(&self.result, &mut h, digests);
         self.constraints.len().hash(&mut h);
         for c in &self.constraints {
             matches!(c.dir, CmpDir::LeZero).hash(&mut h);
-            hash_node(&c.value, &mut h, &mut digests);
+            hash_node(&c.value, &mut h, digests);
         }
         self.scores.len().hash(&mut h);
         for w in &self.scores {
-            hash_node(w, &mut h, &mut digests);
+            hash_node(w, &mut h, digests);
         }
         h.finish()
     }
@@ -229,7 +246,7 @@ impl SymPath {
 /// primitive application's tag and digest, which hashes its operator
 /// and feeds its arguments into a hasher of its own. `digests`
 /// remembers every application's digest by address for one fingerprint
-/// call, while the nodes are borrowed.
+/// call or batch, while the nodes are borrowed.
 fn hash_node(v: &Arc<SymVal>, h: &mut DefaultHasher, digests: &mut HashMap<*const SymVal, u64>) {
     match &**v {
         SymVal::Const(c) => {
