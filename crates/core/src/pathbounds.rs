@@ -974,40 +974,37 @@ impl Leaf {
 ///
 /// # Who runs what
 ///
-/// The caller's thread drives lockstep rounds (`step`). In a round each
-/// refiner integrates its last evaluated batch (scores, worklist
-/// pushes, settling, free slots), selects its next batch (partial
-/// selection of the pops, bisection, arena writes) and evaluates it in
-/// lane blocks. When the round's refiners hold at least
-/// `STEP_SPREAD_CELLS` worklist and pending cells, each refiner is one
-/// pool task (`run_each`), largest first: the participant that claims
-/// it does all three, so a refiner's cells stay in one core's cache
-/// from bookkeeping to evaluation, and one refiner's bookkeeping
-/// overlaps another's evaluation. Each task evaluates its own batch,
-/// except that the largest refiner's batch is a sweep that participants
-/// done with the other refiners join. A smaller round keeps the
-/// bookkeeping on the caller and evaluates every batch as one sweep. A
+/// The caller's thread drives lockstep rounds and checks the gap target
+/// between them. In a round each unfinished refiner is one pool task
+/// (`run_each`), largest worklist first: the participant that runs it
+/// selects the refiner's next batch (sort of the worklist, bisection,
+/// arena writes), evaluates it in lane blocks and integrates the
+/// result (scores, worklist pushes, settling, free slots). So a
+/// refiner's cells stay in one core's cache from bookkeeping to
+/// evaluation, and one refiner's bookkeeping overlaps another's
+/// evaluation. The caller runs the largest refiner, whose batch is a
+/// sweep the pool workers join once the other refiners are claimed;
+/// every other refiner evaluates its batch alone. A round of fewer than
+/// `ROUND_SPREAD_CELLS` worklist and pending cells runs every task on
+/// the caller (the largest refiner's sweep may still use the pool):
+/// there, waking a worker costs about what it would take over. A
 /// refiner is touched by one participant at a time, and its state
 /// depends only on its own inputs, so it is the same whichever
 /// participant ran it; region streams are replayed in canonical index
-/// order (the same `(path, region)` replay as the uniform sweep). With
-/// a gap target, a round integrates first, the caller checks the
-/// target, and selection and evaluation follow.
+/// order (the same `(path, region)` replay as the uniform sweep).
 ///
 /// # Determinism
 ///
 /// The priority order is total — score descending via
 /// `f64::total_cmp`, then canonical sequence number ascending — so the
-/// cells a selection pops, and the order it pops them in, are those of
-/// a full sort, and the refinement tree, and therefore every reported
-/// bound, is **bit-identical across thread counts and steal
-/// schedules**. Slot numbers never reach the order, the scores or the
-/// folds. A selection orders only its pops and leaves the rest of the
-/// worklist in no particular order, but sums never depend on that:
-/// [`GridRefiner::gap`] adds the worklist in the order a full sort at
-/// each selection leaves it in (the remainder in priority order, then
-/// the cells queued since in sequence order), and `finish` settles the
-/// worklist in sequence order.
+/// refinement tree, and therefore every reported bound, is
+/// **bit-identical across thread counts and steal schedules**. Slot
+/// numbers never reach the order, the scores or the folds. A selection
+/// sorts the whole worklist and pops its front, and `integrate` appends
+/// new cells in sequence order, so [`GridRefiner::gap`] sums the
+/// worklist in that storage order: the last selection's remainder in
+/// priority order, then the cells queued since in sequence order.
+/// `finish` settles the worklist in sequence order.
 pub struct GridRefiner<'a> {
     path: &'a SymPath,
     tape: Tape,
@@ -1024,11 +1021,7 @@ pub struct GridRefiner<'a> {
     regions: Vec<Region>,
     /// Arena slots no live cell holds.
     free: Vec<usize>,
-    /// The worklist. `frontier[..remainder]` is what the last selection
-    /// left, in no particular order; the rest was queued since, in
-    /// sequence order.
     frontier: Vec<Leaf>,
-    remainder: usize,
     pending: Vec<usize>,
     pending_depth: Vec<u32>,
     next_seq: u64,
@@ -1086,7 +1079,6 @@ impl<'a> GridRefiner<'a> {
             regions: vec![(Interval::UNIT, 0.0, 0.0); total],
             free: Vec::new(),
             frontier: Vec::new(),
-            remainder: 0,
             pending: (0..total).collect(),
             pending_depth: vec![0; total],
             next_seq: 0,
@@ -1115,18 +1107,11 @@ impl<'a> GridRefiner<'a> {
             self.done = true;
             return false;
         }
+        self.frontier.sort_by(Leaf::priority);
         // `integrate` queues only cells with a positive score.
         debug_assert!(self.frontier.iter().all(|l| l.score > 0.0));
         let queued = self.frontier.len();
         let pops = queued.min(remaining / 2).min((queued / 4).max(8));
-        // Only the popped prefix needs its order: partition the `pops`
-        // first cells of the priority order to the front and sort them.
-        // The order is total, so the pops are those of a full sort.
-        if pops < queued {
-            self.frontier.select_nth_unstable_by(pops, Leaf::priority);
-        }
-        self.frontier[..pops].sort_unstable_by(Leaf::priority);
-        self.remainder = queued - pops;
         let n = self.path.n_samples;
         for leaf in self.frontier.drain(..pops) {
             let slot = leaf.slot as usize;
@@ -1278,18 +1263,10 @@ impl<'a> GridRefiner<'a> {
     }
 
     /// The path's current (upper − lower) gap: settled cells plus the
-    /// still-refinable worklist, summed in the order a full sort at each
-    /// selection would have left the worklist in — the last selection's
-    /// remainder in priority order, then the cells queued since in
-    /// sequence order — so the sum's bits do not depend on how
-    /// `select_batch` orders what it does not pop.
+    /// still-refinable worklist.
     pub fn gap(&self) -> f64 {
-        let (remainder, queued) = self.frontier.split_at(self.remainder);
-        let mut sorted: Vec<&Leaf> = remainder.iter().collect();
-        sorted.sort_unstable_by(|a, b| Leaf::priority(a, b));
-        sorted
-            .into_iter()
-            .chain(queued)
+        self.frontier
+            .iter()
             .fold(self.settled_gap, |gap, leaf| gap + leaf.score)
     }
 
@@ -1307,13 +1284,12 @@ impl<'a> GridRefiner<'a> {
     /// and returns the path's final `(lo, hi)` bounds.
     fn finish(&mut self) -> (f64, f64) {
         debug_assert!(self.pending.is_empty(), "every batch is integrated");
-        self.frontier.sort_unstable_by_key(|leaf| leaf.seq);
+        self.frontier.sort_by_key(|leaf| leaf.seq);
         for leaf in self.frontier.drain(..) {
             self.fold
                 .apply(&mut self.settled, self.regions[leaf.slot as usize]);
             self.settled_gap += leaf.score;
         }
-        self.remainder = 0;
         self.settled
     }
 }
@@ -1335,14 +1311,14 @@ pub fn run_adaptive_refinement(
 /// worker pool and returns each path's final `(lo, hi)` bounds (in
 /// refiner order).
 ///
-/// Each round evaluates every refiner's pending batch through
-/// [`run_jobs_cancellable`], so workers **steal child-cell chunks from
-/// still-running dominant paths**, like a uniform sweep; in a large
-/// round the scoring and worklist surgery run on the pool too, one task
-/// per refiner (see [`GridRefiner`], "Who runs what"). `gap_target > 0`
-/// stops refinement early once the summed gap across all refiners drops
-/// below it (the budget and depth limits always apply). Rounds, splits and the final
-/// gap are recorded on the pool ([`gubpi_pool::PoolStats`]).
+/// Each round runs every refiner's selection, evaluation and
+/// integration as one pool task (see [`GridRefiner`], "Who runs
+/// what"); the largest refiner's batch is a [`run_jobs_cancellable`]
+/// sweep, so workers **steal child-cell chunks from the dominant path**
+/// once done with the others. `gap_target > 0` stops refinement early
+/// once the summed gap across all refiners drops below it (the budget
+/// and depth limits always apply). Rounds, splits and the final gap
+/// are recorded on the pool ([`gubpi_pool::PoolStats`]).
 ///
 /// `cancel` is polled at every round boundary and inside each round's
 /// sweeps (at chunk boundaries). On cancellation the current round's
@@ -1361,24 +1337,8 @@ pub fn run_adaptive_refinement_cancellable(
     cancel: Option<&CancelToken>,
 ) -> Vec<(f64, f64)> {
     let mut rounds: u64 = 0;
-    // Each refiner's last evaluated batch and its evaluated prefix,
-    // until its next step integrates it.
-    let mut evaluated: Vec<Option<Evaluated>> = refiners.iter().map(|_| None).collect();
     loop {
-        let cancelled = cancel.is_some_and(CancelToken::is_cancelled);
-        // The gap target is checked after each round (before round 0
-        // nothing has been scored yet), between integration and the
-        // next selection.
-        let check_gap = rounds > 0 && gap_target > 0.0;
-        let mut busy = step(
-            pool,
-            width,
-            refiners,
-            &mut evaluated,
-            !cancelled && !check_gap,
-            cancel,
-        );
-        if cancelled {
+        if cancel.is_some_and(CancelToken::is_cancelled) {
             for r in refiners.iter_mut() {
                 if r.would_refine() {
                     r.interrupted = true;
@@ -1390,14 +1350,15 @@ pub fn run_adaptive_refinement_cancellable(
             }
             break;
         }
-        if check_gap {
+        // The gap target is checked after each round (before round 0
+        // nothing has been scored yet).
+        if rounds > 0 && gap_target > 0.0 {
             let total: f64 = refiners.iter().map(GridRefiner::gap).sum();
             if total <= gap_target {
                 break;
             }
-            busy = step(pool, width, refiners, &mut evaluated, true, cancel);
         }
-        if !busy {
+        if !round(pool, width, refiners, cancel) {
             break;
         }
         rounds += 1;
@@ -1407,88 +1368,57 @@ pub fn run_adaptive_refinement_cancellable(
     refiners.iter_mut().map(GridRefiner::finish).collect()
 }
 
-/// One refiner's evaluated batch: the replayed region stream and how
-/// much of the batch the round evaluated.
-type Evaluated = (Vec<(usize, Region)>, usize);
+/// The fewest worklist plus pending cells in a round at which `round`
+/// spreads its refiners over the pool. Below it every refiner runs on
+/// the caller: on grid-refine (2 vCPUs) a round of under 1,024 cells
+/// took as long or up to twice as long spread, while spread rounds of
+/// over 4,096 cells took 10–40% less.
+const ROUND_SPREAD_CELLS: usize = 1024;
 
-/// The fewest worklist plus pending cells over a step's refiners at
-/// which `step` gives each refiner a task of its own: below it, the
-/// step's bookkeeping costs less than waking the pool for it.
-const STEP_SPREAD_CELLS: usize = 1024;
-
-/// One step of every refiner: refiner `j` integrates `evaluated[j]`
-/// (when it holds a batch) and then, with `select`, selects its next
-/// batch and evaluates it into `evaluated[j]`. Returns whether any
-/// refiner evaluated a batch.
+/// One round of every unfinished refiner: it selects its next batch,
+/// evaluates it and integrates the result. Returns whether any refiner
+/// evaluated a batch.
 ///
-/// In a large step each refiner is one `run_each` task: the participant
-/// that claims it integrates, selects and evaluates the batch. A small
-/// step runs the bookkeeping on the caller and evaluates every batch as
-/// one sweep. Either way each refiner's state changes exactly as in a
-/// sequential loop, whichever participant runs it.
-fn step(
+/// Each refiner is one `run_each` task, largest worklist first; the
+/// caller runs the largest one, and its batch is a sweep that the pool
+/// workers join once done with the other refiners. A round of fewer
+/// than [`ROUND_SPREAD_CELLS`] cells runs every task on the caller
+/// (the largest one's sweep may still use the pool). Each refiner's
+/// state changes exactly as in a sequential loop, whichever participant
+/// runs it.
+fn round(
     pool: &WorkerPool,
     width: usize,
     refiners: &mut [GridRefiner<'_>],
-    evaluated: &mut [Option<Evaluated>],
-    select: bool,
     cancel: Option<&CancelToken>,
 ) -> bool {
-    let mut tasks: Vec<(&mut GridRefiner<'_>, &mut Option<Evaluated>, bool, usize)> = refiners
+    let mut tasks: Vec<(&mut GridRefiner<'_>, bool, usize)> = refiners
         .iter_mut()
-        .zip(evaluated)
-        .map(|(r, batch)| (r, batch, false, 1))
-        // Without a batch, integration is a no-op, and a finished
-        // refiner selects nothing.
-        .filter(|(r, ..)| !r.pending.is_empty() || (select && !r.done))
+        .filter(|r| !r.done)
+        .map(|r| (r, false, 1))
         .collect();
     let size = |r: &GridRefiner<'_>| r.frontier.len() + r.pending.len();
-    if tasks.iter().map(|(r, ..)| size(r)).sum::<usize>() < STEP_SPREAD_CELLS {
-        for (r, batch, busy, _) in &mut tasks {
-            if let Some((out, done)) = batch.take() {
-                r.integrate(&out, done);
-            }
-            *busy = select && r.select_batch();
-        }
-        let mut chosen: Vec<_> = tasks.iter_mut().filter(|t| t.2).collect();
-        let batches = evaluate(pool, width, chosen.iter().map(|t| &*t.0), cancel);
-        for (t, batch) in chosen.iter_mut().zip(batches) {
-            *t.1 = Some(batch);
-        }
-    } else {
-        // Largest worklists first, so that the last claims are short.
-        // Each refiner evaluates its own batch, but the largest one's is
-        // a sweep that participants done with the rest can join.
-        tasks.sort_by_key(|(r, ..)| std::cmp::Reverse(size(r)));
-        tasks[0].3 = width;
-        run_each(pool, width, &mut tasks, |(r, batch, busy, sweep_width)| {
-            if let Some((out, done)) = batch.take() {
-                r.integrate(&out, done);
-            }
-            *busy = select && r.select_batch();
-            if *busy {
-                **batch = evaluate(pool, *sweep_width, [&**r], cancel).pop();
-            }
-        });
+    tasks.sort_by_key(|(r, ..)| std::cmp::Reverse(size(r)));
+    if let Some(largest) = tasks.first_mut() {
+        largest.2 = width;
     }
-    tasks.iter().any(|t| t.2)
-}
-
-/// Evaluates the pending batches of `refiners` as one sweep.
-fn evaluate<'r, 'a: 'r>(
-    pool: &WorkerPool,
-    width: usize,
-    refiners: impl IntoIterator<Item = &'r GridRefiner<'a>>,
-    cancel: Option<&CancelToken>,
-) -> Vec<Evaluated> {
-    let jobs: Vec<PathJob<'_, (usize, Region)>> =
-        refiners.into_iter().map(GridRefiner::round_job).collect();
-    let mut outs: Vec<Vec<(usize, Region)>> = jobs.iter().map(|_| Vec::new()).collect();
-    let progress = run_jobs_cancellable(pool, width, jobs, cancel, |j, item| outs[j].push(item));
-    outs.into_iter()
-        .zip(progress)
-        .map(|(out, p)| (out, p.done))
-        .collect()
+    let cells: usize = tasks.iter().map(|(r, ..)| size(r)).sum();
+    let spread = if cells < ROUND_SPREAD_CELLS { 1 } else { width };
+    run_each(pool, spread, &mut tasks, |(r, busy, sweep_width)| {
+        *busy = r.select_batch();
+        if *busy {
+            let mut out = Vec::new();
+            let progress = run_jobs_cancellable(
+                pool,
+                *sweep_width,
+                vec![r.round_job()],
+                cancel,
+                |_, item| out.push(item),
+            );
+            r.integrate(&out, progress[0].done);
+        }
+    });
+    tasks.iter().any(|t| t.1)
 }
 
 #[cfg(test)]
@@ -2774,8 +2704,8 @@ mod tests {
     }
 
     /// Many refiners with finite gaps on four participants, stopped by
-    /// gap targets: every round's bookkeeping is spread over the pool,
-    /// and `gap()` is read after every round, so its rebuilt summation
+    /// gap targets: the larger rounds spread their refiners over the
+    /// pool, and `gap()` is read after every round, so its summation
     /// order meets the oracle's sorted worklist.
     fn many_refiners_case(region_budget: usize, splits: usize) {
         let mut set: Vec<SymPath> = oracle_paths()

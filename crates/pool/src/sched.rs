@@ -303,11 +303,15 @@ pub fn run_jobs_cancellable<T: Send + Sync>(
 }
 
 /// Runs `f` once on every element of `items` on up to `width`
-/// participants (the caller plus pool workers), which claim elements in
-/// index order. Unlike a sweep this task set has no chunks, no fault
-/// points and no cancellation: every call runs, so a caller can rely on
-/// a step having happened to every element. `f` must make each
-/// element's result independent of which participant runs it.
+/// participants (the caller plus pool workers). The caller runs the
+/// first element itself; the pool workers claim the others in index
+/// order, and the caller joins them when done with the first. So a
+/// sweep nested in the first element's call is one the workers can join
+/// once the other elements are claimed: put the largest element first.
+/// Unlike a sweep this task set has no chunks, no fault points and no
+/// cancellation: every call runs, so a caller can rely on a step having
+/// happened to every element. `f` must make each element's result
+/// independent of which participant runs it.
 pub fn run_each<T: Send>(
     pool: &WorkerPool,
     width: usize,
@@ -321,8 +325,14 @@ pub fn run_each<T: Send>(
         return;
     }
     let owned: Vec<Mutex<&mut T>> = items.iter_mut().map(Mutex::new).collect();
-    let next = AtomicUsize::new(0);
+    let caller = std::thread::current().id();
+    let next = AtomicUsize::new(1);
     pool.run_quota(width - 1, &|| {
+        // A participant that is not the caller is a pool worker, so only
+        // the caller runs element 0 here.
+        if std::thread::current().id() == caller {
+            f(&mut owned[0].lock().expect("item poisoned"));
+        }
         while let Some(item) = owned.get(next.fetch_add(1, Ordering::Relaxed)) {
             f(&mut item.lock().expect("item poisoned"));
         }
@@ -784,14 +794,21 @@ mod tests {
     fn run_each_runs_every_item_once() {
         let pool = WorkerPool::new();
         for width in [1usize, 2, 4, 8] {
-            let mut items: Vec<(usize, u32)> = (0..37).map(|i| (i * i, 0)).collect();
-            run_each(&pool, width, &mut items, |(x, hits)| {
+            let mut items: Vec<(usize, u32, Option<std::thread::ThreadId>)> =
+                (0..37).map(|i| (i * i, 0, None)).collect();
+            run_each(&pool, width, &mut items, |(x, hits, ran_on)| {
                 *x += 1;
                 *hits += 1;
+                *ran_on = Some(std::thread::current().id());
             });
-            for (i, &(x, hits)) in items.iter().enumerate() {
+            for (i, &(x, hits, _)) in items.iter().enumerate() {
                 assert_eq!((x, hits), (i * i + 1, 1), "width {width}, item {i}");
             }
+            assert_eq!(
+                items[0].2,
+                Some(std::thread::current().id()),
+                "width {width}: the caller runs the first item"
+            );
         }
         let before = pool.stats();
         run_each(&pool, 4, &mut [0u8], |x| *x += 1);
