@@ -683,20 +683,6 @@ mod tests {
         }
     }
 
-    /// The analyzer fingerprints a build's paths as one batch; every
-    /// catalog program's batch equals its paths' own fingerprints.
-    #[test]
-    fn batch_fingerprints_equal_per_path_fingerprints() {
-        use gubpi_core::{AnalysisOptions, Analyzer};
-        use gubpi_symbolic::SymPath;
-        for (name, src) in super::catalog() {
-            let a = Analyzer::from_source(src, AnalysisOptions::default())
-                .unwrap_or_else(|e| panic!("{name}: {e}"));
-            let one_by_one: Vec<u64> = a.paths().iter().map(SymPath::fingerprint).collect();
-            assert_eq!(SymPath::fingerprints(a.paths()), one_by_one, "{name}");
-        }
-    }
-
     #[test]
     fn table_sizes_match_paper() {
         assert_eq!(super::table1().len(), 18, "Table 1 has 18 query rows");

@@ -413,7 +413,7 @@ pub struct Analyzer {
     exec_cancelled: bool,
     paths: Vec<SymPath>,
     /// `paths[i].fingerprint()`, precomputed once for the memo cache
-    /// (as one batch, see [`SymPath::fingerprints`]).
+    /// (each a hash of the path's fields and its roots' stored digests).
     fingerprints: Vec<u64>,
     cache: SharedQueryCache,
     pool: WorkerPool,
@@ -501,7 +501,7 @@ impl Analyzer {
             cancel,
         );
         let exec_cancelled = cancel.is_some_and(CancelToken::is_cancelled);
-        let fingerprints = SymPath::fingerprints(&paths);
+        let fingerprints = paths.iter().map(SymPath::fingerprint).collect();
         Ok(Analyzer {
             program,
             typing,
@@ -622,28 +622,25 @@ impl Analyzer {
                 refine_key,
             )
         };
-        // Which paths are grid-destined and therefore candidates for
-        // adaptive refinement? (Linear paths under `Auto` keep the
-        // polytope semantics; sampleless paths have nothing to split.
-        // Tail substitution only rewrites a score constant, so it
-        // cannot change this classification.)
-        let refinable: Vec<bool> = self
-            .paths
-            .iter()
-            .map(|p| {
-                refine.refine
-                    && p.n_samples > 0
-                    && match method {
-                        Method::Auto => !linear_applicable(p),
-                        Method::Grid => true,
-                    }
-            })
-            .collect();
+        // Is a path grid-destined and therefore a candidate for adaptive
+        // refinement? (Linear paths under `Auto` keep the polytope
+        // semantics; sampleless paths have nothing to split. Tail
+        // substitution only rewrites a score constant, so it cannot
+        // change this classification.) Asked only of the paths a query
+        // computes, so a cached query classifies nothing.
+        let refinable = |p: &SymPath| {
+            refine.refine
+                && p.n_samples > 0
+                && match method {
+                    Method::Auto => !linear_applicable(p),
+                    Method::Grid => true,
+                }
+        };
         // Under a positive gap target a refined path's bounds depend on
         // the whole query's worklist (refinement stops when the *summed*
         // gap hits the target), so those results are not pure per-path
         // values: they bypass the memo cache entirely.
-        let bypass = |i: usize| refine.gap_target > 0.0 && refinable[i];
+        let bypass = |i: usize| refine.gap_target > 0.0 && refinable(&self.paths[i]);
         // One lock for the whole lookup pass: cached results are read
         // out before dispatch, so workers never contend on the cache.
         // Fingerprint hits are verified by structural path equality
@@ -711,7 +708,7 @@ impl Analyzer {
         let mut refiner_at: Vec<usize> = Vec::new();
         for (mi, (&(i, p), t)) in misses.iter().zip(&tailed).enumerate() {
             let p = t.as_ref().unwrap_or(p);
-            if refinable[i] {
+            if refinable(&self.paths[i]) {
                 if let Some(r) = GridRefiner::new(p, QueryFold::Filter(u), bounds, &refine, None) {
                     refiners.push(r);
                     refiner_at.push(mi);

@@ -458,7 +458,7 @@ impl Executor<'_> {
                         SValue::Sym(v) => v,
                         _ => return vec![(None, st1)],
                     };
-                    let range = guard.crude_range(st1.n);
+                    let range = guard.unit_range();
                     if range.hi() <= 0.0 {
                         ex.eval(t, env, st1, depth)
                     } else if range.lo() > 0.0 {
@@ -547,7 +547,7 @@ impl Executor<'_> {
                     };
                     // Fig. 8 adds V ≥ 0 to Δ; we skip the constraint when
                     // the value is structurally non-negative (pdfs).
-                    let range = v.crude_range(st1.n);
+                    let range = v.unit_range();
                     if range.lo() < 0.0 {
                         st1.constraints.push(SymConstraint {
                             value: SymVal::prim(gubpi_lang::PrimOp::Neg, vec![v.clone()]),

@@ -138,7 +138,8 @@ pub struct Tape {
     scores: Vec<u32>,
     result: u32,
     /// Primitive-application nodes in the source trees *before* CSE
-    /// (duplicates counted) — the baseline for the CSE-savings stat.
+    /// (duplicates counted, saturating; read from the roots' headers) —
+    /// the baseline for the CSE-savings stat.
     tree_nodes: usize,
     /// The tree-walk form's path, whose four walks replace the
     /// instructions (`None` for a compiled tape).
@@ -300,23 +301,22 @@ impl Builder {
 }
 
 /// Op applications of one walk over the constraints, and of one walk
-/// over the scores plus the result (`SymVal::prim_op_count` counts a
-/// shared `Arc` once per occurrence, exactly like the walker).
+/// over the scores plus the result, saturating (`SymVal::prim_op_count`
+/// reads each root's header, which counts a shared `Arc` once per
+/// occurrence, exactly like the walker).
 fn walk_ops(path: &SymPath) -> (u64, u64) {
-    let constraints = path
-        .constraints
-        .iter()
-        .map(|c| c.value.prim_op_count())
-        .sum();
-    let scores: u64 = path.scores.iter().map(|v| v.prim_op_count()).sum();
-    (constraints, scores + path.result.prim_op_count())
+    let ops = |n: u64, v: &Arc<SymVal>| n.saturating_add(v.prim_op_count());
+    (
+        path.constraints.iter().map(|c| &c.value).fold(0, ops),
+        path.scores.iter().chain([&path.result]).fold(0, ops),
+    )
 }
 
 /// Compiles a path into a tape (shared by [`Tape::for_path`] and,
 /// through [`SymPath::of_value`], [`Tape::for_value`]).
 ///
 /// The ∃-tests run narrowest constraint first, by the width of the
-/// constraint's range over the unit cube (`SymVal::crude_range`): a
+/// constraint's range over the unit cube (`SymVal::unit_range`): a
 /// narrow guard decides a cell cheaply and early. ∞ and NaN widths
 /// (unbounded guards) sort last via `total_cmp`; the stable sort keeps
 /// the path's order as the deterministic tiebreak. The order changes
@@ -338,13 +338,10 @@ fn compile(path: &SymPath) -> Tape {
         .constraints
         .iter()
         .map(|c| {
-            let r = c.value.crude_range(path.n_samples);
-            let w = r.hi() - r.lo();
-            if w.is_nan() {
-                f64::INFINITY
-            } else {
-                w
-            }
+            let r = c.value.unit_range();
+            Some(r.hi() - r.lo())
+                .filter(|w| !w.is_nan())
+                .unwrap_or(f64::INFINITY)
         })
         .collect();
     let mut sched: Vec<usize> = (0..widths.len()).collect();
@@ -415,16 +412,18 @@ fn compile(path: &SymPath) -> Tape {
         checks,
         scores: score_slots.iter().map(|&s| reg(s)).collect(),
         result: reg(result_slot),
-        tree_nodes: (constraint_ops + other_ops) as usize,
+        tree_nodes: constraint_ops.saturating_add(other_ops) as usize,
         walk: None,
     };
     STATS.tapes.fetch_add(1, Ordering::Relaxed);
     STATS
         .instrs
         .fetch_add(tape.instrs.len() as u64, Ordering::Relaxed);
-    STATS
+    let _ = STATS
         .tree_nodes
-        .fetch_add(tape.tree_nodes as u64, Ordering::Relaxed);
+        .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
+            Some(n.saturating_add(tape.tree_nodes as u64))
+        });
     tape
 }
 
@@ -461,7 +460,7 @@ impl Tape {
             checks: Vec::new(),
             scores: Vec::new(),
             result: 0,
-            tree_nodes: (constraint_ops + other_ops) as usize,
+            tree_nodes: constraint_ops.saturating_add(other_ops) as usize,
             walk: Some(path.clone()),
         }
     }
@@ -497,8 +496,8 @@ impl Tape {
     pub fn cost(&self) -> u64 {
         match &self.walk {
             Some(path) => {
-                let (constraint_ops, other_ops) = walk_ops(path);
-                2 * constraint_ops + other_ops + 1
+                let (c, o) = walk_ops(path);
+                c.saturating_mul(2).saturating_add(o).saturating_add(1)
             }
             None => {
                 (self.instrs.len() + self.checks.len() + self.scores.len() + self.n_inputs + 1)
@@ -795,7 +794,7 @@ pub struct KernelStats {
     /// Executable instructions across all compiled tapes.
     pub tape_instrs: u64,
     /// Primitive-application nodes in the source trees before CSE and
-    /// constant pre-folding (duplicates counted) — `tree_nodes −
+    /// constant pre-folding (duplicates counted, saturating) — `tree_nodes −
     /// tape_instrs` is the per-cell work hash-consing removed.
     pub tree_nodes: u64,
     /// Region cells evaluated through compiled tapes.
@@ -920,13 +919,10 @@ mod tests {
     fn constant_subterms_prefold() {
         // (2 + 3) · α₀ — built without the smart constructor so the
         // constant addition survives to the compiler.
-        let v = Arc::new(SymVal::Prim(
+        let v = SymVal::unfolded(
             PrimOp::Mul,
-            vec![
-                Arc::new(SymVal::Prim(PrimOp::Add, vec![c(2.0), c(3.0)])),
-                s(0),
-            ],
-        ));
+            vec![SymVal::unfolded(PrimOp::Add, vec![c(2.0), c(3.0)]), s(0)],
+        );
         let tape = Tape::for_value(1, &v);
         assert_eq!(tape.len(), 1, "only the multiply remains");
         let mut scratch = tape.scratch();
@@ -1204,7 +1200,9 @@ mod tests {
         // concurrently, so only lower bounds on the deltas are stable.
         assert!(after.tapes > before.tapes);
         assert!(after.tape_instrs >= before.tape_instrs + tape.len() as u64);
-        assert!(after.tree_nodes > before.tree_nodes);
+        // The count saturates (a doubling DAG in the path tests holds
+        // more than 2⁶⁴ applications as a tree).
+        assert!(after.tree_nodes >= before.tree_nodes.saturating_add(tape.tree_nodes() as u64));
         assert!(after.cells >= before.cells + 42);
         assert!(tape.cost() > 0);
     }

@@ -51,4 +51,4 @@ pub use exec::{symbolic_paths, symbolic_paths_report_cancellable, ExecReport, Sy
 pub use gubpi_pool::{CancelToken, WorkerPool};
 pub use kernel::{kernel_stats, CellBounds, KernelSeed, KernelStats, Tape, TapeScratch, LANES};
 pub use path::{CmpDir, SymConstraint, SymPath, TailEnclosure, TailPrefix};
-pub use symval::SymVal;
+pub use symval::{Args, SymVal};

@@ -1,7 +1,6 @@
 //! Symbolic paths `Ψ = (V, n, Δ, Ξ)` (Appendix B).
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -183,29 +182,11 @@ impl SymPath {
     /// fingerprint identically across runs (the hasher is keyed with
     /// fixed constants), so the analyzer can use it as a memo-cache key.
     ///
-    /// Each `SymVal` node is hashed once per call: a primitive
-    /// application's digest hashes its operator and its arguments'
-    /// structure and is remembered by address, so the cost is the node
-    /// count of the path's DAG, not the size of its expanded tree.
+    /// It hashes the path's own fields and each root value as
+    /// [`SymVal::feed`] does: a primitive application contributes the
+    /// digest its constructor stored, so the cost is the number of
+    /// roots, not the size of the values.
     pub fn fingerprint(&self) -> u64 {
-        self.fingerprint_with(&mut HashMap::new())
-    }
-
-    /// [`SymPath::fingerprint`] of every path, in order, with one digest
-    /// map for the whole batch: a subterm that several paths share is
-    /// hashed once, not once per path.
-    pub fn fingerprints(paths: &[SymPath]) -> Vec<u64> {
-        let mut digests = HashMap::new();
-        paths
-            .iter()
-            .map(|p| p.fingerprint_with(&mut digests))
-            .collect()
-    }
-
-    /// The fingerprint, with application digests remembered in
-    /// `digests` (keyed by address, so only while the nodes are
-    /// borrowed).
-    fn fingerprint_with(&self, digests: &mut HashMap<*const SymVal, u64>) -> u64 {
         let mut h = DefaultHasher::new();
         self.n_samples.hash(&mut h);
         self.truncated.hash(&mut h);
@@ -228,58 +209,17 @@ impl SymPath {
                 }
             }
         }
-        hash_node(&self.result, &mut h, digests);
+        self.result.feed(&mut h);
         self.constraints.len().hash(&mut h);
         for c in &self.constraints {
             matches!(c.dir, CmpDir::LeZero).hash(&mut h);
-            hash_node(&c.value, &mut h, digests);
+            c.value.feed(&mut h);
         }
         self.scores.len().hash(&mut h);
         for w in &self.scores {
-            hash_node(w, &mut h, digests);
+            w.feed(&mut h);
         }
         h.finish()
-    }
-}
-
-/// Feeds the structure of `v` into `h`: a leaf's tag and payload, or a
-/// primitive application's tag and digest, which hashes its operator
-/// and feeds its arguments into a hasher of its own. `digests`
-/// remembers every application's digest by address for one fingerprint
-/// call or batch, while the nodes are borrowed.
-fn hash_node(v: &Arc<SymVal>, h: &mut DefaultHasher, digests: &mut HashMap<*const SymVal, u64>) {
-    match &**v {
-        SymVal::Const(c) => {
-            0u8.hash(h);
-            c.to_bits().hash(h);
-        }
-        SymVal::Interval(i) => {
-            1u8.hash(h);
-            i.lo().to_bits().hash(h);
-            i.hi().to_bits().hash(h);
-        }
-        SymVal::Sample(i) => {
-            2u8.hash(h);
-            i.hash(h);
-        }
-        SymVal::Prim(op, args) => {
-            3u8.hash(h);
-            let digest = match digests.get(&Arc::as_ptr(v)) {
-                Some(&d) => d,
-                None => {
-                    let mut ph = DefaultHasher::new();
-                    op.hash(&mut ph);
-                    args.len().hash(&mut ph);
-                    for a in args {
-                        hash_node(a, &mut ph, digests);
-                    }
-                    let d = ph.finish();
-                    digests.insert(Arc::as_ptr(v), d);
-                    d
-                }
-            };
-            digest.hash(h);
-        }
     }
 }
 
@@ -407,9 +347,9 @@ mod tests {
     fn doubling_dag(leaf: f64) -> Arc<SymVal> {
         let mut x = s(0);
         for _ in 0..64 {
-            x = Arc::new(SymVal::Prim(PrimOp::Add, vec![x.clone(), x]));
+            x = SymVal::unfolded(PrimOp::Add, vec![x.clone(), x]);
         }
-        Arc::new(SymVal::Prim(PrimOp::Add, vec![x, c(leaf)]))
+        SymVal::unfolded(PrimOp::Add, vec![x, c(leaf)])
     }
 
     /// A path whose result, constraint and score are each a separately
@@ -448,20 +388,37 @@ mod tests {
         fn tree(depth: usize) -> Arc<SymVal> {
             match depth {
                 0 => s(0),
-                _ => Arc::new(SymVal::Prim(
-                    PrimOp::Add,
-                    vec![tree(depth - 1), tree(depth - 1)],
-                )),
+                _ => SymVal::unfolded(PrimOp::Add, vec![tree(depth - 1), tree(depth - 1)]),
             }
         }
         let mut dag = s(0);
         for _ in 0..4 {
-            dag = Arc::new(SymVal::Prim(PrimOp::Add, vec![dag.clone(), dag]));
+            dag = SymVal::unfolded(PrimOp::Add, vec![dag.clone(), dag]);
         }
         assert_eq!(
             SymPath::of_value(1, tree(4)).fingerprint(),
             SymPath::of_value(1, dag).fingerprint()
         );
+    }
+
+    /// The header of a value with more than 2⁶⁵ nodes as a tree is read,
+    /// not recomputed: its op count saturates, its unit range is exact,
+    /// and a path of such values compiles to a tape.
+    #[test]
+    fn headers_summarise_doubling_dags() {
+        let v = doubling_dag(0.5);
+        assert_eq!(v.prim_op_count(), u64::MAX);
+        let SymVal::Prim(_, args) = &*v else {
+            panic!("an application")
+        };
+        // x₆₄ ranges over [0, 2⁶⁴].
+        assert_eq!(args[0].unit_range(), Interval::new(0.0, 2f64.powi(64)));
+        assert_eq!(v.unit_range(), Interval::new(0.5, 2f64.powi(64) + 0.5));
+        let tape = crate::Tape::for_path(&doubling_path(0.5));
+        assert_eq!(tape.tree_nodes(), usize::MAX);
+        // One Add per doubling and one for the leaf, shared by all three
+        // roots.
+        assert_eq!(tape.len(), 65);
     }
 
     /// `assert!`, not `assert_eq!`: a failure must not print the trees.

@@ -1,7 +1,10 @@
 //! Symbolic values over sample variables (Appendix B).
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashSet;
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::ops::Deref;
 use std::sync::Arc;
 
 use gubpi_interval::{BoxN, Interval};
@@ -11,6 +14,10 @@ use gubpi_polytope::LinExpr;
 /// A symbolic value: a term over sample variables `α_i`, constants,
 /// interval literals (from `approxFix`) and delayed primitive
 /// applications.
+///
+/// Values are DAGs: the executor shares subterms. Each application
+/// carries a header ([`Args`]) filled in once when it is built, so its
+/// digest, unit-cube range and size as a tree are field reads.
 ///
 /// `PartialEq` is structural, with float literals compared by value. A
 /// node compared with itself is equal by address. Past a few hundred
@@ -26,7 +33,27 @@ pub enum SymVal {
     /// The sample variable `α_i` (0-based).
     Sample(usize),
     /// A delayed primitive application.
-    Prim(PrimOp, Vec<Arc<SymVal>>),
+    Prim(PrimOp, Args),
+}
+
+/// The arguments of a primitive application (it derefs to them) and the
+/// node's header, computed once by the constructors: its digest (see
+/// [`SymVal::feed`]), `op.eval_interval` of its arguments' unit ranges,
+/// and its applications as an expanded tree, saturating.
+#[derive(Clone, Debug)]
+pub struct Args {
+    args: Box<[Arc<SymVal>]>,
+    digest: u64,
+    unit_range: Interval,
+    op_count: u64,
+}
+
+impl Deref for Args {
+    type Target = [Arc<SymVal>];
+
+    fn deref(&self) -> &[Arc<SymVal>] {
+        &self.args
+    }
 }
 
 impl PartialEq for SymVal {
@@ -79,7 +106,10 @@ fn dag_eq(
         return true;
     }
     *budget = budget.saturating_sub(1);
-    let eq = xs.iter().zip(ys).all(|(x, y)| dag_eq(x, y, budget, proven));
+    let eq = xs
+        .iter()
+        .zip(&**ys)
+        .all(|(x, y)| dag_eq(x, y, budget, proven));
     if eq && remember {
         proven.insert(pair);
     }
@@ -92,25 +122,54 @@ impl SymVal {
     /// out-of-domain distribution parameters fold to the zero density
     /// the concrete semantics assigns them — so folding never panics.
     pub fn prim(op: PrimOp, args: Vec<Arc<SymVal>>) -> Arc<SymVal> {
-        if args.iter().all(|a| matches!(**a, SymVal::Const(_))) {
-            let xs: Vec<f64> = args
-                .iter()
-                .map(|a| match **a {
-                    SymVal::Const(c) => c,
-                    _ => unreachable!(),
-                })
-                .collect();
+        let consts = args.iter().map(|a| match **a {
+            SymVal::Const(c) => Some(c),
+            _ => None,
+        });
+        if let Some(xs) = consts.collect::<Option<Vec<f64>>>() {
             return Arc::new(SymVal::Const(op.eval(&xs)));
         }
-        Arc::new(SymVal::Prim(op, args))
+        SymVal::unfolded(op, args)
     }
 
-    /// The largest sample index used, if any.
-    pub fn max_sample(&self) -> Option<usize> {
+    /// A primitive application exactly as given, constant arguments
+    /// included, with its header filled in; panics when `args` does not
+    /// match the arity of `op`. [`SymVal::prim`] folds first; this
+    /// builds §6.4 skeletons and the raw nodes of tests.
+    pub fn unfolded(op: PrimOp, args: Vec<Arc<SymVal>>) -> Arc<SymVal> {
+        let mut h = DefaultHasher::new();
+        op.hash(&mut h);
+        args.len().hash(&mut h);
+        let mut ranges = [Interval::ZERO; 3];
+        let mut op_count = 1u64;
+        for (r, a) in ranges.iter_mut().zip(&args) {
+            a.feed(&mut h);
+            *r = a.unit_range();
+            op_count = op_count.saturating_add(a.prim_op_count());
+        }
+        let unit_range = op.eval_interval(&ranges[..args.len()]);
+        Arc::new(SymVal::Prim(
+            op,
+            Args {
+                args: args.into_boxed_slice(),
+                digest: h.finish(),
+                unit_range,
+                op_count,
+            },
+        ))
+    }
+
+    /// Feeds the structure of the value into `h`: a leaf's tag and
+    /// payload (floats by bit pattern), or a primitive application's tag
+    /// and digest. The digest hashes the operator, the argument count
+    /// and each argument fed the same way, so a DAG feeds like its
+    /// expanded tree: sharing is not structure.
+    pub fn feed(&self, h: &mut impl Hasher) {
         match self {
-            SymVal::Const(_) | SymVal::Interval(_) => None,
-            SymVal::Sample(i) => Some(*i),
-            SymVal::Prim(_, args) => args.iter().filter_map(|a| a.max_sample()).max(),
+            SymVal::Const(c) => (0u8, c.to_bits()).hash(h),
+            SymVal::Interval(i) => (1u8, i.lo().to_bits(), i.hi().to_bits()).hash(h),
+            SymVal::Sample(i) => (2u8, i).hash(h),
+            SymVal::Prim(_, args) => (3u8, args.digest).hash(h),
         }
     }
 
@@ -126,27 +185,22 @@ impl SymVal {
                 counts[*i] += 1;
             }
             SymVal::Prim(_, args) => {
-                for a in args {
+                for a in args.iter() {
                     a.count_sample_uses(counts);
                 }
             }
         }
     }
 
-    /// Does the value mention any sample variable?
-    pub fn has_samples(&self) -> bool {
-        self.max_sample().is_some()
-    }
-
-    /// Number of primitive applications a recursive walk evaluates —
-    /// shared `Arc`s count once per *occurrence*, because a tree walk
-    /// re-descends into them every time it meets one. This is both the
-    /// kernel's pre-CSE baseline and the per-cell cost of a tape's
-    /// tree-walk form.
+    /// Number of primitive applications a recursive walk evaluates,
+    /// saturating at `u64::MAX`: shared `Arc`s count once per
+    /// *occurrence*, because a tree walk re-descends into them every
+    /// time it meets one. This is both the kernel's pre-CSE baseline and
+    /// the per-cell cost of a tape's tree-walk form. A header read.
     pub fn prim_op_count(&self) -> u64 {
         match self {
             SymVal::Const(_) | SymVal::Interval(_) | SymVal::Sample(_) => 0,
-            SymVal::Prim(_, args) => 1 + args.iter().map(|a| a.prim_op_count()).sum::<u64>(),
+            SymVal::Prim(_, args) => args.op_count,
         }
     }
 
@@ -197,9 +251,15 @@ impl SymVal {
         }
     }
 
-    /// Crude range assuming every sample ranges over `[0, 1]`.
-    pub fn crude_range(&self, n_samples: usize) -> Interval {
-        self.range_over_box(&BoxN::unit_cube(n_samples))
+    /// The range of the value when every sample ranges over `[0, 1]`:
+    /// bit for bit `range_over_box` of the unit cube, as a header read.
+    pub fn unit_range(&self) -> Interval {
+        match self {
+            SymVal::Const(c) => Interval::point(*c),
+            SymVal::Interval(i) => *i,
+            SymVal::Sample(_) => Interval::UNIT,
+            SymVal::Prim(_, args) => args.unit_range,
+        }
     }
 
     /// Extracts an *interval-linear form* `w·α + [a, b]` (§6.4), if the
@@ -305,7 +365,7 @@ fn decompose(v: &Arc<SymVal>, dim: usize, parts: &mut Vec<(LinExpr, Interval)>) 
     match &**v {
         SymVal::Prim(op, args) => {
             let new_args = args.iter().map(|a| decompose(a, dim, parts)).collect();
-            Arc::new(SymVal::Prim(*op, new_args))
+            SymVal::unfolded(*op, new_args)
         }
         // Non-linear leaves cannot occur (leaves are always linear).
         _ => v.clone(),
@@ -359,14 +419,14 @@ mod tests {
             vec![SymVal::prim(PrimOp::Mul, vec![c(3.0), s(0)]), s(1)],
         );
         assert_eq!(v.eval(&[0.5, 0.25]), Interval::point(1.75));
-        assert_eq!(v.max_sample(), Some(1));
-        assert!(v.has_samples() && !v.has_intervals());
+        assert!(!v.has_intervals());
     }
 
     #[test]
     fn range_over_box_bounds_value() {
         let v = SymVal::prim(PrimOp::Mul, vec![c(3.0), s(0)]);
-        assert_eq!(v.crude_range(1), Interval::new(0.0, 3.0));
+        assert_eq!(v.unit_range(), Interval::new(0.0, 3.0));
+        assert_eq!(v.range_over_box(&BoxN::unit_cube(1)), v.unit_range());
     }
 
     #[test]
@@ -427,6 +487,13 @@ mod tests {
         let mut counts = Vec::new();
         bad.count_sample_uses(&mut counts);
         assert_eq!(counts, vec![2]);
+    }
+
+    /// Every node, leaves included, pays for the header: a new field
+    /// should be a decision, not an accident.
+    #[test]
+    fn symval_is_56_bytes() {
+        assert_eq!(std::mem::size_of::<SymVal>(), 56);
     }
 
     #[test]

@@ -89,8 +89,8 @@ const TERNARY: &[PrimOp] = &[
     PrimOp::BetaQuantile,
 ];
 
-/// Random symbolic values over `dims` sample variables. Built with raw
-/// `SymVal::Prim` nodes (not the folding smart constructor) so constant
+/// Random symbolic values over `dims` sample variables. Built with
+/// `SymVal::unfolded` (not the folding smart constructor) so constant
 /// subtrees survive to the tape compiler and exercise its pre-folding.
 fn arb_val(dims: usize) -> impl Strategy<Value = Arc<SymVal>> {
     let leaf = prop_oneof![
@@ -102,11 +102,11 @@ fn arb_val(dims: usize) -> impl Strategy<Value = Arc<SymVal>> {
     leaf.prop_recursive(4, 24, 3, |inner| {
         prop_oneof![
             ((0..UNARY.len()), inner.clone())
-                .prop_map(|(op, a)| Arc::new(SymVal::Prim(UNARY[op], vec![a]))),
+                .prop_map(|(op, a)| SymVal::unfolded(UNARY[op], vec![a])),
             ((0..BINARY.len()), inner.clone(), inner.clone())
-                .prop_map(|(op, a, b)| Arc::new(SymVal::Prim(BINARY[op], vec![a, b]))),
+                .prop_map(|(op, a, b)| SymVal::unfolded(BINARY[op], vec![a, b])),
             ((0..TERNARY.len()), inner.clone(), inner.clone(), inner)
-                .prop_map(|(op, a, b, c)| Arc::new(SymVal::Prim(TERNARY[op], vec![a, b, c]))),
+                .prop_map(|(op, a, b, c)| SymVal::unfolded(TERNARY[op], vec![a, b, c])),
         ]
     })
 }
@@ -289,7 +289,7 @@ fn corner_cases_agree_bit_for_bit() {
     let s = |i: usize| Arc::new(SymVal::Sample(i));
     let c = |x: f64| Arc::new(SymVal::Const(x));
     let iv = |i: Interval| Arc::new(SymVal::Interval(i));
-    let prim = |op: PrimOp, args: Vec<Arc<SymVal>>| Arc::new(SymVal::Prim(op, args));
+    let prim = SymVal::unfolded;
 
     let cases: Vec<Arc<SymVal>> = vec![
         // ∞ − ∞ inside a sum: the interpreter's NaN repair must be
@@ -367,13 +367,13 @@ fn corner_cases_agree_bit_for_bit() {
 fn interval_constraints_keep_the_forall_exists_distinction() {
     // (α₀ + [0, 1]) ≤ 0: at α₀ ∈ [−0.5, −0.5] the range is [−0.5, 0.5]
     // — possibly, not definitely, ≤ 0.
-    let guard = Arc::new(SymVal::Prim(
+    let guard = SymVal::unfolded(
         PrimOp::Add,
         vec![
             Arc::new(SymVal::Sample(0)),
             Arc::new(SymVal::Interval(Interval::UNIT)),
         ],
-    ));
+    );
     let path = path_of(
         1,
         Arc::new(SymVal::Sample(0)),
