@@ -34,19 +34,14 @@
 //!
 //! # The pruning contract
 //!
-//! [`ProgramFacts::score_is_zero`] and [`ProgramFacts::dead_branch_cost`]
-//! are the two facts the executor may act on, and both are deliberately
-//! much stronger than "statically zero". A score node qualifies only if
-//! its argument is built from constants and primitives alone (no
-//! variables, no samples): the symbolic value the executor pushes for it
-//! is then the *same* constant computation, so its range over **any**
-//! box is exactly `[0, 0]` and the path's contribution to both the lower
-//! and the upper bound is exactly `0.0` — dropping it keeps every bound
-//! bit-identical. A branch qualifies as dead only if it must execute
-//! such a score and contains no `if` and no application, so the only
-//! ways it could end *before* scoring are fuel or stack exhaustion —
-//! which the executor rules out at prune time via the recorded
-//! evaluation cost.
+//! [`ProgramFacts::score_is_zero`] is the one fact the executor may act
+//! on, and it is deliberately much stronger than "statically zero". A
+//! score node qualifies only if its argument is built from constants
+//! and primitives alone (no variables, no samples): the symbolic value
+//! the executor pushes for it is then the *same* constant computation,
+//! so its range over **any** box is exactly `[0, 0]` and every path
+//! through it contributes exactly `0.0` to both the lower and the upper
+//! bound — dropping those paths keeps every bound bit-identical.
 
 use std::collections::{HashMap, HashSet};
 
@@ -128,7 +123,6 @@ pub struct ProgramFacts {
     flows: HashMap<NodeId, BranchFlow>,
     evaluated: HashSet<NodeId>,
     zero_scores: HashSet<NodeId>,
-    dead_branches: HashMap<NodeId, u64>,
     contraction: HashMap<NodeId, Interval>,
     fix_values: HashMap<NodeId, Interval>,
     tail_facts: HashMap<NodeId, TailFact>,
@@ -218,18 +212,6 @@ impl ProgramFacts {
             }
             self.ranking.insert(id, v);
         }
-        // Dead branches need the zero-score set, so a second walk.
-        let mut dead = Vec::new();
-        program.root.walk(&mut |e| {
-            if let ExprKind::If(_, t, els) = &e.kind {
-                for side in [t, els] {
-                    if branch_is_inert(side) && self.must_score_zero(side) {
-                        dead.push((side.id, side.size() as u64));
-                    }
-                }
-            }
-        });
-        self.dead_branches.extend(dead);
     }
 
     /// Derives the [`TailFact`] for one `μ` node, or `None` when the
@@ -415,16 +397,6 @@ impl ProgramFacts {
         (ok && x.is_finite()).then_some(x)
     }
 
-    /// Does evaluating `e` necessarily push a provably-zero score before
-    /// doing anything that could fork or truncate? (`e` is known inert.)
-    fn must_score_zero(&self, e: &Expr) -> bool {
-        match &e.kind {
-            ExprKind::Score(m) => self.zero_scores.contains(&e.id) || self.must_score_zero(m),
-            ExprKind::Prim(_, args) => args.iter().any(|a| self.must_score_zero(a)),
-            _ => false,
-        }
-    }
-
     /// The interval enclosing every value this node can evaluate to
     /// (absent for unevaluated nodes and non-numeric results).
     pub fn value(&self, id: NodeId) -> Option<Interval> {
@@ -442,16 +414,6 @@ impl ProgramFacts {
     /// drop the path without perturbing any bound (see module docs).
     pub fn score_is_zero(&self, id: NodeId) -> bool {
         self.zero_scores.contains(&id)
-    }
-
-    /// For a branch root of an `if`: `Some(cost)` when the branch is
-    /// provably zero-mass and inert, with `cost` an upper bound on the
-    /// fuel and stack depth its evaluation could consume. The executor
-    /// may skip the branch whenever its remaining fuel and depth exceed
-    /// `cost` (otherwise the unpruned run could have truncated *inside*
-    /// the branch before scoring, producing a ⊤ path with real mass).
-    pub fn dead_branch_cost(&self, id: NodeId) -> Option<u64> {
-        self.dead_branches.get(&id).copied()
     }
 
     /// Which sides of an evaluated `if` were statically possible.
@@ -515,11 +477,6 @@ impl ProgramFacts {
         self.zero_scores.len()
     }
 
-    /// Number of provably-dead branch roots.
-    pub fn dead_branch_count(&self) -> usize {
-        self.dead_branches.len()
-    }
-
     /// True when the interpreter aborted and only syntactic facts
     /// remain (never the case for this repository's models).
     pub fn is_aborted(&self) -> bool {
@@ -572,20 +529,6 @@ fn substitution_stable(e: &Expr) -> bool {
         ExprKind::Const(_) => true,
         ExprKind::Prim(_, args) => args.iter().all(substitution_stable),
         _ => false,
-    }
-}
-
-/// No `if` and no application anywhere in the evaluated spine: the
-/// executor can neither fork nor enter a function body here, so
-/// evaluation runs straight through (λ/μ values are inert — their bodies
-/// only run when applied, and applications are excluded).
-fn branch_is_inert(e: &Expr) -> bool {
-    match &e.kind {
-        ExprKind::If(..) | ExprKind::App(..) => false,
-        ExprKind::Var(_) | ExprKind::Const(_) | ExprKind::Sample => true,
-        ExprKind::Lam(..) | ExprKind::Fix(..) => true,
-        ExprKind::Prim(_, args) => args.iter().all(branch_is_inert),
-        ExprKind::Score(m) => branch_is_inert(m),
     }
 }
 
@@ -946,9 +889,9 @@ mod tests {
         let score = node_of(&p, |e| matches!(e.kind, ExprKind::Score(_)));
         assert!(facts.score_is_zero(score));
         assert_eq!(facts.score_weight(score), Some(Interval::ZERO));
-        // The whole else branch (the score node) is a dead branch root.
-        assert_eq!(facts.dead_branch_cost(score), Some(2));
-        assert_eq!(facts.dead_branch_count(), 1);
+        // The `fail` score is the one zero score: the executor drops
+        // every path through it.
+        assert_eq!(facts.zero_score_count(), 1);
     }
 
     #[test]
@@ -959,7 +902,7 @@ mod tests {
         let score = node_of(&p, |e| matches!(e.kind, ExprKind::Score(_)));
         assert_eq!(facts.score_weight(score), Some(Interval::ZERO));
         assert!(!facts.score_is_zero(score));
-        assert_eq!(facts.dead_branch_count(), 0);
+        assert_eq!(facts.zero_score_count(), 0);
     }
 
     #[test]

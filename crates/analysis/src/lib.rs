@@ -16,8 +16,8 @@
 //!
 //! Three consumers:
 //!
-//! * the **symbolic executor** skips provably zero-mass branches (every
-//!   `else fail`), dropping paths whose contribution to *both* posterior
+//! * the **symbolic executor** drops every path at a provably-zero
+//!   `score` (every `else fail`), whose contribution to *both* posterior
 //!   bounds is exactly `0.0` — pruned runs are bit-identical to
 //!   unpruned runs, just with fewer paths;
 //! * **tail enclosures**: budget-truncated ⊤ paths carry the plain
@@ -41,7 +41,7 @@
 //! let simple = infer(&p).unwrap();
 //! let typing = infer_interval_types(&p, &simple);
 //! let facts = ProgramFacts::compute(&p, &typing);
-//! assert_eq!(facts.dead_branch_count(), 1); // the `fail` branch
+//! assert_eq!(facts.zero_score_count(), 1); // the `fail` score
 //! assert!(lint_program(&p, &typing, &facts).is_empty()); // deliberate
 //! ```
 

@@ -254,8 +254,7 @@ fn analyze(filter: Option<&str>, deny_warnings: bool) {
         let facts = ProgramFacts::compute(&program, &typing);
         let lints = lint_program(&program, &typing, &facts);
         println!(
-            "-- {label}: {} dead branches, {} zero-weight scores, {} findings",
-            facts.dead_branch_count(),
+            "-- {label}: {} zero-weight scores, {} findings",
             facts.zero_score_count(),
             lints.len()
         );
@@ -332,8 +331,8 @@ fn stats(run: &Run, elapsed_s: f64) {
     );
     let r = census.exec;
     println!(
-        "prune: {} dead branches skipped, {} zero-score continuations dropped",
-        r.pruned_branches, r.zero_score_drops
+        "prune: {} zero-score continuations dropped",
+        r.zero_score_drops
     );
     // Three-way ⊤ census: ranked ⊆ tail-enclosed ⊆ budget-truncated,
     // so the plain-tail and bare-⊤ counts are the set differences.

@@ -127,7 +127,6 @@ impl Run {
             .expect("benchmark must compile");
         let r = a.exec_report();
         let mut c = self.census.borrow_mut();
-        c.exec.pruned_branches += r.pruned_branches;
         c.exec.zero_score_drops += r.zero_score_drops;
         c.exec.budget_truncated_paths += r.budget_truncated_paths;
         c.exec.depth_truncated_paths += r.depth_truncated_paths;

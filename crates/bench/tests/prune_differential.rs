@@ -1,4 +1,4 @@
-//! Differential tests for static dead-branch pruning: on every repo
+//! Differential tests for static zero-score pruning: on every repo
 //! model, the bounds computed with pruning enabled must be bit-identical
 //! to an unpruned run (`prune: false`, the oracle) — pruning may only
 //! remove symbolic paths whose contribution to both the lower and the
@@ -93,11 +93,11 @@ fn table2_bounds_are_bit_identical_and_paths_shrink() {
 }
 
 /// A recursive model whose `fail` arm sits behind an undecided sample
-/// guard, so the prune fires at the fork (branch cut, not just a
-/// zero-score drop) on every unfolding. Bounds must still match to the
-/// bit against the unpruned run.
+/// guard, so every unfolding forks and drops its `fail` side at the
+/// zero score. Bounds must still match to the bit against the unpruned
+/// run.
 #[test]
-fn fork_level_branch_cuts_are_bit_identical_on_a_recursive_model() {
+fn zero_score_drops_are_bit_identical_on_a_recursive_model() {
     let src = "let rec walk x = \
                  if x <= 0 then 0 else \
                  if sample <= 0.5 then walk (x - sample) else fail \
@@ -105,13 +105,13 @@ fn fork_level_branch_cuts_are_bit_identical_on_a_recursive_model() {
     let on = analyzer(src, 5, true);
     let off = analyzer(src, 5, false);
     assert!(
-        on.exec_report().pruned_branches > 0,
-        "the fail arm must be cut at the fork: {:?}",
+        on.exec_report().zero_score_drops > 0,
+        "the fail arm must be dropped at its score: {:?}",
         on.exec_report()
     );
     assert!(
         on.paths().len() < off.paths().len(),
-        "cut forks must shrink the path set ({} vs {})",
+        "dropped fail arms must shrink the path set ({} vs {})",
         on.paths().len(),
         off.paths().len()
     );

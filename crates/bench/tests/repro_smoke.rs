@@ -168,9 +168,9 @@ fn repro_analyze_is_warning_clean_over_all_builtin_models() {
         "analyze must print a warning-free summary:\n{text}"
     );
     // The static facts must actually see through the models: the
-    // fail-conditioned discrete models have statically-dead score zeros.
+    // fail-conditioned discrete models have statically-zero scores.
     assert!(
-        text.contains("table2/twoCoins: 1 dead branches, 1 zero-weight scores"),
+        text.contains("table2/twoCoins: 1 zero-weight scores"),
         "facts summary missing:\n{text}"
     );
 }
@@ -226,7 +226,7 @@ fn repro_stats_report_prune_and_kernel_counters() {
     assert!(out.status.success(), "status: {:?}", out.status);
     let text = stdout(&out);
     assert!(
-        text.contains("prune: 0 dead branches skipped"),
+        text.contains("prune: 0 zero-score continuations dropped"),
         "stats must report the prune counters:\n{text}"
     );
     assert!(

@@ -41,11 +41,12 @@ pub struct AnalysisOptions {
     /// Participation width on the persistent worker pool. Bounds are
     /// bit-identical across every setting (see `gubpi_core::pool`).
     pub threads: Threads,
-    /// Let the symbolic executor skip statically dead branches and
-    /// zero-score continuations (pre-execution static analysis). Pruning
-    /// only removes paths contributing exactly `0.0` to both bounds, so
-    /// disabling it reproduces bit-identical bounds with more enumerated
-    /// paths (the differential tests use it as their oracle).
+    /// Let the symbolic executor drop every path at a statically-zero
+    /// `score` (pre-execution static analysis, see
+    /// [`ProgramFacts::score_is_zero`]). Dropping only removes paths
+    /// contributing exactly `0.0` to both bounds, so disabling it
+    /// reproduces bit-identical bounds with more enumerated paths (the
+    /// differential tests use it as their oracle).
     pub prune: bool,
     /// Bound grid-destined paths by **gap-driven adaptive refinement**
     /// (coarse seed grid + worklist bisection of the cells contributing
@@ -544,9 +545,8 @@ impl Analyzer {
         &self.facts
     }
 
-    /// The symbolic executor's pruning / ⊤-truncation census for this
-    /// program: skipped dead branches, zero-score drops, and how many
-    /// paths are budget-truncated ⊤ paths.
+    /// The symbolic executor's census for this program: zero-score
+    /// drops, and how many paths are budget-truncated ⊤ paths.
     pub fn exec_report(&self) -> ExecReport {
         self.exec_report
     }
@@ -1415,7 +1415,8 @@ mod tests {
     #[test]
     fn pruned_and_unpruned_bounds_are_bit_identical() {
         // Models with genuinely dead branches (`else fail` conditioning):
-        // pruning must cut the path count and change no bound bit.
+        // the zero-score drops must cut the path count and change no
+        // bound bit.
         let srcs = [
             "let x = sample in if x <= 0.7 then x else fail",
             "let rec walk x =
@@ -1439,8 +1440,8 @@ mod tests {
                 pruned.paths().len(),
                 unpruned.paths().len()
             );
-            assert!(pruned.exec_report().pruned_branches > 0, "{src}");
-            assert_eq!(unpruned.exec_report().pruned_branches, 0, "{src}");
+            assert!(pruned.exec_report().zero_score_drops > 0, "{src}");
+            assert_eq!(unpruned.exec_report().zero_score_drops, 0, "{src}");
             for u in [
                 Interval::new(0.0, 0.25),
                 Interval::new(0.25, 1.0),

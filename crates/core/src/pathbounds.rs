@@ -30,7 +30,9 @@ use std::sync::Arc;
 
 use gubpi_interval::{next_after_down, next_after_up, pow_up, widest_dim, Interval};
 use gubpi_polytope::{HPolytope, LinExpr, VolumeScratch};
-use gubpi_symbolic::{CellBounds, KernelSeed, SymPath, SymVal, Tape, TapeScratch, LANES};
+use gubpi_symbolic::{
+    CellBounds, KernelSeed, LinearForms, SymPath, SymVal, Tape, TapeScratch, LANES,
+};
 
 use gubpi_pool::{
     run_each, run_jobs_cancellable, run_jobs_with, CancelToken, PathJob, Threads, WorkerPool,
@@ -352,13 +354,14 @@ pub fn bound_path(
 }
 
 /// Is the linear semantics applicable (linear constraints and result)?
+/// One [`LinearForms`] memo serves all of the path's values.
 pub fn linear_applicable(path: &SymPath) -> bool {
-    let n = path.n_samples;
-    path.result.linear_form(n).is_some()
+    let mut forms = LinearForms::new(path.n_samples);
+    forms.of(&path.result).is_some()
         && path
             .constraints
             .iter()
-            .all(|c| c.value.linear_form(n).is_some())
+            .all(|c| forms.of(&c.value).is_some())
 }
 
 /// The tape a plan evaluates `path` with, and the one read of
@@ -562,14 +565,29 @@ fn cell_mass(vol: f64, cell: CellBounds) -> Region {
 /// cancelled sweep never reached — every sub-cell's true contribution
 /// is contained in its share of this region by inclusion monotonicity.
 ///
-/// One cell needs no compiling, so this always runs the tree-walk form
-/// (which counts no kernel tapes or cells).
+/// It reads the roots' unit ranges ([`SymVal::unit_range`]), which are
+/// bit for bit what the tree walk computes on the unit box, so it
+/// compiles nothing and counts no kernel tapes or cells.
 pub fn coarse_path_enclosure(path: &SymPath) -> Option<Region> {
-    let unit = vec![Interval::UNIT; path.n_samples];
-    let tape = Tape::tree_walk(path);
+    let holds = |definitely| {
+        path.constraints
+            .iter()
+            .all(|c| c.holds_on(c.value.unit_range(), definitely))
+    };
+    if !holds(false) {
+        return None;
+    }
+    let weight = path
+        .scores
+        .iter()
+        .fold(Interval::ONE, |acc, w| acc * w.unit_range().clamp_non_neg());
+    let cell = CellBounds {
+        value: path.result.unit_range(),
+        weight,
+        definite: holds(true),
+    };
     // The unit box has volume 1.0.
-    tape.eval_one(&unit, &mut tape.scratch())
-        .map(|cell| cell_mass(1.0, cell))
+    Some(cell_mass(1.0, cell))
 }
 
 // --------------------------------------------------------------------
@@ -621,13 +639,14 @@ fn plan_linear_with(
 ) -> PathJob<'_, Region> {
     let n = path.n_samples;
     let nothing = || PathJob::Ready(Vec::new());
+    let mut forms = LinearForms::new(n);
 
     // 𝔓_lb: constraints hold for *all* refinements of interval parts;
     // 𝔓_ub: for *some* refinement.
     let mut p_lb = HPolytope::unit_cube(n);
     let mut p_ub = HPolytope::unit_cube(n);
     for c in &path.constraints {
-        let (lin, iv) = c.value.linear_form(n).expect("checked by caller");
+        let (lin, iv) = forms.of(&c.value).expect("checked by caller");
         use gubpi_symbolic::CmpDir::*;
         match c.dir {
             // lin + iv ≤ 0
@@ -658,7 +677,7 @@ fn plan_linear_with(
     }
 
     // Fold the query into the polytopes / decide how the result reports.
-    let (res_lin, res_iv) = path.result.linear_form(n).expect("checked by caller");
+    let (res_lin, res_iv) = forms.of(&path.result).expect("checked by caller");
     let mut result_boxed = false;
     let mut const_value_range = Interval::point(res_lin.constant_term()) + res_iv;
     let mut const_in_lo = true;
@@ -716,11 +735,7 @@ fn plan_linear_with(
     if result_boxed {
         boxed.push(res_lin.clone());
     }
-    let decomps: Vec<_> = path
-        .scores
-        .iter()
-        .map(|w| w.linear_decomposition(n))
-        .collect();
+    let decomps: Vec<_> = path.scores.iter().map(|w| forms.decompose(w)).collect();
     // Map each score part to either a boxed index or a fixed LP range:
     // `part_source[s][p] = Ok(boxed_idx) | Err(fixed_range)`.
     let mut part_source: Vec<Vec<Result<usize, Interval>>> = Vec::new();

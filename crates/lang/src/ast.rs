@@ -142,18 +142,6 @@ impl Expr {
         )
     }
 
-    /// Number of AST nodes in this subtree.
-    pub fn size(&self) -> usize {
-        1 + match &self.kind {
-            ExprKind::Var(_) | ExprKind::Const(_) | ExprKind::Sample => 0,
-            ExprKind::Lam(_, b) | ExprKind::Score(b) => b.size(),
-            ExprKind::Fix(_, _, b) => b.size(),
-            ExprKind::App(a, b) => a.size() + b.size(),
-            ExprKind::If(c, t, e) => c.size() + t.size() + e.size(),
-            ExprKind::Prim(_, args) => args.iter().map(Expr::size).sum(),
-        }
-    }
-
     /// Walks the subtree, applying `f` to every node (preorder).
     pub fn walk(&self, f: &mut impl FnMut(&Expr)) {
         f(self);
@@ -292,7 +280,6 @@ mod tests {
         let fix = bld.mk(ExprKind::Fix(f, x, Box::new(body)), Span::default());
         assert!(fix.free_vars().is_empty());
         assert!(fix.is_value());
-        assert_eq!(fix.size(), 4);
     }
 
     #[test]

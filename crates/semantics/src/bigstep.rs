@@ -5,8 +5,6 @@
 //! `wt_P(s)`. Weights are tracked in log space so that long products of
 //! densities neither under- nor overflow.
 
-use std::rc::Rc;
-
 use gubpi_lang::{Expr, ExprKind, Program};
 use rand::{Rng, RngExt};
 
@@ -225,14 +223,14 @@ struct Evaluator<'a, 'b> {
 }
 
 impl Evaluator<'_, '_> {
-    fn eval(&mut self, e: &Expr, env: &Env) -> Result<Value, EvalError> {
+    fn eval<'p>(&mut self, e: &'p Expr, env: &Env<'p>) -> Result<Value<'p>, EvalError> {
         self.depth += 1;
         let r = self.eval_inner(e, env);
         self.depth -= 1;
         r
     }
 
-    fn eval_inner(&mut self, e: &Expr, env: &Env) -> Result<Value, EvalError> {
+    fn eval_inner<'p>(&mut self, e: &'p Expr, env: &Env<'p>) -> Result<Value<'p>, EvalError> {
         if self.fuel == 0 {
             return Err(EvalError::OutOfFuel);
         }
@@ -247,14 +245,14 @@ impl Evaluator<'_, '_> {
                 .ok_or_else(|| EvalError::Stuck(format!("unbound variable `{x}`"))),
             ExprKind::Const(r) => Ok(Value::Real(*r)),
             ExprKind::Lam(param, body) => Ok(Value::Closure {
-                param: param.clone(),
-                body: Rc::new((**body).clone()),
+                param,
+                body,
                 env: env.clone(),
             }),
             ExprKind::Fix(fname, param, body) => Ok(Value::FixClosure {
-                fname: fname.clone(),
-                param: param.clone(),
-                body: Rc::new((**body).clone()),
+                fname,
+                param,
+                body,
                 env: env.clone(),
             }),
             ExprKind::App(f, a) => {
@@ -302,11 +300,11 @@ impl Evaluator<'_, '_> {
         }
     }
 
-    fn apply(&mut self, f: Value, a: Value) -> Result<Value, EvalError> {
+    fn apply<'p>(&mut self, f: Value<'p>, a: Value<'p>) -> Result<Value<'p>, EvalError> {
         match f {
             Value::Closure { param, body, env } => {
                 let env2 = env.bind(param, a);
-                self.eval(&body, &env2)
+                self.eval(body, &env2)
             }
             Value::FixClosure {
                 fname,
@@ -315,13 +313,13 @@ impl Evaluator<'_, '_> {
                 env,
             } => {
                 let rec = Value::FixClosure {
-                    fname: fname.clone(),
-                    param: param.clone(),
-                    body: body.clone(),
+                    fname,
+                    param,
+                    body,
                     env: env.clone(),
                 };
                 let env2 = env.bind(fname, rec).bind(param, a);
-                self.eval(&body, &env2)
+                self.eval(body, &env2)
             }
             other => Err(EvalError::Stuck(format!("applying non-function {other:?}"))),
         }

@@ -11,39 +11,41 @@
 //! exactly report the paper's "otherwise" values `wtI = [0, ∞]`,
 //! `valI = [−∞, ∞]`.
 
-use std::rc::Rc;
-
 use gubpi_interval::{BoxN, Interval};
-use gubpi_lang::{Env, Expr, ExprKind, Name, Program};
+use gubpi_lang::{Env, Expr, ExprKind, Program};
 
-/// An interval runtime value.
+/// An interval runtime value. Closures borrow their names and bodies
+/// from the program `'a` being evaluated.
 #[derive(Clone)]
-pub enum IValue {
+pub enum IValue<'a> {
     /// A real interval (interval literals `[a, b]`).
     Interval(Interval),
     /// A lambda closure.
     Closure {
         /// Parameter name.
-        param: Name,
-        /// Body (shared).
-        body: Rc<Expr>,
+        param: &'a str,
+        /// Body.
+        body: &'a Expr,
         /// Captured environment.
-        env: Env<Name, IValue>,
+        env: IEnv<'a>,
     },
     /// A recursive closure.
     FixClosure {
         /// Recursion variable.
-        fname: Name,
+        fname: &'a str,
         /// Parameter name.
-        param: Name,
-        /// Body (shared).
-        body: Rc<Expr>,
+        param: &'a str,
+        /// Body.
+        body: &'a Expr,
         /// Captured environment.
-        env: Env<Name, IValue>,
+        env: IEnv<'a>,
     },
 }
 
-impl std::fmt::Debug for IValue {
+/// The interval evaluator's environment.
+type IEnv<'a> = Env<&'a str, IValue<'a>>;
+
+impl std::fmt::Debug for IValue<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             IValue::Interval(i) => write!(f, "{i:?}"),
@@ -143,10 +145,10 @@ struct Machine<'a> {
 }
 
 /// Evaluation result per branch: `None` marks divergence/stuckness.
-type Branches = Vec<(Option<IValue>, IState)>;
+type Branches<'p> = Vec<(Option<IValue<'p>>, IState)>;
 
 impl Machine<'_> {
-    fn eval(&mut self, e: &Expr, env: &Env<Name, IValue>, st: IState) -> Branches {
+    fn eval<'p>(&mut self, e: &'p Expr, env: &IEnv<'p>, st: IState) -> Branches<'p> {
         self.depth += 1;
         let r = if self.depth > self.opts.max_depth {
             vec![(None, st)]
@@ -157,7 +159,7 @@ impl Machine<'_> {
         r
     }
 
-    fn eval_inner(&mut self, e: &Expr, env: &Env<Name, IValue>, mut st: IState) -> Branches {
+    fn eval_inner<'p>(&mut self, e: &'p Expr, env: &IEnv<'p>, mut st: IState) -> Branches<'p> {
         if st.fuel == 0 {
             return vec![(None, st)];
         }
@@ -170,17 +172,17 @@ impl Machine<'_> {
             ExprKind::Const(r) => vec![(Some(IValue::Interval(Interval::point(*r))), st)],
             ExprKind::Lam(param, body) => vec![(
                 Some(IValue::Closure {
-                    param: param.clone(),
-                    body: Rc::new((**body).clone()),
+                    param,
+                    body,
                     env: env.clone(),
                 }),
                 st,
             )],
             ExprKind::Fix(fname, param, body) => vec![(
                 Some(IValue::FixClosure {
-                    fname: fname.clone(),
-                    param: param.clone(),
-                    body: Rc::new((**body).clone()),
+                    fname,
+                    param,
+                    body,
                     env: env.clone(),
                 }),
                 st,
@@ -201,7 +203,7 @@ impl Machine<'_> {
                     m.flat_map(args, |m, av, st2| match fv.clone() {
                         IValue::Closure { param, body, env } => {
                             let env2 = env.bind(param, av);
-                            m.eval(&body, &env2, st2)
+                            m.eval(body, &env2, st2)
                         }
                         IValue::FixClosure {
                             fname,
@@ -210,13 +212,13 @@ impl Machine<'_> {
                             env,
                         } => {
                             let rec = IValue::FixClosure {
-                                fname: fname.clone(),
-                                param: param.clone(),
-                                body: body.clone(),
+                                fname,
+                                param,
+                                body,
                                 env: env.clone(),
                             };
                             let env2 = env.bind(fname, rec).bind(param, av);
-                            m.eval(&body, &env2, st2)
+                            m.eval(body, &env2, st2)
                         }
                         IValue::Interval(_) => vec![(None, st2)],
                     })
@@ -311,11 +313,11 @@ impl Machine<'_> {
 
     /// Monadic bind over branch sets, recording divergent branches as
     /// leaves immediately.
-    fn flat_map(
+    fn flat_map<'p>(
         &mut self,
-        branches: Branches,
-        mut f: impl FnMut(&mut Self, IValue, IState) -> Branches,
-    ) -> Branches {
+        branches: Branches<'p>,
+        mut f: impl FnMut(&mut Self, IValue<'p>, IState) -> Branches<'p>,
+    ) -> Branches<'p> {
         let mut out = Branches::new();
         for (v, st) in branches {
             if self.leaves.len() + out.len() > self.opts.max_leaves {

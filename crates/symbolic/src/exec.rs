@@ -24,12 +24,11 @@
 
 use std::cell::Cell;
 use std::collections::HashMap;
-use std::rc::Rc;
 use std::sync::Arc;
 
 use gubpi_analysis::ProgramFacts;
 use gubpi_interval::Interval;
-use gubpi_lang::{Env, Expr, ExprKind, Name, NodeId, Program};
+use gubpi_lang::{Env, Expr, ExprKind, NodeId, Program};
 use gubpi_pool::{CancelToken, WorkerPool};
 use gubpi_types::IntervalTyping;
 
@@ -77,18 +76,14 @@ impl Default for SymExecOptions {
 /// continuation is a whole second recursion is not starved.
 const LINEAR_BRANCH_RESERVE: usize = 16;
 
-/// What the executor did beyond producing paths: pruning activity driven
-/// by static [`ProgramFacts`] and the ⊤-path truncation census.
+/// What the executor did beyond producing paths: the zero-score drops
+/// driven by static [`ProgramFacts`] and the ⊤-path truncation census.
 ///
-/// Pruning never changes the posterior bounds — only which exactly-zero
-/// terms are enumerated — so these counts are the observable difference
+/// Dropping never changes the posterior bounds — only which exactly-zero
+/// terms are enumerated — so the drop count is the observable difference
 /// between a pruned and an unpruned run.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct ExecReport {
-    /// Uncertain `if` forks where one side was statically dead (every
-    /// leaf would carry an exactly-zero score) and was skipped instead
-    /// of explored. Counted per skipped side.
-    pub pruned_branches: usize,
     /// Paths dropped at a `score` whose argument is statically the
     /// constant `0`: every continuation leaf would contribute exactly
     /// `0.0` to both posterior bounds.
@@ -140,29 +135,22 @@ pub fn symbolic_paths(
     .0
 }
 
-/// Symbolic execution with optional static facts, a pruning /
+/// Symbolic execution with optional static facts, a zero-score-drop /
 /// truncation census and an optional cooperative [`CancelToken`]. It
 /// runs on the calling thread; `_pool` is ignored and remains only
 /// because the benchmark harness under `perfbench/` still passes it.
 ///
 /// When `facts` is supplied (and not
-/// [aborted](ProgramFacts::is_aborted)), the executor
-///
-/// * drops a path at any `score` whose argument is statically the
-///   constant `0` — the score is still *pushed* first, so the dropped
-///   subtree's every leaf carries an exactly-zero weight factor and
-///   contributes exactly `0.0` to both posterior bounds;
-/// * skips a side of an uncertain `if` fork whose every leaf would carry
-///   such a score ([`ProgramFacts::dead_branch_cost`]), but only when
-///   the remaining fuel and stack depth prove the unpruned run could not
-///   have ⊤-truncated *inside* that side before reaching the zero score
-///   (a ⊤ path cut short of the score would carry real mass). The budget
-///   split happens exactly as without facts and the dead side's share is
-///   discarded, never reallocated.
-///
-/// Both rules remove only exactly-zero terms from the bound sums, so a
-/// pruned run is bit-identical to a facts-free (unpruned) run — just
-/// with fewer enumerated paths.
+/// [aborted](ProgramFacts::is_aborted)), the executor drops a path at
+/// any `score` whose argument is statically the constant `0`
+/// ([`ProgramFacts::score_is_zero`]). The score is still *pushed*
+/// first, so every leaf of the dropped subtree carries an exactly-zero
+/// weight factor and contributes exactly `0.0` to both posterior
+/// bounds: a pruned run is bit-identical to a facts-free (unpruned) run,
+/// just with fewer enumerated paths. A fork whose side fails at such a
+/// score evaluates that side under its own budget share, and the share
+/// is discarded with the dropped paths, never reallocated to the
+/// sibling.
 ///
 /// `tail_facts` is deliberately a *separate* parameter from the pruning
 /// `facts`: when supplied, ⊤ paths cut inside a recursion with a
@@ -202,7 +190,6 @@ pub fn symbolic_paths_report_cancellable(
         tail_facts,
         linear,
         cancel,
-        pruned_branches: Cell::new(0),
         zero_score_drops: Cell::new(0),
     };
     let st = PState {
@@ -232,7 +219,6 @@ pub fn symbolic_paths_report_cancellable(
         })
         .collect();
     let report = ExecReport {
-        pruned_branches: ex.pruned_branches.get(),
         zero_score_drops: ex.zero_score_drops.get(),
         budget_truncated_paths: paths.iter().filter(|p| p.budget_truncated).count(),
         depth_truncated_paths: paths
@@ -250,8 +236,8 @@ pub fn symbolic_paths_report_cancellable(
 
 /// Marks every node whose subtree is *syntactically linear*: free of
 /// `if` and of application, hence guaranteed to evaluate to a single
-/// branch. Used by the budget splitter; node ids survive the executor's
-/// body clones, so one pre-pass covers all evaluated expressions.
+/// branch. Used by the budget splitter; closures borrow their bodies
+/// from the program, so one pre-pass covers all evaluated expressions.
 fn mark_linear(e: &Expr, map: &mut HashMap<NodeId, bool>) -> bool {
     let linear = match &e.kind {
         ExprKind::Var(_) | ExprKind::Const(_) | ExprKind::Sample => true,
@@ -285,21 +271,22 @@ fn mark_linear(e: &Expr, map: &mut HashMap<NodeId, bool>) -> bool {
     linear
 }
 
-/// Symbolic runtime values.
+/// Symbolic runtime values. Closures borrow their bodies from the
+/// program being executed.
 #[derive(Clone)]
-enum SValue {
+enum SValue<'a> {
     Sym(Arc<SymVal>),
     Closure {
-        param: Name,
-        body: Rc<Expr>,
-        env: Env<Name, SValue>,
+        param: &'a str,
+        body: &'a Expr,
+        env: SEnv<'a>,
     },
     Fix {
         node: NodeId,
-        fname: Name,
-        param: Name,
-        body: Rc<Expr>,
-        env: Env<Name, SValue>,
+        fname: &'a str,
+        param: &'a str,
+        body: &'a Expr,
+        env: SEnv<'a>,
     },
     /// A higher-order `approxFix` stub: behaves as
     /// `λ_…λ_. score([e,f]); [c,d]` with `remaining` parameters left.
@@ -309,6 +296,9 @@ enum SValue {
         weight: Interval,
     },
 }
+
+/// The executor's environment: names borrowed from the program.
+type SEnv<'a> = Env<&'a str, SValue<'a>>;
 
 /// Per-path execution state.
 #[derive(Clone)]
@@ -330,12 +320,12 @@ struct PState {
     active_fix: Option<(NodeId, u32)>,
 }
 
-type Branches = Vec<(Option<SValue>, PState)>;
+type Branches<'a> = Vec<(Option<SValue<'a>>, PState)>;
 
 struct Executor<'a> {
     typing: &'a IntervalTyping,
     opts: SymExecOptions,
-    /// Static pre-execution facts enabling dead-branch pruning; `None`
+    /// Static pre-execution facts enabling zero-score drops; `None`
     /// reproduces the historical (unpruned) behaviour exactly.
     facts: Option<&'a ProgramFacts>,
     /// Facts consulted only for tail enclosures on ⊤ paths — kept apart
@@ -346,13 +336,11 @@ struct Executor<'a> {
     /// Cooperative cancellation: once fired, branches close off as ⊤
     /// paths at their next evaluation checkpoint (sound truncation).
     cancel: Option<&'a CancelToken>,
-    /// Skipped dead `if` sides.
-    pruned_branches: Cell<usize>,
     /// Paths dropped at a statically-zero `score`.
     zero_score_drops: Cell<usize>,
 }
 
-impl Executor<'_> {
+impl<'a> Executor<'a> {
     /// A sound "anything can happen beyond this point" path. When the
     /// cut fell inside a recursion with a recorded tail fact, the
     /// geometric-remainder enclosure rides along as data — substituted
@@ -383,20 +371,14 @@ impl Executor<'_> {
         }
     }
 
-    fn eval(&self, e: &Expr, env: &Env<Name, SValue>, st: PState, depth: u32) -> Branches {
+    fn eval(&self, e: &'a Expr, env: &SEnv<'a>, st: PState, depth: u32) -> Branches<'a> {
         if depth >= self.opts.max_depth {
             return vec![(None, st)];
         }
         self.eval_inner(e, env, st, depth + 1)
     }
 
-    fn eval_inner(
-        &self,
-        e: &Expr,
-        env: &Env<Name, SValue>,
-        mut st: PState,
-        depth: u32,
-    ) -> Branches {
+    fn eval_inner(&self, e: &'a Expr, env: &SEnv<'a>, mut st: PState, depth: u32) -> Branches<'a> {
         if st.fuel == 0 {
             return vec![(None, st)];
         }
@@ -428,8 +410,8 @@ impl Executor<'_> {
             }
             ExprKind::Lam(param, body) => vec![(
                 Some(SValue::Closure {
-                    param: param.clone(),
-                    body: Rc::new((**body).clone()),
+                    param,
+                    body,
                     env: env.clone(),
                 }),
                 st,
@@ -437,9 +419,9 @@ impl Executor<'_> {
             ExprKind::Fix(fname, param, body) => vec![(
                 Some(SValue::Fix {
                     node: e.id,
-                    fname: fname.clone(),
-                    param: param.clone(),
-                    body: Rc::new((**body).clone()),
+                    fname,
+                    param,
+                    body,
                     env: env.clone(),
                 }),
                 st,
@@ -482,32 +464,9 @@ impl Executor<'_> {
                             value: guard,
                             dir: CmpDir::GtZero,
                         });
-                        // Dead-branch pruning: a side all of whose leaves
-                        // would carry an exactly-zero score is skipped
-                        // (its budget share is discarded, not
-                        // reallocated, so the sibling explores exactly
-                        // the same subtree as without pruning).
-                        let skip_then = ex.prunable(t.id, &st_then, depth);
-                        let skip_else = ex.prunable(els.id, &st_else, depth);
-                        match (skip_then, skip_else) {
-                            (false, false) => {
-                                let mut out = ex.eval(t, env, st_then, depth);
-                                out.extend(ex.eval(els, env, st_else, depth));
-                                out
-                            }
-                            (true, false) => {
-                                ex.pruned_branches.set(ex.pruned_branches.get() + 1);
-                                ex.eval(els, env, st_else, depth)
-                            }
-                            (false, true) => {
-                                ex.pruned_branches.set(ex.pruned_branches.get() + 1);
-                                ex.eval(t, env, st_then, depth)
-                            }
-                            (true, true) => {
-                                ex.pruned_branches.set(ex.pruned_branches.get() + 2);
-                                vec![]
-                            }
-                        }
+                        let mut out = ex.eval(t, env, st_then, depth);
+                        out.extend(ex.eval(els, env, st_else, depth));
+                        out
                     }
                 })
             }
@@ -593,32 +552,11 @@ impl Executor<'_> {
         }
     }
 
-    /// May the side of an uncertain fork rooted at `id` be skipped
-    /// without changing the bounds?
-    ///
-    /// Requires a static dead-branch fact (every leaf of an *inert*
-    /// subtree carries an exactly-zero score) **and** enough fuel and
-    /// stack depth that the unpruned run could not have ⊤-truncated
-    /// inside the side before pushing that score — a ⊤ path cut short of
-    /// the zero score carries real mass, and pruning must stay
-    /// bit-identical to the unpruned run even under truncation. The fact's
-    /// cost is the subtree's node count, which bounds both its fuel use
-    /// (one unit per evaluated node) and its depth growth (nesting ≤
-    /// size). Inert subtrees contain no `if`, so the path budget is
-    /// never consulted inside them.
-    fn prunable(&self, id: NodeId, st: &PState, depth: u32) -> bool {
-        self.facts
-            .and_then(|f| f.dead_branch_cost(id))
-            .is_some_and(|cost| {
-                st.fuel > cost && (depth as u64).saturating_add(cost) < self.opts.max_depth as u64
-            })
-    }
-
-    fn apply(&self, f: SValue, a: SValue, st: PState, depth: u32) -> Branches {
+    fn apply(&self, f: SValue<'a>, a: SValue<'a>, st: PState, depth: u32) -> Branches<'a> {
         match f {
             SValue::Closure { param, body, env } => {
                 let env2 = env.bind(param, a);
-                self.eval(&body, &env2, st, depth)
+                self.eval(body, &env2, st, depth)
             }
             SValue::Fix {
                 node,
@@ -641,13 +579,13 @@ impl Executor<'_> {
                 ));
                 let rec = SValue::Fix {
                     node,
-                    fname: fname.clone(),
-                    param: param.clone(),
-                    body: body.clone(),
+                    fname,
+                    param,
+                    body,
                     env: env.clone(),
                 };
                 let env2 = env.bind(fname, rec).bind(param, a);
-                self.eval(&body, &env2, st2, depth)
+                self.eval(body, &env2, st2, depth)
             }
             SValue::ApproxFun {
                 remaining,
@@ -676,7 +614,7 @@ impl Executor<'_> {
     /// `approxFix` (§6.2): replace the application of an exhausted
     /// fixpoint by `λ_…λ_. score([e, f]); [c, d]` from its interval type
     /// (curried fixpoints keep absorbing arguments until ground).
-    fn approx_fix(&self, node: NodeId, mut st: PState) -> Branches {
+    fn approx_fix(&self, node: NodeId, mut st: PState) -> Branches<'a> {
         let (extra, value, weight) =
             self.typing
                 .fix_apply_chain(node)
@@ -697,7 +635,7 @@ impl Executor<'_> {
     }
 
     /// Emits the ground `score([e,f]); [c,d]` of an approxFix stub.
-    fn finish_approx(value: Interval, weight: Interval, mut st: PState) -> Branches {
+    fn finish_approx(value: Interval, weight: Interval, mut st: PState) -> Branches<'a> {
         if weight != Interval::ONE {
             st.scores
                 .push(Arc::new(SymVal::Interval(weight.clamp_non_neg())));
@@ -707,9 +645,9 @@ impl Executor<'_> {
 
     fn bind(
         &self,
-        branches: Branches,
-        mut f: impl FnMut(&Self, SValue, PState) -> Branches,
-    ) -> Branches {
+        branches: Branches<'a>,
+        mut f: impl FnMut(&Self, SValue<'a>, PState) -> Branches<'a>,
+    ) -> Branches<'a> {
         let mut out = Branches::new();
         for (v, st) in branches {
             match v {
@@ -965,12 +903,13 @@ mod tests {
         let (unpruned, r0) = paths_report(src, SymExecOptions::default(), false);
         let (pruned, r1) = paths_report(src, SymExecOptions::default(), true);
         assert_eq!(r0, ExecReport::default());
-        assert_eq!(r1.pruned_branches, 1);
-        assert_eq!(r1.zero_score_drops, 0);
+        // The `fail` side is evaluated and its one path dropped at the
+        // zero score.
+        assert_eq!(r1.zero_score_drops, 1);
         assert_eq!(unpruned.len(), 2);
         assert_eq!(pruned.len(), 1);
         // The surviving path is exactly the unpruned run's live path
-        // (same budget split, the dead side's share merely discarded).
+        // (same budget split, the dropped side's share discarded).
         let live: Vec<&SymPath> = unpruned.iter().filter(|p| p.scores.is_empty()).collect();
         assert_eq!(live.len(), 1);
         assert_eq!(*live[0], pruned[0]);
@@ -992,7 +931,6 @@ mod tests {
         assert_eq!(*unpruned[0].scores[0], SymVal::Const(0.0));
         assert!(pruned.is_empty());
         assert_eq!(r.zero_score_drops, 1);
-        assert_eq!(r.pruned_branches, 0);
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Symbolic values over sample variables (Appendix B).
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::marker::PhantomData;
 use std::ops::Deref;
 use std::sync::Arc;
 
@@ -265,73 +266,150 @@ impl SymVal {
     /// Extracts an *interval-linear form* `w·α + [a, b]` (§6.4), if the
     /// value is linear in the sample variables: addition, subtraction,
     /// negation, and multiplication/division by interval-free constants.
+    /// Several values of one path share a [`LinearForms`] instead.
     pub fn linear_form(&self, dim: usize) -> Option<(LinExpr, Interval)> {
-        match self {
-            SymVal::Const(c) => Some((LinExpr::constant(dim, *c), Interval::ZERO)),
-            SymVal::Interval(i) => Some((LinExpr::constant(dim, 0.0), *i)),
-            SymVal::Sample(i) => {
-                if *i < dim {
-                    Some((LinExpr::var(dim, *i), Interval::ZERO))
-                } else {
-                    None
-                }
-            }
-            SymVal::Prim(op, args) => match op {
-                PrimOp::Add => {
-                    let (l1, i1) = args[0].linear_form(dim)?;
-                    let (l2, i2) = args[1].linear_form(dim)?;
-                    Some((&l1 + &l2, i1 + i2))
-                }
-                PrimOp::Sub => {
-                    let (l1, i1) = args[0].linear_form(dim)?;
-                    let (l2, i2) = args[1].linear_form(dim)?;
-                    Some((&l1 - &l2, i1 - i2))
-                }
-                PrimOp::Neg => {
-                    let (l, i) = args[0].linear_form(dim)?;
-                    Some((-&l, -i))
-                }
-                PrimOp::Mul => {
-                    let (l1, i1) = args[0].linear_form(dim)?;
-                    let (l2, i2) = args[1].linear_form(dim)?;
-                    // One side must be a pure point constant.
-                    if l1.is_constant() && i1.is_point() {
-                        let k = l1.constant_term() + i1.lo();
-                        Some((l2.scale(k), i2 * Interval::point(k)))
-                    } else if l2.is_constant() && i2.is_point() {
-                        let k = l2.constant_term() + i2.lo();
-                        Some((l1.scale(k), i1 * Interval::point(k)))
-                    } else {
-                        None
-                    }
-                }
-                PrimOp::Div => {
-                    let (l1, i1) = args[0].linear_form(dim)?;
-                    let (l2, i2) = args[1].linear_form(dim)?;
-                    if l2.is_constant() && i2.is_point() {
-                        let k = l2.constant_term() + i2.lo();
-                        if k != 0.0 {
-                            return Some((l1.scale(1.0 / k), i1 * Interval::point(1.0 / k)));
-                        }
-                    }
-                    None
-                }
-                _ => None,
-            },
-        }
+        LinearForms::new(dim).of(self)
     }
 
     /// Decomposes a value into `f(Z₁, …, Z_m)` where each `Zᵢ` is a
     /// maximal interval-linear sub-expression (Appendix E.1): returns the
     /// skeleton with [`SymVal::Sample`] leaves replaced by placeholder
-    /// indices into the returned linear parts.
-    ///
-    /// Implemented as: if `self` is linear, one part; otherwise recurse
-    /// into primitive arguments.
+    /// indices into the returned linear parts. Several values of one
+    /// path share a [`LinearForms`] instead.
     pub fn linear_decomposition(self: &Arc<SymVal>, dim: usize) -> Decomposition {
+        LinearForms::new(dim).decompose(self)
+    }
+}
+
+/// The interval-linear forms (§6.4) of the values of one path over
+/// `dim` samples, memoised by node address: a subterm shared by several
+/// parents or several roots is formed once, so a walk costs the DAG's
+/// node count, not the size of its expanded tree. The borrow `'v` keeps
+/// every memoised node alive, so no address is reused while the memo
+/// holds it.
+pub struct LinearForms<'v> {
+    dim: usize,
+    forms: HashMap<*const SymVal, Option<(LinExpr, Interval)>>,
+    values: PhantomData<&'v SymVal>,
+}
+
+impl<'v> LinearForms<'v> {
+    /// An empty memo for values over `dim` samples.
+    pub fn new(dim: usize) -> LinearForms<'v> {
+        LinearForms {
+            dim,
+            forms: HashMap::new(),
+            values: PhantomData,
+        }
+    }
+
+    /// The interval-linear form of `v` ([`SymVal::linear_form`]).
+    pub fn of(&mut self, v: &'v SymVal) -> Option<(LinExpr, Interval)> {
+        let dim = self.dim;
+        let SymVal::Prim(op, args) = v else {
+            return match v {
+                SymVal::Const(c) => Some((LinExpr::constant(dim, *c), Interval::ZERO)),
+                SymVal::Interval(i) => Some((LinExpr::constant(dim, 0.0), *i)),
+                SymVal::Sample(i) if *i < dim => Some((LinExpr::var(dim, *i), Interval::ZERO)),
+                _ => None,
+            };
+        };
+        if let Some(form) = self.forms.get(&(v as *const SymVal)) {
+            return form.clone();
+        }
+        let form = self.prim(*op, args);
+        self.forms.insert(v, form.clone());
+        form
+    }
+
+    fn prim(&mut self, op: PrimOp, args: &'v [Arc<SymVal>]) -> Option<(LinExpr, Interval)> {
+        match op {
+            PrimOp::Add => {
+                let (l1, i1) = self.of(&args[0])?;
+                let (l2, i2) = self.of(&args[1])?;
+                Some((&l1 + &l2, i1 + i2))
+            }
+            PrimOp::Sub => {
+                let (l1, i1) = self.of(&args[0])?;
+                let (l2, i2) = self.of(&args[1])?;
+                Some((&l1 - &l2, i1 - i2))
+            }
+            PrimOp::Neg => {
+                let (l, i) = self.of(&args[0])?;
+                Some((-&l, -i))
+            }
+            PrimOp::Mul => {
+                let (l1, i1) = self.of(&args[0])?;
+                let (l2, i2) = self.of(&args[1])?;
+                // One side must be a pure point constant.
+                if l1.is_constant() && i1.is_point() {
+                    let k = l1.constant_term() + i1.lo();
+                    Some((l2.scale(k), i2 * Interval::point(k)))
+                } else if l2.is_constant() && i2.is_point() {
+                    let k = l2.constant_term() + i2.lo();
+                    Some((l1.scale(k), i1 * Interval::point(k)))
+                } else {
+                    None
+                }
+            }
+            PrimOp::Div => {
+                let (l1, i1) = self.of(&args[0])?;
+                let (l2, i2) = self.of(&args[1])?;
+                if l2.is_constant() && i2.is_point() {
+                    let k = l2.constant_term() + i2.lo();
+                    if k != 0.0 {
+                        return Some((l1.scale(1.0 / k), i1 * Interval::point(1.0 / k)));
+                    }
+                }
+                None
+            }
+            _ => None,
+        }
+    }
+
+    /// The decomposition of `v` ([`SymVal::linear_decomposition`]). A
+    /// subterm shared by several parents is decomposed once: its
+    /// skeleton is shared too, and so are its parts.
+    pub fn decompose(&mut self, v: &'v Arc<SymVal>) -> Decomposition {
         let mut parts = Vec::new();
-        let skeleton = decompose(self, dim, &mut parts);
+        let skeleton = self.skeleton(v, &mut parts, &mut HashMap::new());
         Decomposition { skeleton, parts }
+    }
+
+    fn skeleton(
+        &mut self,
+        v: &'v Arc<SymVal>,
+        parts: &mut Vec<(LinExpr, Interval)>,
+        done: &mut HashMap<*const SymVal, Arc<SymVal>>,
+    ) -> Arc<SymVal> {
+        if let Some(s) = done.get(&Arc::as_ptr(v)) {
+            return s.clone();
+        }
+        let s = if let Some(lf) = self.of(v) {
+            // Constant linear forms are inlined as interval literals —
+            // the original node may still *syntactically* contain
+            // samples (e.g. `0 · α₀`), which must not survive into the
+            // skeleton where `Sample` leaves denote part indices.
+            if lf.0.is_constant() {
+                Arc::new(SymVal::Interval(
+                    Interval::point(lf.0.constant_term()) + lf.1,
+                ))
+            } else {
+                parts.push(lf);
+                Arc::new(SymVal::Sample(parts.len() - 1))
+            }
+        } else {
+            match &**v {
+                SymVal::Prim(op, args) => {
+                    let new_args = args.iter().map(|a| self.skeleton(a, parts, done)).collect();
+                    SymVal::unfolded(*op, new_args)
+                }
+                // Non-linear leaves cannot occur (leaves are always linear).
+                _ => v.clone(),
+            }
+        };
+        done.insert(Arc::as_ptr(v), s.clone());
+        s
     }
 }
 
@@ -345,31 +423,6 @@ pub struct Decomposition {
     pub skeleton: Arc<SymVal>,
     /// The extracted interval-linear sub-expressions.
     pub parts: Vec<(LinExpr, Interval)>,
-}
-
-fn decompose(v: &Arc<SymVal>, dim: usize, parts: &mut Vec<(LinExpr, Interval)>) -> Arc<SymVal> {
-    if let Some(lf) = v.linear_form(dim) {
-        // Constant linear forms are inlined as interval literals — the
-        // original node may still *syntactically* contain samples (e.g.
-        // `0 · α₀`), which must not survive into the skeleton where
-        // `Sample` leaves denote part indices.
-        if lf.0.is_constant() {
-            return Arc::new(SymVal::Interval(
-                Interval::point(lf.0.constant_term()) + lf.1,
-            ));
-        }
-        let k = parts.len();
-        parts.push(lf);
-        return Arc::new(SymVal::Sample(k));
-    }
-    match &**v {
-        SymVal::Prim(op, args) => {
-            let new_args = args.iter().map(|a| decompose(a, dim, parts)).collect();
-            SymVal::unfolded(*op, new_args)
-        }
-        // Non-linear leaves cannot occur (leaves are always linear).
-        _ => v.clone(),
-    }
 }
 
 impl fmt::Display for SymVal {

@@ -261,6 +261,42 @@ proptest! {
         prop_assert_eq!(shared.fingerprint(), fresh.fingerprint());
     }
 
+    /// Linear forms and decompositions walk values as the DAGs they
+    /// are, yet must agree with the same values built as trees: the
+    /// forms bit for bit, the decompositions in the bits they evaluate
+    /// to at any point. A DAG shares the parts of a shared subterm, so
+    /// it never has more parts than the tree.
+    #[test]
+    fn dag_walks_match_tree_walks(r in recipe(),
+                                  s in proptest::collection::vec(0.0f64..1.0, 3)) {
+        let dag = r.dag();
+        for (k, d) in dag.iter().enumerate() {
+            let t = r.tree(k);
+            let (fd, ft) = (d.linear_form(3), t.linear_form(3));
+            prop_assert_eq!(fd.is_some(), ft.is_some(), "{}", d);
+            if let (Some((ld, id)), Some((lt, it))) = (fd, ft) {
+                let bits = |l: &gubpi_polytope::LinExpr, i: Interval| {
+                    let mut b: Vec<u64> = l.coeffs().iter().map(|c| c.to_bits()).collect();
+                    b.extend([l.constant_term().to_bits(), i.lo().to_bits(), i.hi().to_bits()]);
+                    b
+                };
+                prop_assert_eq!(bits(&ld, id), bits(&lt, it), "{}", d);
+            }
+            let (dd, dt) = (d.linear_decomposition(3), t.linear_decomposition(3));
+            prop_assert!(dd.parts.len() <= dt.parts.len(), "{}", d);
+            let at = |dec: &gubpi_symbolic::Decomposition| {
+                let parts: Vec<Interval> = dec
+                    .parts
+                    .iter()
+                    .map(|(lin, iv)| Interval::point(lin.eval(&s)) + *iv)
+                    .collect();
+                let v = dec.skeleton.range_over_box(&BoxN::new(parts));
+                (v.lo().to_bits(), v.hi().to_bits())
+            };
+            prop_assert_eq!(at(&dd), at(&dt), "{}", d);
+        }
+    }
+
     /// A successfully extracted linear form evaluates identically to the
     /// original symbolic value.
     #[test]

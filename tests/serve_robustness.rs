@@ -327,6 +327,34 @@ fn deeply_nested_programs_get_an_error_reply_and_the_daemon_keeps_serving() {
     server.shutdown();
 }
 
+/// `let x1 = x0 + x0 in …` to depth 64: a one-path program whose result
+/// has more than 2⁶⁴ primitive applications as a tree. Every step of
+/// its query walks the DAG instead, so a deadlined request is answered
+/// inside its deadline and the connection serves the next request.
+#[test]
+fn deep_let_chains_are_answered_within_their_deadline() {
+    let _serial = fault_lock();
+    let server = start(ServeConfig::default()).expect("bind");
+    let mut c = Client::connect(server.local_addr()).expect("connect");
+    let chain = (1..=64).fold("let x0 = sample in ".to_string(), |src, i| {
+        src + &format!("let x{i} = x{} + x{} in ", i - 1, i - 1)
+    }) + "x64";
+    let half = 2f64.powi(63);
+    for kind in [QueryKind::Denotation, QueryKind::Posterior] {
+        let o = c
+            .query(req(kind, &chain, 0.0, half, Some(500)))
+            .expect("transport")
+            .expect("a deadlined query is answered");
+        assert!(o.lo <= 0.5 && 0.5 <= o.hi, "{kind:?}: [{}, {}]", o.lo, o.hi);
+    }
+    let after = c
+        .query(req(QueryKind::Denotation, SMALL, 0.0, 0.5, None))
+        .expect("transport")
+        .expect("daemon serviceable after the deep chain");
+    assert!(after.lo <= after.hi && !after.degraded);
+    server.shutdown();
+}
+
 #[test]
 fn admission_control_rejects_while_the_only_slot_is_held() {
     let _serial = fault_lock();
